@@ -2,10 +2,22 @@
 
 A kernel is the point-spread density K blurring the atomic measure; the
 forward model only ever consumes integrals of K over axis-aligned rectangles
-(bins).  Gaussian kernels with isotropic or diagonal covariance evaluate those
-integrals as products of 1-d CDF differences; anisotropic Gaussians fall back
-to adaptive quadrature, and tabulated kernels integrate their piecewise
-linear/bilinear interpolant exactly.
+(bins).  Every kernel computes them for a whole grid at once from the grid's
+axis edges: ``bin_integral_matrix`` gives the (m, k) integrals and
+``bin_integral_gradient_matrix`` their closed-form (m, k, d) derivatives in
+the atom coordinates, with no loop over bins.
+
+- Product kernels (Gaussians with diagonal covariance, uniform boxes)
+  multiply per-axis CDF differences.
+- Anisotropic Gaussians integrate the bivariate density's strip masses
+  along x with fixed-order Gauss-Legendre; their gradients are the same
+  strip masses on the bins' edges.
+- Tabulated kernels integrate their piecewise linear/bilinear interpolant
+  exactly through per-atom hat-function weights.
+
+The scalar ``bin_integral`` computes the same integral one bin at a time by
+separate means (adaptive quadrature, per-cell Gauss-Legendre) and serves as
+the reference the matrices are tested against.
 """
 from __future__ import annotations
 
@@ -24,6 +36,12 @@ logger = logging.getLogger(__name__)
 
 # Bins farther than this many sigmas from every atom contribute < 1e-14 mass.
 GAUSSIAN_TAIL_SIGMAS = 8.0
+
+# Anisotropic Gaussians integrate over x within this many sigma_x of the atom;
+# the mass left out is 2 * Phi(-9) < 3e-19.
+_CLIP_SIGMAS = 9.0
+# Gauss-Legendre nodes per x-panel of the anisotropic bin integrals.
+_GL_ORDER = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,46 +125,26 @@ class Kernel:
         return KernelMoments(vals, "complex")
 
     def bin_integral(self, lo, hi, atom) -> float:
-        """Integral of K(x - atom) over the rectangle [lo, hi]."""
+        """Integral of K(x - atom) over the rectangle [lo, hi], one bin at a time."""
         raise NotImplementedError
 
     def bin_integral_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
         """Per-atom bin integrals over a whole grid, shape (m, k).
 
         Entry (i, j) is the integral of K(x - atom_j) over bin i in the grid's
-        row-major order.  The generic implementation loops; product kernels
-        override the per-axis factors for a vectorized path.
+        row-major order (i = iy * n_x + ix).
         """
-        atoms = np.atleast_2d(atoms)
-        out = np.empty((grid.m, atoms.shape[0]))
-        radius = self.tail_radius()
-        for i in range(grid.m):
-            lo, hi = grid.bin_bounds(i)
-            center = 0.5 * (lo + hi)
-            for j, atom in enumerate(atoms):
-                if np.linalg.norm(center - atom) > radius + np.linalg.norm(hi - lo):
-                    out[i, j] = 0.0
-                else:
-                    out[i, j] = self.bin_integral(lo, hi, atom)
-        return out
+        raise NotImplementedError
 
     def bin_integral_gradient_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
         """Gradient of bin_integral_matrix entries w.r.t. atom coordinates, (m, k, d).
 
-        Central finite differences by default; Gaussian product kernels
-        override with the closed form.
+        Shifting atom j by +delta along axis a shifts every bin by -delta
+        relative to the kernel, so entry (i, j, a) is the kernel mass per unit
+        length crossing bin i's lower face normal to a minus the mass crossing
+        its upper face.
         """
-        atoms = np.atleast_2d(atoms)
-        d = atoms.shape[1]
-        step = 1e-6 * max(self.spread(), 1e-12)
-        out = np.empty((grid.m, atoms.shape[0], d))
-        for axis in range(d):
-            offset = np.zeros(d)
-            offset[axis] = step
-            plus = self.bin_integral_matrix(grid, atoms + offset)
-            minus = self.bin_integral_matrix(grid, atoms - offset)
-            out[:, :, axis] = (plus - minus) / (2 * step)
-        return out
+        raise NotImplementedError
 
 
 class _ProductKernel(Kernel):
@@ -158,6 +156,7 @@ class _ProductKernel(Kernel):
         raise NotImplementedError
 
     def axis_cdf_diff_grad(self, lo, hi, coords, axis):
+        """Derivatives of axis_cdf_diff in theta_j, shape (n, k)."""
         raise NotImplementedError
 
     def bin_integral(self, lo, hi, atom) -> float:
@@ -185,6 +184,26 @@ class _ProductKernel(Kernel):
             return factors[0]
         dx, dy = factors  # row-major flat order: index = iy * n_x + ix
         return (dy[:, None, :] * dx[None, :, :]).reshape(grid.m, atoms.shape[0])
+
+    def bin_integral_gradient_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
+        atoms = np.atleast_2d(atoms)
+        vals, grads = [], []
+        for axis in range(self.dimension):
+            edges = grid.axis_edges(axis)
+            vals.append(self.axis_cdf_diff(edges[:-1], edges[1:], atoms[:, axis], axis))
+            grads.append(
+                self.axis_cdf_diff_grad(edges[:-1], edges[1:], atoms[:, axis], axis)
+            )
+        k = atoms.shape[0]
+        out = np.empty((grid.m, k, self.dimension))
+        if self.dimension == 1:
+            out[:, :, 0] = grads[0]
+            return out
+        dx, dy = vals
+        gx, gy = grads
+        out[:, :, 0] = (dy[:, None, :] * gx[None, :, :]).reshape(grid.m, k)
+        out[:, :, 1] = (gy[:, None, :] * dx[None, :, :]).reshape(grid.m, k)
+        return out
 
     def multi_moments(self, order: int) -> dict:
         axis_mom = [self.axis_moments(order, axis) for axis in range(self.dimension)]
@@ -304,31 +323,70 @@ class GaussianKernel(_ProductKernel):
         )
         return float(val)
 
+    # anisotropic path: strip masses of the bivariate density ------------------
+    def _strip_masses(self, offsets, edges, axis):
+        """Bin masses of the density along the lines u = offsets, shape (n_bins, n).
+
+        ``offsets`` are coordinates on ``axis`` relative to the atom and
+        ``edges`` the other axis's bin edges relative to the atom.  Entry
+        (b, l) is phi_u(u_l) * P(v in bin b | u = u_l): the density
+        integrated over bin b's span of the line through u_l.
+        """
+        var_u = self.cov[axis, axis]
+        var_v = self.cov[1 - axis, 1 - axis]
+        beta = self.cov[0, 1] / var_u
+        cond_sd = math.sqrt(var_v - beta * self.cov[0, 1])
+        z = (edges[:, None] - beta * offsets[None, :]) / cond_sd
+        phi = np.exp(-0.5 * offsets * offsets / var_u) / math.sqrt(2 * math.pi * var_u)
+        return _normal_mass(z[:-1], z[1:]) * phi
+
+    def _x_panels(self, bin_width: float):
+        """Gauss-Legendre node fractions and weights over a bin's clipped x-span.
+
+        Each bin's span is cut into equal panels no wider than the scale on
+        which the integrand varies: sigma_x for the marginal density and
+        s / |beta| for the conditional CDF along x.
+        """
+        sx = self._axis_sigma[0]
+        beta = self.cov[0, 1] / self.cov[0, 0]  # nonzero: the covariance is not diagonal
+        cond_sd = math.sqrt(self.cov[1, 1] - beta * self.cov[0, 1])
+        scale = min(sx, cond_sd / abs(beta))
+        span = min(bin_width, 2 * _CLIP_SIGMAS * sx)
+        panels = max(1, math.ceil(span / scale))
+        nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+        starts = np.arange(panels)[:, None]
+        fractions = ((starts + 0.5 * (nodes + 1.0)) / panels).ravel()
+        return fractions, np.tile(weights / (2 * panels), panels)
+
     def bin_integral_matrix(self, grid, atoms):
         if self._diagonal:
             return super().bin_integral_matrix(grid, atoms)
-        return Kernel.bin_integral_matrix(self, grid, atoms)
+        atoms = np.atleast_2d(atoms)
+        ex, ey = grid.axis_edges(0), grid.axis_edges(1)
+        clip = _CLIP_SIGMAS * self._axis_sigma[0]
+        fractions, weights = self._x_panels(ex[1] - ex[0])
+        out = np.empty((grid.m, atoms.shape[0]))
+        for j, (tx, ty) in enumerate(atoms):
+            # x-span of every bin relative to the atom, clipped to +-clip
+            lo = np.clip(ex[:-1] - tx, -clip, clip)
+            width = np.clip(ex[1:] - tx, -clip, clip) - lo
+            offsets = lo[:, None] + width[:, None] * fractions[None, :]
+            masses = self._strip_masses(offsets.ravel(), ey - ty, 0)
+            masses = masses.reshape(ey.shape[0] - 1, ex.shape[0] - 1, fractions.shape[0])
+            out[:, j] = np.einsum("yxn,xn->yx", masses, width[:, None] * weights).ravel()
+        return out
 
     def bin_integral_gradient_matrix(self, grid, atoms):
-        if not self._diagonal:
-            return Kernel.bin_integral_gradient_matrix(self, grid, atoms)
+        if self._diagonal:
+            return super().bin_integral_gradient_matrix(grid, atoms)
         atoms = np.atleast_2d(atoms)
-        vals, grads = [], []
-        for axis in range(self.dimension):
-            edges = grid.axis_edges(axis)
-            vals.append(self.axis_cdf_diff(edges[:-1], edges[1:], atoms[:, axis], axis))
-            grads.append(
-                self.axis_cdf_diff_grad(edges[:-1], edges[1:], atoms[:, axis], axis)
-            )
-        k = atoms.shape[0]
-        out = np.empty((grid.m, k, self.dimension))
-        if self.dimension == 1:
-            out[:, :, 0] = grads[0]
-            return out
-        dx, dy = vals
-        gx, gy = grads
-        out[:, :, 0] = (dy[:, None, :] * gx[None, :, :]).reshape(grid.m, k)
-        out[:, :, 1] = (gy[:, None, :] * dx[None, :, :]).reshape(grid.m, k)
+        ex, ey = grid.axis_edges(0), grid.axis_edges(1)
+        out = np.empty((grid.m, atoms.shape[0], 2))
+        for j, (tx, ty) in enumerate(atoms):
+            fx = self._strip_masses(ex - tx, ey - ty, 0)  # (n_y, n_x + 1)
+            fy = self._strip_masses(ey - ty, ex - tx, 1)  # (n_x, n_y + 1)
+            out[:, j, 0] = (fx[:, :-1] - fx[:, 1:]).ravel()
+            out[:, j, 1] = (fy[:, :-1] - fy[:, 1:]).T.ravel()
         return out
 
 
@@ -368,6 +426,14 @@ class UniformBoxKernel(_ProductKernel):
         b = np.asarray(hi, float)[:, None] - coords[None, :]
         overlap = np.clip(np.minimum(b, h) - np.maximum(a, -h), 0.0, None)
         return overlap / (2 * h)
+
+    def axis_cdf_diff_grad(self, lo, hi, coords, axis):
+        h = self.half_widths[axis]
+        a = np.asarray(lo, float)[:, None] - coords[None, :]
+        b = np.asarray(hi, float)[:, None] - coords[None, :]
+        overlap = np.minimum(b, h) - np.maximum(a, -h)
+        slope = ((a > -h).astype(float) - (b < h)) / (2 * h)
+        return np.where(overlap > 0, slope, 0.0)
 
 
 class TabulatedKernel(Kernel):
@@ -488,6 +554,51 @@ class TabulatedKernel(Kernel):
         wy = self._segment_integrals(lo[1] - atom[1], hi[1] - atom[1], 1, 0)
         return float(wy @ self.samples @ wx)
 
+    def _axis_weights(self, edges: np.ndarray, theta: float, axis: int):
+        """One atom's hat-function weights on one axis, each (n_bins, n_nodes).
+
+        ``W[b, n]`` integrates hat_n over bin b shifted by -theta, from the
+        hat's antiderivative at the two shifted edges.  ``dW[b, n]`` is its
+        derivative in theta, hat_n(lo_b - theta) - hat_n(hi_b - theta).  Both
+        keep the half-hats at the first and last node and vanish outside the
+        sampled box, as the interpolant does.
+        """
+        nodes = self._node_coords[axis]
+        shifted = edges - theta
+        t = (np.clip(shifted, nodes[0], nodes[-1])[:, None] - nodes[None, :]) / self.spacing
+        a = np.clip(t, -1.0, 1.0)
+        antiderivative = self.spacing * (a - 0.5 * a * np.abs(a))
+        inside = (shifted >= nodes[0]) & (shifted <= nodes[-1])
+        hat = np.clip(1.0 - np.abs(t), 0.0, None) * inside[:, None]
+        return np.diff(antiderivative, axis=0), hat[:-1] - hat[1:]
+
+    def bin_integral_matrix(self, grid, atoms):
+        atoms = np.atleast_2d(atoms)
+        out = np.empty((grid.m, atoms.shape[0]))
+        edges = [grid.axis_edges(axis) for axis in range(self.dimension)]
+        for j, atom in enumerate(atoms):
+            wx, _ = self._axis_weights(edges[0], atom[0], 0)
+            if self.dimension == 1:
+                out[:, j] = wx @ self.samples
+            else:
+                wy, _ = self._axis_weights(edges[1], atom[1], 1)
+                out[:, j] = (wy @ self.samples @ wx.T).ravel()
+        return out
+
+    def bin_integral_gradient_matrix(self, grid, atoms):
+        atoms = np.atleast_2d(atoms)
+        out = np.empty((grid.m, atoms.shape[0], self.dimension))
+        edges = [grid.axis_edges(axis) for axis in range(self.dimension)]
+        for j, atom in enumerate(atoms):
+            wx, dwx = self._axis_weights(edges[0], atom[0], 0)
+            if self.dimension == 1:
+                out[:, j, 0] = dwx @ self.samples
+            else:
+                wy, dwy = self._axis_weights(edges[1], atom[1], 1)
+                out[:, j, 0] = (wy @ self.samples @ dwx.T).ravel()
+                out[:, j, 1] = (dwy @ self.samples @ wx.T).ravel()
+        return out
+
     def multi_moments(self, order: int) -> dict:
         lo, hi = self.support_box()
         out = {}
@@ -519,6 +630,17 @@ class TabulatedKernel(Kernel):
         if samples.shape[0] == 1:
             return cls(samples[0], float(meta["spacing"]), origin[:1])
         return cls(samples, float(meta["spacing"]), origin)
+
+
+def _normal_mass(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """P(za < Z < zb) for standard normal Z and za <= zb, elementwise.
+
+    Each difference is taken on the side of the mean where it does not
+    cancel, from the tail masses Phi(-|z|), so bins far in either tail keep
+    their relative accuracy.
+    """
+    ta, tb = ndtr(-np.abs(za)), ndtr(-np.abs(zb))
+    return np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
 
 
 def _double_factorial(n: int) -> int:

@@ -69,19 +69,24 @@ class PsiPolynomials:
 def compute_psi(kmoments: KernelMoments) -> PsiPolynomials:
     """Kernel-adapted moment polynomials from the kernel moments m_0..m_ell.
 
-    Builds the unit lower-triangular matrix M with M[i, j] = C(i, j) *
-    m_{i-j}^K, which expresses the blurred monomial expectations in terms of
-    the clean ones; row i of M^{-1} holds the coefficients of psi_i.  For the
+    The unit lower-triangular matrix M with M[i, j] = C(i, j) * m_{i-j}^K
+    expresses the blurred monomial expectations in terms of the clean ones;
+    row i of M^{-1} holds the coefficients of psi_i.  That inverse is
+    C(i, j) * mu_{i-j}, where mu_0 = 1 and mu_n = -sum_{j=1..n} C(n, j) m_j
+    mu_{n-j} are the moments of the kernel's binomial-type inverse.  For the
     standard Gaussian on the line this reproduces the probabilists' Hermite
     polynomials.
     """
     ell = kmoments.order
-    dtype = complex if kmoments.flavor == "complex" else float
-    M = np.zeros((ell + 1, ell + 1), dtype=dtype)
+    m = kmoments.values
+    mu = np.zeros(ell + 1, dtype=m.dtype)
+    mu[0] = 1.0
+    for n in range(1, ell + 1):
+        mu[n] = -sum(math.comb(n, j) * m[j] * mu[n - j] for j in range(1, n + 1))
+    A = np.zeros((ell + 1, ell + 1), dtype=m.dtype)
     for i in range(ell + 1):
         for j in range(i + 1):
-            M[i, j] = math.comb(i, j) * kmoments.values[i - j]
-    A = solve_triangular(M, np.eye(ell + 1, dtype=dtype), lower=True, unit_diagonal=True)
+            A[i, j] = math.comb(i, j) * mu[i - j]
     return PsiPolynomials(A, kmoments.flavor)
 
 

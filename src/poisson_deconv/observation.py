@@ -33,6 +33,10 @@ class NegativeCountError(ValueError):
     """A count entry is negative."""
 
 
+class NonFiniteCountError(ValueError):
+    """A count entry is NaN or infinite."""
+
+
 @dataclass(frozen=True, eq=False)
 class BinGrid:
     """Regular grid of axis-aligned bins partitioning a window.
@@ -134,6 +138,8 @@ class CountImage:
             raise DimensionMismatchError(
                 f"counts length {counts.shape[0]} does not match grid with m={self.grid.m}"
             )
+        if not np.all(np.isfinite(counts)):
+            raise NonFiniteCountError("counts must be finite (no NaN or inf)")
         if np.any(counts < 0):
             raise NegativeCountError("counts must be nonnegative")
         if not (self.t > 0):
@@ -234,8 +240,8 @@ def load_image(path) -> CountImage:
     """Load a CountImage from image.csv plus its image.json sidecar.
 
     ``path`` may be the CSV file or a directory containing image.csv.
-    Raises MetadataError, DimensionMismatchError, or NegativeCountError for
-    the respective malformed inputs.
+    Raises MetadataError, DimensionMismatchError, NegativeCountError, or
+    NonFiniteCountError for the respective malformed inputs.
     """
     path = str(path)
     if os.path.isdir(path):

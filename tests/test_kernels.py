@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
@@ -180,6 +182,144 @@ class TestGridPaths:
         mat = k.bin_integral_matrix(grid, atoms)
         assert mat.shape == (20, 1)
         assert mat.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+ANISOTROPIC_COV = np.array([[0.0025, 0.001], [0.001, 0.0016]])
+
+
+def sampled_gaussian(cov, spacing=0.02, half_extent=0.2):
+    """Tabulated kernel: an anisotropic Gaussian density sampled on a square grid."""
+    nodes = np.arange(-half_extent, half_extent + 0.5 * spacing, spacing)
+    xx, yy = np.meshgrid(nodes, nodes)
+    prec = np.linalg.inv(cov)
+    quad = prec[0, 0] * xx**2 + 2 * prec[0, 1] * xx * yy + prec[1, 1] * yy**2
+    return TabulatedKernel(np.exp(-0.5 * quad), spacing, [nodes[0], nodes[0]])
+
+
+def sampled_gaussian_1d(sigma=0.05, spacing=0.02, half_extent=0.2):
+    nodes = np.arange(-half_extent, half_extent + 0.5 * spacing, spacing)
+    return TabulatedKernel(norm.pdf(nodes, scale=sigma), spacing, [nodes[0]])
+
+
+def scalar_matrix(kernel, grid, atoms):
+    """The (m, k) bin integrals from the one-bin-at-a-time ``bin_integral``."""
+    out = np.empty((grid.m, len(atoms)))
+    for i in range(grid.m):
+        lo, hi = grid.bin_bounds(i)
+        for j, atom in enumerate(atoms):
+            out[i, j] = kernel.bin_integral(lo, hi, atom)
+    return out
+
+
+def central_differences(kernel, grid, atoms, eps=1e-6):
+    cols = []
+    for axis in range(atoms.shape[1]):
+        shift = np.zeros(atoms.shape[1])
+        shift[axis] = eps
+        cols.append((kernel.bin_integral_matrix(grid, atoms + shift)
+                     - kernel.bin_integral_matrix(grid, atoms - shift)) / (2 * eps))
+    return np.stack(cols, axis=-1)
+
+
+class TestVectorizedPaths:
+    # Atoms near and beyond the window put the kernel's sampled box partly
+    # outside the grid, and 0.1-wide bins straddle the box's +-0.2 edges.
+    TAB_ATOMS = np.array([[0.05, 0.5], [0.5, 0.95], [0.37, 0.41], [1.1, 0.5], [-0.15, 1.12]])
+
+    @pytest.mark.parametrize("res", [(10, 10), (7, 5), (23, 17)])
+    def test_tabulated_2d_matrix_matches_scalar(self, res):
+        k = sampled_gaussian(ANISOTROPIC_COV)
+        grid = BinGrid([0, 0], [1, 1], res)
+        mat = k.bin_integral_matrix(grid, self.TAB_ATOMS)
+        assert np.abs(mat - scalar_matrix(k, grid, self.TAB_ATOMS)).max() < 1e-14
+
+    def test_tabulated_1d_matrix_matches_scalar(self):
+        k = sampled_gaussian_1d()
+        grid = BinGrid([0.0], [1.0], (13,))
+        atoms = np.array([[0.05], [0.5], [0.93], [-0.1], [1.15]])
+        mat = k.bin_integral_matrix(grid, atoms)
+        assert mat.shape == (13, 5)
+        assert np.abs(mat - scalar_matrix(k, grid, atoms)).max() < 1e-14
+
+    @pytest.mark.parametrize("cov, res, atoms", [
+        (ANISOTROPIC_COV, (10, 10), [[0.31, 0.57]]),
+        ([[0.01, 0.0095], [0.0095, 0.01]], (4, 3), [[0.31, 0.57], [0.72, 0.24]]),
+        ([[0.01, -0.006], [-0.006, 0.005]], (7, 5), [[0.31, 0.57], [0.72, 0.24]]),
+    ])
+    def test_anisotropic_matrix_matches_dblquad(self, cov, res, atoms):
+        k = GaussianKernel(cov=cov)
+        grid = BinGrid([0, 0], [1, 1], res)
+        atoms = np.array(atoms)
+        mat = k.bin_integral_matrix(grid, atoms)
+        assert np.abs(mat - scalar_matrix(k, grid, atoms)).max() < 1e-12
+
+    def test_anisotropic_bins_wider_than_kernel(self):
+        k = GaussianKernel(cov=[[0.04, 0.015], [0.015, 0.09]])
+        grid = BinGrid([-5, -5], [5, 5], (2, 2))
+        mat = k.bin_integral_matrix(grid, np.array([[0.0, 0.0], [0.3, -0.2]]))
+        assert mat.sum(axis=0) == pytest.approx([1.0, 1.0], abs=1e-9)
+
+    @pytest.mark.parametrize("sigmas", [20.0, 40.0])
+    def test_anisotropic_far_tail_bins(self, sigmas):
+        k = GaussianKernel(cov=ANISOTROPIC_COV)
+        sx, sy = np.sqrt(np.diag(ANISOTROPIC_COV))
+        grid = BinGrid([-0.5, -0.5], [0.5, 0.5], (1, 1))
+        atoms = np.array([[0.0, 0.5 + sigmas * sy], [0.5 + sigmas * sx, 0.0],
+                          [-0.5 - sigmas * sx, -0.5 - sigmas * sy]])
+        mat = k.bin_integral_matrix(grid, atoms)
+        grad = k.bin_integral_gradient_matrix(grid, atoms)
+        assert np.all(np.isfinite(mat)) and np.all(mat >= 0)
+        assert np.all(np.isfinite(grad))
+        if sigmas == 20.0:
+            assert mat[0, 0] > 0  # the tail mass does not cancel to zero
+
+    def test_anisotropic_gradient_matches_central_differences(self):
+        k = GaussianKernel(cov=[[0.01, -0.006], [-0.006, 0.005]])
+        grid = BinGrid([0, 0], [1, 1], (9, 7))
+        atoms = np.array([[0.35, 0.55], [0.6, 0.4]])
+        grad = k.bin_integral_gradient_matrix(grid, atoms)
+        assert grad.shape == (grid.m, 2, 2)
+        assert np.abs(grad - central_differences(k, grid, atoms)).max() < 1e-8
+
+    def test_tabulated_gradients_match_central_differences(self):
+        # atoms chosen so no bin edge sits on the sampled box's edge, where
+        # the interpolant jumps and the gradient has a kink
+        k = sampled_gaussian(ANISOTROPIC_COV)
+        grid = BinGrid([0, 0], [1, 1], (10, 10))
+        atoms = np.array([[0.053, 0.517], [0.5071, 0.9433], [1.1137, 0.5029]])
+        assert np.abs(k.bin_integral_gradient_matrix(grid, atoms)
+                      - central_differences(k, grid, atoms)).max() < 1e-8
+        k1 = sampled_gaussian_1d()
+        grid1 = BinGrid([0.0], [1.0], (13,))
+        atoms1 = np.array([[0.053], [0.5071], [0.9433]])
+        assert np.abs(k1.bin_integral_gradient_matrix(grid1, atoms1)
+                      - central_differences(k1, grid1, atoms1)).max() < 1e-8
+
+    def test_box_gradient_matches_central_differences(self):
+        k = UniformBoxKernel([0.15, 0.25])
+        grid = BinGrid([0, 0], [1, 1], (6, 6))
+        atoms = np.array([[0.31, 0.33], [0.58, 0.71]])
+        assert np.abs(k.bin_integral_gradient_matrix(grid, atoms)
+                      - central_differences(k, grid, atoms)).max() < 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["tabulated", "anisotropic", "box", "gaussian"]),
+        res=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        atom=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+    )
+    def test_covering_grid_holds_all_mass(self, kind, res, atom):
+        kernel = {
+            "tabulated": sampled_gaussian(ANISOTROPIC_COV),
+            "anisotropic": GaussianKernel(cov=ANISOTROPIC_COV),
+            "box": UniformBoxKernel([0.15, 0.25]),
+            "gaussian": GaussianKernel(sigma=0.05, dim=2),
+        }[kind]
+        # the window reaches at least 0.5 beyond the atom: past the sampled
+        # box, the box kernel and 10 sigma of either Gaussian
+        grid = BinGrid([-0.7, -0.7], [0.7, 0.7], res)
+        mat = kernel.bin_integral_matrix(grid, np.array([atom]))
+        assert mat.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTabulatedLoading:

@@ -9,6 +9,7 @@ from poisson_deconv.observation import (
     DimensionMismatchError,
     MetadataError,
     NegativeCountError,
+    NonFiniteCountError,
     intensities,
     load_image,
     noiseless,
@@ -187,6 +188,15 @@ class TestImageIO:
         with pytest.raises(NegativeCountError, match="row 1, column 1"):
             load_image(tmp_path)
 
+    @pytest.mark.parametrize("t", ["10", '"inf"'])
+    def test_nan_token_rejected(self, tmp_path, t):
+        (tmp_path / "image.csv").write_text("0,1\n2,nan\n")
+        (tmp_path / "image.json").write_text(
+            '{"width_px": 2, "height_px": 2, "pixel_size": 1.0, "t": %s}' % t
+        )
+        with pytest.raises(NonFiniteCountError):
+            load_image(tmp_path)
+
     def test_dimension_mismatch(self, tmp_path):
         (tmp_path / "image.csv").write_text("0,1,5\n2,3,4\n")
         (tmp_path / "image.json").write_text(
@@ -224,3 +234,10 @@ class TestCountImageValidation:
         with pytest.raises(ValueError):
             CountImage(grid, [0.5, 1, 2, 3], 10.0)
         CountImage(grid, [0.5, 1, 2, 3], np.inf)  # fine in noiseless mode
+
+    @pytest.mark.parametrize("t", [10.0, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_rejected(self, t, bad):
+        grid = BinGrid([0, 0], [1, 1], (2, 2))
+        with pytest.raises(NonFiniteCountError):
+            CountImage(grid, [0.0, 1.0, 2.0, bad], t)
