@@ -10,6 +10,7 @@ which keeps the observed-data log-likelihood non-decreasing along the run.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ from scipy.optimize import minimize
 from .kernels import Kernel
 from .measures import AtomicUniformMeasure, wasserstein_p
 from .observation import CountImage
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,8 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
     Returns (measure, status) where status is "improved" when the optimizer's
     candidate raised Q, "line_search" when only a halved step did, and "kept"
     when no improvement was found (the input measure is returned unchanged).
+    An exception from the inner optimizer is logged at WARNING and also
+    yields "kept".
     """
     k, d = mu_tilde.k, mu_tilde.dimension
     lo, hi = config.domain if config.domain is not None else _default_domain(image, kernel)
@@ -182,7 +187,11 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
             },
         )
         candidate = res.x
-    except Exception:
+    except Exception as exc:
+        logger.warning(
+            "m_step kept the current measure: inner optimizer raised %s: %s",
+            type(exc).__name__, exc,
+        )
         return mu_tilde, "kept"
     if -fun(candidate)[0] > q0:
         return AtomicUniformMeasure(candidate.reshape(k, d)), "improved"

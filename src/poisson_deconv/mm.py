@@ -10,6 +10,7 @@ optimizer constrained to a domain box.
 """
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from scipy.optimize import minimize
 from .kernels import Kernel, KernelMoments, kernel_moments
 from .measures import AtomicUniformMeasure, MomentVector
 from .observation import BinGrid, CountImage
+
+logger = logging.getLogger(__name__)
 
 
 class RootRecoveryError(RuntimeError):
@@ -177,58 +180,99 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, max_steps: int = 8) ->
 
 
 def _aberth(coeffs: np.ndarray, max_iter: int = 200):
-    """Aberth-Ehrlich simultaneous iteration for a monic polynomial."""
+    """Aberth-Ehrlich simultaneous iteration for a monic polynomial.
+
+    The k starting points lie on a circle about the roots' centroid
+    c = -a_{k-1}/k of radius |p(c)|^(1/k), the geometric-mean distance from c
+    to the roots (Bini 1996); when c is itself a root the Cauchy radius
+    1 + max|a_j| is used instead.  Root i freezes once
+    |p(z_i)| <= 4 eps sum_j |a_j| |z_i|^j, i.e. once its backward error is at
+    rounding level; only the active roots move, each corrected against all k
+    current points.  Returns the roots and the number of iterations taken,
+    at most ``max_iter``.
+    """
     k = coeffs.shape[0] - 1
-    radius = 1.0 + np.max(np.abs(coeffs[1:]))  # Cauchy bound
+    centre = -coeffs[1] / k
+    radius = abs(np.polyval(coeffs, centre)) ** (1.0 / k)
+    if not 0.0 < radius < np.inf:
+        radius = 1.0 + np.max(np.abs(coeffs[1:]))  # Cauchy bound
     angles = 2 * np.pi * (np.arange(k) + 0.5) / k + 0.4
-    z = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
-        p, dp = _polyval_and_deriv(coeffs, z)
-        pair = z[:, None] - z[None, :]
-        np.fill_diagonal(pair, np.inf)
-        sums = np.sum(1.0 / pair, axis=1)
+    z = centre + radius * np.exp(1j * angles)
+    rounding = 4.0 * np.finfo(float).eps * np.abs(coeffs)
+    active = np.arange(k)
+    for iteration in range(max_iter):
+        za = z[active]
+        p, dp = _polyval_and_deriv(coeffs, za)
+        moving = np.abs(p) > np.polyval(rounding, np.abs(za))
+        active, za, p, dp = active[moving], za[moving], p[moving], dp[moving]
+        if active.size == 0:
+            return z, iteration
+        pair = za[:, None] - z[None, :]
+        pair[np.arange(active.size), active] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
+            sums = np.sum(1.0 / pair, axis=1)
             w = np.where(np.abs(dp) > 0, p / dp, p)
             denom = 1.0 - w * sums
             step = np.where(np.abs(denom) > 0, w / denom, w)
-        step = np.where(np.isfinite(step), step, 0.0)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-    return z
+        z[active] = za - np.where(np.isfinite(step), step, 0.0)
+    return z, max_iter
 
 
-def _residual_ok(coeffs: np.ndarray, roots: np.ndarray) -> bool:
+def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray) -> float:
+    """Largest |p(root)| / (1e-10 * max|coeff| * (1+|root|)^k) over the roots."""
     p, _ = _polyval_and_deriv(coeffs, roots)
     scale = np.max(np.abs(coeffs))
     k = coeffs.shape[0] - 1
     bound = 1e-10 * scale * (1.0 + np.abs(roots)) ** k
-    return bool(np.all(np.abs(p) <= bound))
+    return float(np.max(np.abs(p) / bound))
+
+
+def _residual_ok(coeffs: np.ndarray, roots: np.ndarray) -> bool:
+    return _residual_ratio(coeffs, roots) <= 1.0
+
+
+def _find_roots(coeffs: np.ndarray):
+    """(roots, path, Aberth iterations) for monic descending coefficients."""
+    if coeffs.shape[0] == 2:
+        return np.array([-coeffs[1]]), "linear", 0
+    roots, iterations = _aberth(coeffs)
+    roots = _newton_polish(coeffs, roots)
+    if _residual_ok(coeffs, roots):
+        return roots, "aberth", iterations
+    fallback = _newton_polish(coeffs, np.roots(coeffs).astype(complex))
+    if _residual_ok(coeffs, fallback):
+        return fallback, "companion", iterations
+    raise RootRecoveryError(
+        "root finding failed: Aberth iteration and companion-matrix fallback "
+        "both exceeded the residual bound"
+    )
 
 
 def complex_roots(coeffs) -> np.ndarray:
     """All k roots (with multiplicity) of a monic degree-k complex polynomial.
 
-    Aberth-Ehrlich iteration with companion-matrix eigenvalues as fallback;
-    every candidate set is Newton-polished and accepted only if the residual
-    |p(root)| stays below 1e-10 * max|coeff| * (1+|root|)^k.
+    Aberth-Ehrlich iteration started on a circle about the root centroid
+    -a_{k-1}/k of radius |p(centroid)|^(1/k), each root frozen once
+    |p(z)| <= 4 eps sum_j |a_j| |z|^j (rounding-level backward error), capped
+    at 200 iterations; companion-matrix eigenvalues are the fallback.  Every
+    candidate set is Newton-polished and accepted only if the residual
+    |p(root)| stays below 1e-10 * max|coeff| * (1+|root|)^k.  Each call logs
+    one DEBUG record on this module's logger with the path taken ("linear",
+    "aberth" or "companion"), the Aberth iteration count and the worst
+    residual-to-bound ratio of the accepted roots.
     """
     coeffs = np.asarray(coeffs, dtype=complex).ravel()
     if coeffs.shape[0] < 2:
         raise ValueError("polynomial degree must be >= 1")
     coeffs = coeffs / coeffs[0]
-    if coeffs.shape[0] == 2:
-        return np.array([-coeffs[1]])
-    roots = _newton_polish(coeffs, _aberth(coeffs))
-    if _residual_ok(coeffs, roots):
-        return roots
-    fallback = _newton_polish(coeffs, np.roots(coeffs).astype(complex))
-    if _residual_ok(coeffs, fallback):
-        return fallback
-    raise RootRecoveryError(
-        "root finding failed: Aberth iteration and companion-matrix fallback "
-        "both exceeded the residual bound"
-    )
+    roots, path, iterations = _find_roots(coeffs)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "complex_roots degree %d: path %s, %d Aberth iterations, "
+            "worst residual/bound %.3g", coeffs.shape[0] - 1, path, iterations,
+            _residual_ratio(coeffs, roots),
+        )
+    return roots
 
 
 def measure_from_moments(moments, k: int, dimension: int = 2) -> AtomicUniformMeasure:

@@ -29,6 +29,10 @@ class DimensionMismatchError(ValueError):
     """CSV payload does not match the metadata dimensions."""
 
 
+class MalformedCountError(ValueError):
+    """A CSV count token is not a number."""
+
+
 class NegativeCountError(ValueError):
     """A count entry is negative."""
 
@@ -240,8 +244,10 @@ def load_image(path) -> CountImage:
     """Load a CountImage from image.csv plus its image.json sidecar.
 
     ``path`` may be the CSV file or a directory containing image.csv.
-    Raises MetadataError, DimensionMismatchError, NegativeCountError, or
-    NonFiniteCountError for the respective malformed inputs.
+    Raises MetadataError, DimensionMismatchError, MalformedCountError (a CSV
+    token that is not a number), NegativeCountError, or NonFiniteCountError
+    for the respective malformed inputs; count errors name the 0-based file
+    line and column of the offending token.
     """
     path = str(path)
     if os.path.isdir(path):
@@ -276,7 +282,13 @@ def load_image(path) -> CountImage:
             values = line.split(",")
             row = []
             for col_no, tok in enumerate(values):
-                val = float(tok)
+                try:
+                    val = float(tok)
+                except ValueError:
+                    raise MalformedCountError(
+                        f"unparsable count {tok.strip()!r} at row {line_no}, "
+                        f"column {col_no}"
+                    ) from None
                 if val < 0:
                     raise NegativeCountError(
                         f"negative count at row {line_no}, column {col_no}"

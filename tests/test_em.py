@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from poisson_deconv import em
 from poisson_deconv.em import (
     EmConfig,
     EmTrace,
@@ -115,6 +118,24 @@ class TestMStep:
                     denom = max(abs(num), abs(grad[i]), 1e-3 * scale)
                     best = min(best, abs(grad[i] - num) / denom)
                 assert best < 1e-5
+
+    def test_optimizer_exception_logged_and_kept(self, small_setup, monkeypatch, caplog):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=6)
+        resp = e_step(img, kernel, mu)
+
+        def failing_minimize(*args, **kwargs):
+            raise FloatingPointError("inner solver diverged")
+
+        monkeypatch.setattr(em, "minimize", failing_minimize)
+        with caplog.at_level(logging.WARNING, logger="poisson_deconv.em"):
+            out, status = m_step(img, kernel, resp, mu)
+        assert status == "kept"
+        assert out is mu
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "FloatingPointError" in record.getMessage()
+        assert "inner solver diverged" in record.getMessage()
 
     def test_k1_matches_weighted_centroid(self):
         kernel = GaussianKernel(sigma=0.06, dim=2)

@@ -1,9 +1,13 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
+from poisson_deconv.harness import builtin_configuration
 from poisson_deconv.kernels import (
     GaussianKernel,
     UniformBoxKernel,
@@ -18,6 +22,7 @@ from poisson_deconv.measures import (
 from poisson_deconv.mm import (
     DegenerateDataWarning,
     PsiPolynomials,
+    _residual_ok,
     complex_roots,
     compute_psi,
     compute_psi_multi,
@@ -148,7 +153,61 @@ class TestComplexRoots:
             assert np.all(np.abs(roots) <= 1.0 + np.max(np.abs(eps[1:])) + 1e-9)
 
 
+class TestRootFinderConvergence:
+    @staticmethod
+    def root_records(caplog):
+        """(path, Aberth iterations) of every complex_roots DEBUG record."""
+        return [
+            record.args[1:3] for record in caplog.records
+            if record.name == "poisson_deconv.mm" and record.levelno == logging.DEBUG
+        ]
+
+    @pytest.mark.parametrize("t", [np.inf, 1e4])
+    def test_u_shape_k12_converges_early(self, caplog, t):
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        mu = builtin_configuration("u-shape", 12)
+        grid = BinGrid([0, 0], [1, 1], (50, 50))
+        if np.isinf(t):
+            img = noiseless(kernel, mu, grid)
+        else:
+            img = simulate(kernel, mu, grid, t, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="poisson_deconv.mm"):
+            mm_complex(img, kernel, 12)
+        [(path, iterations)] = self.root_records(caplog)
+        assert path == "aberth"
+        assert iterations <= 40
+
+    @pytest.mark.parametrize("targets", [
+        [0.3] * 4 + [0.2j] * 2,
+        [0.5 + 0.5j + 1e-6 * j for j in range(4)] + [0.1, 0.9j],
+    ], ids=["multiple", "cluster"])
+    def test_multiple_and_clustered_roots(self, targets):
+        coeffs = np.poly(targets)
+        roots = complex_roots(coeffs)
+        assert roots.shape == (len(targets),)
+        assert _residual_ok(coeffs, roots)
+
+
+def spaced_atoms(min_gap):
+    """1..10 planar atoms in the unit square, pairwise at least min_gap apart."""
+    point = st.tuples(st.floats(0, 1), st.floats(0, 1))
+
+    def spaced(points):
+        atoms = np.array(points)
+        gaps = np.linalg.norm(atoms[:, None] - atoms[None, :], axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        return gaps.min() >= min_gap
+
+    return st.lists(point, min_size=1, max_size=10).filter(spaced)
+
+
 class TestMomentRoundtrip:
+    @given(spaced_atoms(0.05))
+    def test_newton_vieta_roundtrip(self, points):
+        mu = AtomicUniformMeasure(np.array(points))
+        nu = measure_from_moments(exact_moments(mu, mu.k), mu.k)
+        assert wasserstein_p(mu, nu, np.inf) <= 1e-6
+
     def test_random_measures_recovered(self):
         rng = np.random.default_rng(12)
         for _ in range(50):

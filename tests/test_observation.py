@@ -7,6 +7,7 @@ from poisson_deconv.observation import (
     BinGrid,
     CountImage,
     DimensionMismatchError,
+    MalformedCountError,
     MetadataError,
     NegativeCountError,
     NonFiniteCountError,
@@ -186,6 +187,15 @@ class TestImageIO:
             '{"width_px": 2, "height_px": 2, "pixel_size": 1.0, "t": 10}'
         )
         with pytest.raises(NegativeCountError, match="row 1, column 1"):
+            load_image(tmp_path)
+
+    @pytest.mark.parametrize("token", ["abc", "", "1e", "3;4"])
+    def test_unparsable_token_located(self, tmp_path, token):
+        (tmp_path / "image.csv").write_text("0,1\n\n2,%s\n" % token)
+        (tmp_path / "image.json").write_text(
+            '{"width_px": 2, "height_px": 2, "pixel_size": 1.0, "t": 10}'
+        )
+        with pytest.raises(MalformedCountError, match="row 2, column 1"):
             load_image(tmp_path)
 
     @pytest.mark.parametrize("t", ["10", '"inf"'])
