@@ -27,7 +27,7 @@ from .measures import (
     moment_distance,
     wasserstein_p,
 )
-from .mm import estimate_moments, mm_complex, mm_general, mm_real, _psi_for
+from .mm import estimate_moments, mm_complex, mm_general, _psi_for
 from .observation import BinGrid, load_image, noiseless, save_image, simulate
 from .pipeline import PartitionConfig, run_pipeline
 
@@ -94,15 +94,19 @@ def _build_grid(spec: dict) -> BinGrid:
     return BinGrid(window[0], window[1], tuple(int(n) for n in res))
 
 
-def _em_config(spec: dict, domain=None) -> EmConfig:
-    return EmConfig(
-        max_iterations=int(spec.get("max_iterations", 50)),
-        early_stop_w1=float(spec.get("early_stop_w1", 1e-9)),
-        inner_max_iterations=int(spec.get("inner_max_iterations", 100)),
-        inner_grad_tol=float(spec.get("inner_grad_tol", 1e-8)),
-        intensity_floor=float(spec.get("intensity_floor", 1e-30)),
-        domain=domain,
-    )
+def _present(spec: dict, casts: dict) -> dict:
+    """The keys of ``casts`` that ``spec`` sets, each value passed through its cast.
+
+    Keys left out take the defaults of the dataclass or function they feed.
+    """
+    return {key: cast(spec[key]) for key, cast in casts.items() if key in spec}
+
+
+def _em_config(spec: dict) -> EmConfig:
+    return EmConfig(**_present(spec, {
+        "max_iterations": int, "early_stop_w1": float, "inner_max_iterations": int,
+        "inner_grad_tol": float, "intensity_floor": float,
+    }))
 
 
 def cmd_simulate(config: dict, out_dir: str) -> int:
@@ -129,16 +133,13 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
     if estimator == "mm-complex":
         est = mm_complex(image, kernel, k)
         objective = None
-    elif estimator == "mm-real":
-        est = mm_real(image, kernel, k)
-        objective = None
     elif estimator == "mm-general":
         domain = config.get("domain")
         if domain is None:
             domain = [image.grid.window_lo.tolist(), image.grid.window_hi.tolist()]
         est, objective = mm_general(
-            image, kernel, k, domain,
-            restarts=int(config.get("restarts", 8)), seed=int(config["seed"]),
+            image, kernel, k, domain, seed=int(config["seed"]),
+            **_present(config, {"restarts": int}),
         )
     elif estimator == "em":
         init = mm_complex(image, kernel, k)
@@ -185,11 +186,10 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
     pconfig = PartitionConfig(
         mode_count=int(_require(part, "mode_count", "partition spec")),
         k=int(_require(part, "k", "partition spec")),
-        mode_half_widths=tuple(part.get("mode_half_widths", (180.0, 180.0))),
-        link_threshold=float(part.get("link_threshold", 270.0)),
         em=_em_config(config.get("em", {})),
+        **_present(part, {"mode_half_widths": tuple, "link_threshold": float}),
     )
-    result = run_pipeline(image, kernel, pconfig, seed=int(config["seed"]))
+    result = run_pipeline(image, kernel, pconfig)
     os.makedirs(out_dir, exist_ok=True)
     cells_payload = []
     for cell in result.cells:
@@ -220,17 +220,15 @@ def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
         for t in _require(config, "t_values")
     )
     spec = ExperimentSpec(
-        configuration=config.get("configuration", "grid"),
-        k=int(config.get("k", 4)),
-        sigma=float(config.get("sigma", 0.05)),
         resolutions=tuple(int(n) for n in _require(config, "resolutions")),
         t_values=t_values,
-        replicates=int(config.get("replicates", 1)),
         seed=int(config["seed"]),
-        estimators=tuple(config.get("estimators", ("mm", "em"))),
-        atoms=tuple(map(tuple, config["atoms"])) if "atoms" in config else None,
-        em_max_iterations=int(config.get("em_max_iterations", 50)),
         jobs=jobs,
+        **_present(config, {
+            "configuration": str, "k": int, "sigma": float, "replicates": int,
+            "estimators": tuple, "atoms": lambda atoms: tuple(map(tuple, atoms)),
+            "em_max_iterations": int,
+        }),
     )
     mode = config.get("mode", "risk")
     if mode == "risk":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -113,14 +113,12 @@ def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure,
     return _log_likelihood_effective(image, kernel, mu, floor)
 
 
-def e_step(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure,
-           k: int | None = None) -> np.ndarray:
+def e_step(image: CountImage, kernel: Kernel,
+           mu_tilde: AtomicUniformMeasure) -> np.ndarray:
     """Responsibilities p_ij = lam_ij / sum_h lam_ih, shape (m, k).
 
     Rows with underflowing total intensity fall back to the uniform 1/k.
     """
-    if k is not None and k != mu_tilde.k:
-        raise ValueError("k must match the current measure")
     lam = _lambda_matrix(kernel, image, mu_tilde.atoms)
     totals = lam.sum(axis=1, keepdims=True)
     k_atoms = mu_tilde.k
@@ -145,13 +143,6 @@ def _q_function(image: CountImage, kernel: Kernel, resp: np.ndarray, k: int,
         return -q, -grad.ravel()
 
     return fun
-
-
-def q_value(image: CountImage, kernel: Kernel, resp: np.ndarray,
-            mu: AtomicUniformMeasure, floor: float = 1e-30) -> float:
-    """Q(mu, mu_tilde) given the responsibilities computed at mu_tilde."""
-    neg_q, _ = _q_function(image, kernel, resp, mu.k, floor)(mu.atoms.ravel())
-    return -neg_q
 
 
 def _default_domain(image: CountImage, kernel: Kernel) -> tuple:
@@ -217,11 +208,7 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
     if config.domain is None:
-        config = EmConfig(
-            config.max_iterations, config.early_stop_w1, config.inner_max_iterations,
-            config.inner_grad_tol, config.intensity_floor,
-            _default_domain(image, kernel),
-        )
+        config = replace(config, domain=_default_domain(image, kernel))
     trace = EmTrace()
     current = init
     for _ in range(config.max_iterations):

@@ -22,7 +22,7 @@ import numpy as np
 from .em import EmConfig, run_em
 from .kernels import GaussianKernel
 from .measures import AtomicUniformMeasure, wasserstein_p
-from .mm import RootRecoveryError, mm_complex, mm_real
+from .mm import RootRecoveryError, mm_complex
 from .observation import BinGrid, noiseless, replicate_seed, simulate
 
 logger = logging.getLogger(__name__)
@@ -172,16 +172,6 @@ class RiskTable:
                     )
             paths.append(path)
         return paths
-
-    def lookup(self, estimator: str, t: float, m: int) -> dict:
-        for row in self.rows:
-            if (
-                row["estimator"] == estimator
-                and row["m"] == m
-                and (row["t"] == t or (np.isinf(t) and np.isinf(row["t"])))
-            ):
-                return row
-        raise KeyError(f"no row for ({estimator}, t={t}, m={m})")
 
 
 def _fallback_measure(grid: BinGrid, k: int) -> AtomicUniformMeasure:

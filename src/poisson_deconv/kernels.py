@@ -14,10 +14,6 @@ the atom coordinates, with no loop over bins.
   strip masses on the bins' edges.
 - Tabulated kernels integrate their piecewise linear/bilinear interpolant
   exactly through per-atom hat-function weights.
-
-The scalar ``bin_integral`` computes the same integral one bin at a time by
-separate means (adaptive quadrature, per-cell Gauss-Legendre) and serves as
-the reference the matrices are tested against.
 """
 from __future__ import annotations
 
@@ -27,15 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
-from .measures import AtomicUniformMeasure, MomentVector
+from .measures import multi_indices
 
 logger = logging.getLogger(__name__)
-
-# Bins farther than this many sigmas from every atom contribute < 1e-14 mass.
-GAUSSIAN_TAIL_SIGMAS = 8.0
 
 # Anisotropic Gaussians integrate over x within this many sigma_x of the atom;
 # the mass left out is 2 * Phi(-9) < 3e-19.
@@ -86,10 +78,6 @@ class Kernel:
         """Characteristic half-width (sigma for Gaussians, support radius otherwise)."""
         raise NotImplementedError
 
-    def tail_radius(self) -> float:
-        """Distance beyond which the kernel mass is negligible or zero."""
-        raise NotImplementedError
-
     def is_rotationally_symmetric(self) -> bool:
         return False
 
@@ -99,33 +87,6 @@ class Kernel:
 
     def multi_moments(self, order: int) -> dict:
         """Moments m_alpha^K for all multi-indices with |alpha| <= order."""
-        raise NotImplementedError
-
-    def real_moments(self, order: int) -> KernelMoments:
-        if self.dimension != 1:
-            raise ValueError("real moments require a kernel on the line")
-        vals = np.array([self.multi_moments(order)[(j,)] for j in range(order + 1)])
-        return KernelMoments(vals, "real")
-
-    def complex_moments(self, order: int) -> KernelMoments:
-        """Moments int z^j K(z) dz of the planar kernel under z = x + iy."""
-        if self.dimension != 2:
-            raise ValueError("complex moments require a planar kernel")
-        if self.is_rotationally_symmetric():
-            vals = np.zeros(order + 1, dtype=complex)
-            vals[0] = 1.0
-            return KernelMoments(vals, "complex")
-        mm = self.multi_moments(order)
-        vals = np.zeros(order + 1, dtype=complex)
-        for j in range(order + 1):
-            total = 0.0 + 0.0j
-            for l in range(j + 1):
-                total += math.comb(j, l) * (1j**l) * mm[(j - l, l)]
-            vals[j] = total
-        return KernelMoments(vals, "complex")
-
-    def bin_integral(self, lo, hi, atom) -> float:
-        """Integral of K(x - atom) over the rectangle [lo, hi], one bin at a time."""
         raise NotImplementedError
 
     def bin_integral_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
@@ -158,17 +119,6 @@ class _ProductKernel(Kernel):
     def axis_cdf_diff_grad(self, lo, hi, coords, axis):
         """Derivatives of axis_cdf_diff in theta_j, shape (n, k)."""
         raise NotImplementedError
-
-    def bin_integral(self, lo, hi, atom) -> float:
-        lo = np.atleast_1d(np.asarray(lo, float))
-        hi = np.atleast_1d(np.asarray(hi, float))
-        atom = np.atleast_1d(np.asarray(atom, float))
-        val = 1.0
-        for axis in range(self.dimension):
-            val *= self.axis_cdf_diff(
-                lo[axis : axis + 1], hi[axis : axis + 1], atom[axis : axis + 1], axis
-            )[0, 0]
-        return float(val)
 
     def _axis_factors(self, grid, atoms):
         factors = []
@@ -207,16 +157,10 @@ class _ProductKernel(Kernel):
 
     def multi_moments(self, order: int) -> dict:
         axis_mom = [self.axis_moments(order, axis) for axis in range(self.dimension)]
-        out = {}
-        for alpha in [(j,) for j in range(order + 1)] if self.dimension == 1 else [
-            (a, b) for total in range(order + 1) for a in range(total + 1)
-            for b in [total - a]
-        ]:
-            val = 1.0
-            for axis, a in enumerate(alpha):
-                val *= axis_mom[axis][a]
-            out[alpha] = float(val)
-        return out
+        return {
+            alpha: float(math.prod(axis_mom[axis][a] for axis, a in enumerate(alpha)))
+            for alpha in multi_indices(order, self.dimension)
+        }
 
 
 class GaussianKernel(_ProductKernel):
@@ -253,23 +197,12 @@ class GaussianKernel(_ProductKernel):
         self._diagonal = np.allclose(self.cov, np.diag(np.diag(self.cov)))
         self._axis_sigma = np.sqrt(np.diag(self.cov))
 
-    @property
-    def sigma(self) -> float:
-        if not self._diagonal or not np.allclose(self._axis_sigma, self._axis_sigma[0]):
-            raise ValueError("sigma is only defined for isotropic kernels")
-        return float(self._axis_sigma[0])
-
-    def is_isotropic(self) -> bool:
-        return self._diagonal and np.allclose(self._axis_sigma, self._axis_sigma[0])
-
     def is_rotationally_symmetric(self) -> bool:
-        return self.dimension == 2 and self.is_isotropic()
+        return (self.dimension == 2 and self._diagonal
+                and np.allclose(self._axis_sigma, self._axis_sigma[0]))
 
     def spread(self) -> float:
         return float(self._axis_sigma.max())
-
-    def tail_radius(self) -> float:
-        return GAUSSIAN_TAIL_SIGMAS * self.spread()
 
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, float))
@@ -300,7 +233,7 @@ class GaussianKernel(_ProductKernel):
         s = self._axis_sigma[axis]
         a = (np.asarray(lo, float)[:, None] - coords[None, :]) / s
         b = (np.asarray(hi, float)[:, None] - coords[None, :]) / s
-        return ndtr(b) - ndtr(a)
+        return _normal_mass(a, b)
 
     def axis_cdf_diff_grad(self, lo, hi, coords, axis):
         s = self._axis_sigma[axis]
@@ -308,20 +241,6 @@ class GaussianKernel(_ProductKernel):
         b = (np.asarray(hi, float)[:, None] - coords[None, :]) / s
         phi = lambda u: np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
         return (phi(a) - phi(b)) / s
-
-    def bin_integral(self, lo, hi, atom) -> float:
-        if self._diagonal:
-            return super().bin_integral(lo, hi, atom)
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
-        atom = np.asarray(atom, float)
-        val, _ = integrate.dblquad(
-            lambda y, x: self.density(np.array([[x, y]]))[0],
-            lo[0] - atom[0], hi[0] - atom[0],
-            lo[1] - atom[1], hi[1] - atom[1],
-            epsabs=1e-12, epsrel=1e-8,
-        )
-        return float(val)
 
     # anisotropic path: strip masses of the bivariate density ------------------
     def _strip_masses(self, offsets, edges, axis):
@@ -404,9 +323,6 @@ class UniformBoxKernel(_ProductKernel):
 
     def spread(self) -> float:
         return float(self.half_widths.max())
-
-    def tail_radius(self) -> float:
-        return float(np.linalg.norm(self.half_widths))
 
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, float))
@@ -498,10 +414,6 @@ class TabulatedKernel(Kernel):
         lo, hi = self.support_box()
         return float(np.max(hi - lo) / 2)
 
-    def tail_radius(self) -> float:
-        lo, hi = self.support_box()
-        return float(np.linalg.norm(hi - lo) / 2 + np.max(np.abs((hi + lo) / 2)))
-
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, float))
         if self.dimension == 1:
@@ -514,45 +426,6 @@ class TabulatedKernel(Kernel):
             bounds_error=False, fill_value=0.0,
         )
         return interp(x[:, ::-1])
-
-    # exact integrals of the interpolant -------------------------------------
-    def _segment_integrals(self, a: float, b: float, axis: int, degree: int) -> np.ndarray:
-        """Integrals of x^degree * hat_i(x) over [a, b] for every node i on an axis.
-
-        hat_i is the piecewise-linear nodal basis function; Gauss-Legendre of
-        sufficient order makes each per-cell integral exact.
-        """
-        coords = self._node_coords[axis]
-        n = coords.shape[0]
-        out = np.zeros(n)
-        if b <= coords[0] or a >= coords[-1] or b <= a:
-            return out
-        npts = max(1, (degree + 2 + 1) // 2)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(npts)
-        for c in range(n - 1):
-            left, right = coords[c], coords[c + 1]
-            lo, hi = max(a, left), min(b, right)
-            if hi <= lo:
-                continue
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            x = mid + half * gl_x
-            w = half * gl_w
-            u = (x - left) / self.spacing
-            base = x**degree if degree else np.ones_like(x)
-            out[c] += np.sum(w * base * (1 - u))
-            out[c + 1] += np.sum(w * base * u)
-        return out
-
-    def bin_integral(self, lo, hi, atom) -> float:
-        lo = np.atleast_1d(np.asarray(lo, float))
-        hi = np.atleast_1d(np.asarray(hi, float))
-        atom = np.atleast_1d(np.asarray(atom, float))
-        if self.dimension == 1:
-            weights = self._segment_integrals(lo[0] - atom[0], hi[0] - atom[0], 0, 0)
-            return float(weights @ self.samples)
-        wx = self._segment_integrals(lo[0] - atom[0], hi[0] - atom[0], 0, 0)
-        wy = self._segment_integrals(lo[1] - atom[1], hi[1] - atom[1], 1, 0)
-        return float(wy @ self.samples @ wx)
 
     def _axis_weights(self, edges: np.ndarray, theta: float, axis: int):
         """One atom's hat-function weights on one axis, each (n_bins, n_nodes).
@@ -599,21 +472,31 @@ class TabulatedKernel(Kernel):
                 out[:, j, 1] = (dwy @ self.samples @ wx.T).ravel()
         return out
 
+    def _moment_weights(self, order: int, axis: int) -> np.ndarray:
+        """Integrals of x^j * hat_n(x) over the sampled span, shape (order + 1, n).
+
+        hat_n is the piecewise-linear nodal basis function of node n; Gauss-
+        Legendre with (order + 3) // 2 points per cell is exact for the
+        degree-(j + 1) integrand on each cell.
+        """
+        coords = self._node_coords[axis]
+        nodes, weights = np.polynomial.legendre.leggauss((order + 3) // 2)
+        half = 0.5 * self.spacing
+        x = (coords[:-1] + half)[:, None] + half * nodes  # (cells, points)
+        u = 0.5 * (nodes + 1.0)  # each point's fraction of the way along its cell
+        powers = x ** np.arange(order + 1)[:, None, None]  # (order + 1, cells, points)
+        table = np.zeros((order + 1, coords.shape[0]))
+        table[:, :-1] += powers @ (half * weights * (1.0 - u))
+        table[:, 1:] += powers @ (half * weights * u)
+        return table
+
     def multi_moments(self, order: int) -> dict:
-        lo, hi = self.support_box()
-        out = {}
+        wx = self._moment_weights(order, 0)
         if self.dimension == 1:
-            for j in range(order + 1):
-                w = self._segment_integrals(lo[0], hi[0], 0, j)
-                out[(j,)] = float(w @ self.samples)
-            return out
-        for total in range(order + 1):
-            for a in range(total + 1):
-                b = total - a
-                wx = self._segment_integrals(lo[0], hi[0], 0, a)
-                wy = self._segment_integrals(lo[1], hi[1], 1, b)
-                out[(a, b)] = float(wy @ self.samples @ wx)
-        return out
+            moments = wx @ self.samples
+            return {(j,): float(moments[j]) for j in range(order + 1)}
+        moments = wx @ self.samples.T @ self._moment_weights(order, 1).T  # [a, b]
+        return {(a, b): float(moments[a, b]) for a, b in multi_indices(order, 2)}
 
     @classmethod
     def load(cls, csv_path, json_path=None) -> "TabulatedKernel":
@@ -675,11 +558,7 @@ def _gaussian_multi_moments(cov: np.ndarray, order: int) -> dict:
         memo[(a, b)] = val
         return val
 
-    out = {}
-    for total in range(order + 1):
-        for a in range(total + 1):
-            out[(a, total - a)] = float(mom(a, total - a))
-    return out
+    return {alpha: float(mom(*alpha)) for alpha in multi_indices(order, 2)}
 
 
 def kernel_moments(kernel: Kernel, order: int) -> KernelMoments:
@@ -692,15 +571,13 @@ def kernel_moments(kernel: Kernel, order: int) -> KernelMoments:
     if order < 1:
         raise ValueError("order must be >= 1")
     if kernel.dimension == 1:
-        return kernel.real_moments(order)
-    return kernel.complex_moments(order)
-
-
-def bin_intensity(kernel: Kernel, mu: AtomicUniformMeasure, lo, hi) -> float:
-    """Intensity of a single bin: (1/k) sum_i int_bin K(x - theta_i) dx."""
-    lo = np.atleast_1d(np.asarray(lo, float))
-    hi = np.atleast_1d(np.asarray(hi, float))
-    if np.any(hi <= lo):
-        raise ValueError("bin must be non-degenerate (lo < hi)")
-    vals = [kernel.bin_integral(lo, hi, atom) for atom in mu.atoms]
-    return float(np.mean(vals))
+        moments = kernel.multi_moments(order)
+        return KernelMoments(np.array([moments[(j,)] for j in range(order + 1)]), "real")
+    vals = np.zeros(order + 1, dtype=complex)
+    vals[0] = 1.0
+    if not kernel.is_rotationally_symmetric():
+        moments = kernel.multi_moments(order)
+        for j in range(order + 1):
+            vals[j] = sum(math.comb(j, l) * 1j**l * moments[(j - l, l)]
+                          for l in range(j + 1))
+    return KernelMoments(vals, "complex")

@@ -3,11 +3,12 @@
 The estimation target throughout the library is a uniform distribution on k
 points of R^d (d = 1 or 2): every atom carries mass 1/k, and uniformity is
 structural (weights are never stored).  This module provides the measure type,
-exact moment computation, the moment distance M_k, exact p-Wasserstein
-distances between equal-size uniform measures, the Hausdorff distance between
-supports, Voronoi-cell conditional measures relative to a clustered reference,
-the cluster-weighted local Wasserstein divergence, and a moment-matched
-perturbation that produces adversarial pairs sharing their first k-1 moments.
+the package's one enumerator of multi-indices, exact moment computation, the
+moment distance M_k, exact p-Wasserstein distances between equal-size uniform
+measures, the Hausdorff distance between supports, Voronoi-cell conditional
+measures relative to a clustered reference, the cluster-weighted local
+Wasserstein divergence, and a moment-matched perturbation that produces
+adversarial pairs sharing their first k-1 moments.
 """
 from __future__ import annotations
 
@@ -21,9 +22,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial.distance import cdist
 
-# Module-level tolerances: algebraic identities vs root-finding-limited checks.
-ALGEBRAIC_TOL = 1e-12
-ROOT_TOL = 1e-8
+
+def multi_indices(order: int, dimension: int) -> list:
+    """Every alpha in N^dimension with |alpha| <= order, by degree, then by alpha_1.
+
+    Within one degree the indices are in lexicographic order, so (0, 0) comes
+    first and, in the plane, (a, j - a) precedes (a + 1, j - a - 1).
+    """
+    indices = [()]
+    for _ in range(dimension):
+        indices = [alpha + (a,) for alpha in indices for a in range(order + 1 - sum(alpha))]
+    return sorted(indices, key=lambda alpha: (sum(alpha), alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +84,6 @@ class AtomicUniformMeasure:
             return cls(np.real(z)[:, None])
         return cls(np.column_stack([np.real(z), np.imag(z)]))
 
-    def translate(self, shift) -> "AtomicUniformMeasure":
-        return AtomicUniformMeasure(self.atoms + np.asarray(shift, float))
-
     def to_dict(self) -> dict:
         return {"dimension": self.dimension, "atoms": self.atoms.tolist()}
 
@@ -115,9 +121,9 @@ class MomentVector:
             raise ValueError("order must be >= 1")
         if self.is_multi_index:
             dim = len(next(iter(self.entries)))
-            expected = set(self.index_family(self.order, True, dim))
+            expected = set(multi_indices(self.order, dim)[1:])  # alpha = 0 comes first
         else:
-            expected = set(self.index_family(self.order, False))
+            expected = set(range(1, self.order + 1))
         if set(self.entries) != expected:
             raise ValueError("entries must cover every index with 1 <= |alpha| <= order")
         if not all(np.isfinite(v).all() for v in map(np.asarray, self.entries.values())):
@@ -126,31 +132,6 @@ class MomentVector:
     @property
     def is_multi_index(self) -> bool:
         return isinstance(next(iter(self.entries)), tuple)
-
-    @staticmethod
-    def index_family(order: int, multi_index: bool, dimension: int = 2):
-        if not multi_index:
-            return [a for a in range(1, order + 1)]
-        idx = []
-
-        def rec(prefix, remaining):
-            if len(prefix) == dimension - 1:
-                idx.append(tuple(prefix + [remaining]))
-                return
-            for a in range(remaining + 1):
-                rec(prefix + [a], remaining - a)
-
-        for total in range(1, order + 1):
-            rec([], total)
-        return idx
-
-    def as_array(self) -> np.ndarray:
-        """Entries in canonical index order (1..k, or graded lexicographic)."""
-        if self.is_multi_index:
-            keys = sorted(self.entries, key=lambda a: (sum(a), a))
-        else:
-            keys = range(1, self.order + 1)
-        return np.array([self.entries[key] for key in keys])
 
 
 def exact_moments(mu: AtomicUniformMeasure, order: int, multi_index: bool = False) -> MomentVector:
@@ -168,7 +149,7 @@ def exact_moments(mu: AtomicUniformMeasure, order: int, multi_index: bool = Fals
         entries = {a: np.mean(z**a) for a in range(1, order + 1)}
         return MomentVector(order, entries)
     entries = {}
-    for alpha in MomentVector.index_family(order, True, mu.dimension):
+    for alpha in multi_indices(order, mu.dimension)[1:]:
         mono = np.prod(mu.atoms ** np.asarray(alpha, float), axis=1)
         entries[alpha] = float(np.mean(mono))
     return MomentVector(order, entries)

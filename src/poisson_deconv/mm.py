@@ -4,9 +4,9 @@ The estimator chain: kernel-adapted monic polynomials psi_alpha turn bin
 counts into unbiased moment estimates of the mixing measure; Newton's
 identities convert power-sum moments into elementary symmetric polynomials;
 Vieta's formula assembles the monic polynomial whose roots are the atoms; a
-root finder recovers them.  Three variants are exposed: the complex estimator
-for planar data, its real-line projection, and a general moment-matching
-optimizer constrained to a domain box.
+root finder recovers them.  Two variants are exposed: the complex estimator,
+which projects its roots to the real line on 1-d data, and a general
+moment-matching optimizer constrained to a domain box.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .kernels import Kernel, KernelMoments, kernel_moments
-from .measures import AtomicUniformMeasure, MomentVector
+from .measures import AtomicUniformMeasure, MomentVector, multi_indices
 from .observation import BinGrid, CountImage
 
 logger = logging.getLogger(__name__)
@@ -306,33 +306,19 @@ def _psi_for(kernel: Kernel, k: int, psi: PsiPolynomials | None) -> PsiPolynomia
 
 def mm_complex(image: CountImage, kernel: Kernel, k: int,
                psi: PsiPolynomials | None = None) -> AtomicUniformMeasure:
-    """Complex method-of-moments estimator for planar images.
+    """Complex method-of-moments estimator for planar and 1-d images.
 
     Estimated complex moments are inverted through Newton's identities and
-    Vieta's formula; the atoms are the roots of the resulting polynomial.
-    Atoms may land outside the observation window; no projection is applied.
+    Vieta's formula; the atoms are the roots of the resulting polynomial, with
+    their real parts taken on 1-d data.  Atoms may land outside the
+    observation window; no projection onto it is applied.
     """
-    if image.grid.dimension != 2:
-        raise ValueError("mm_complex requires planar data")
     guard = _degenerate_guard(image, k)
     if guard is not None:
         return guard
     psi = _psi_for(kernel, k, psi)
     m_hat = estimate_moments(image, psi, k)
-    return measure_from_moments(m_hat, k, dimension=2)
-
-
-def mm_real(image: CountImage, kernel: Kernel, k: int,
-            psi: PsiPolynomials | None = None) -> AtomicUniformMeasure:
-    """Real-line method of moments: complex pipeline, then project roots to R."""
-    if image.grid.dimension != 1:
-        raise ValueError("mm_real requires 1-d data")
-    guard = _degenerate_guard(image, k)
-    if guard is not None:
-        return guard
-    psi = _psi_for(kernel, k, psi)
-    m_hat = estimate_moments(image, psi, k)
-    return measure_from_moments(m_hat, k, dimension=1)
+    return measure_from_moments(m_hat, k, dimension=image.grid.dimension)
 
 
 # general (box-constrained) moment matching ---------------------------------
@@ -341,7 +327,8 @@ def mm_real(image: CountImage, kernel: Kernel, k: int,
 class MultiPsi:
     """Multivariate psi polynomials over the graded multi-index family.
 
-    ``indices`` lists every alpha with |alpha| <= order in graded order and
+    ``indices`` lists every alpha with |alpha| <= order as ``multi_indices``
+    orders them, and
     ``coeffs[a, b]`` is the coefficient of the monomial x^indices[b] in
     psi_indices[a].
     """
@@ -358,30 +345,15 @@ class MultiPsi:
         return mono @ self.coeffs.T
 
 
-def _graded_indices(order: int, dimension: int):
-    idx = [tuple(a) for a in _compositions(order, dimension)]
-    return tuple(sorted(idx, key=lambda a: (sum(a), a)))
-
-
-def _compositions(order, dimension):
-    if dimension == 1:
-        return [(j,) for j in range(order + 1)]
-    out = []
-    for total in range(order + 1):
-        for a in range(total + 1):
-            out.append((a, total - a))
-    return out
-
-
 def compute_psi_multi(kernel: Kernel, order: int) -> MultiPsi:
     """Multivariate analogue of compute_psi over multi-indices |alpha| <= order."""
-    indices = _graded_indices(order, kernel.dimension)
+    indices = tuple(multi_indices(order, kernel.dimension))
     kmom = kernel.multi_moments(order)
     n = len(indices)
     pos = {a: i for i, a in enumerate(indices)}
     M = np.zeros((n, n))
     for a in indices:
-        for b in _compositions(order, kernel.dimension):
+        for b in indices:
             if all(bb <= aa for aa, bb in zip(a, b)):
                 gamma = tuple(aa - bb for aa, bb in zip(a, b))
                 coef = kmom[gamma]
@@ -402,7 +374,7 @@ def estimate_moments_multi(image: CountImage, mpsi: MultiPsi) -> dict:
 
 def _moment_objective(m_hat: dict, k: int, dimension: int):
     """Objective sum_alpha |m_alpha(mu) - m_hat_alpha|^2 with analytic gradient."""
-    alphas = [a for a in _graded_indices(k, dimension) if sum(a) >= 1]
+    alphas = multi_indices(k, dimension)[1:]  # alpha = 0 comes first
     targets = np.array([m_hat[a] for a in alphas])
     powers = np.array(alphas, dtype=float)  # (n_alpha, d)
 

@@ -52,15 +52,11 @@ class BinGrid:
     resolution : tuple of int
         Bins per axis, (n_x,) or (n_x, n_y); m = prod(resolution).
         Flat indexing is row-major: i = iy * n_x + ix.
-    anchor : str
-        "center" (default) or "corner"; the designated point gamma_i of each
-        bin used by the moment estimators.
     """
 
     window_lo: np.ndarray
     window_hi: np.ndarray
     resolution: tuple
-    anchor: str = "center"
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.window_lo, float))
@@ -72,8 +68,6 @@ class BinGrid:
             raise ValueError("window_hi must exceed window_lo")
         if len(res) != lo.shape[0] or any(n < 1 for n in res):
             raise ValueError("resolution must give >= 1 bins per axis")
-        if self.anchor not in ("center", "corner"):
-            raise ValueError("anchor must be 'center' or 'corner'")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "window_lo", lo)
@@ -97,23 +91,10 @@ class BinGrid:
             self.window_lo[axis], self.window_hi[axis], self.resolution[axis] + 1
         )
 
-    def bin_bounds(self, i: int):
-        """(lo, hi) corners of bin i in row-major order."""
-        if self.dimension == 1:
-            ix = i
-            lo = self.window_lo + ix * self.bin_widths
-            return lo, lo + self.bin_widths
-        n_x = self.resolution[0]
-        iy, ix = divmod(i, n_x)
-        idx = np.array([ix, iy], dtype=float)
-        lo = self.window_lo + idx * self.bin_widths
-        return lo, lo + self.bin_widths
-
     def anchors(self) -> np.ndarray:
-        """Designated point per bin, shape (m, d), row-major order."""
-        offset = 0.5 if self.anchor == "center" else 0.0
+        """Bin centres, the points gamma_i the moment estimators use; (m, d), row-major."""
         axes = [
-            self.window_lo[a] + (np.arange(self.resolution[a]) + offset) * self.bin_widths[a]
+            self.window_lo[a] + (np.arange(self.resolution[a]) + 0.5) * self.bin_widths[a]
             for a in range(self.dimension)
         ]
         if self.dimension == 1:
@@ -123,9 +104,6 @@ class BinGrid:
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.window_lo + self.window_hi)
-
-    def with_anchor(self, anchor: str) -> "BinGrid":
-        return BinGrid(self.window_lo, self.window_hi, self.resolution, anchor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +208,7 @@ def save_image(image: CountImage, directory, stem: str = "image") -> tuple:
         "units": "au",
         "t": "inf" if image.noiseless else image.t,
     }
-    if not np.isclose(widths[0], widths[1]):
+    if widths[0] != widths[1]:
         meta["pixel_size_y"] = float(widths[1])
     origin = image.grid.window_lo
     if np.any(origin != 0):

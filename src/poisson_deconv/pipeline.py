@@ -3,9 +3,9 @@
 Greedy mode selection seeds a Voronoi tessellation of the window; modes closer
 than a link threshold merge into cells through the connected components of
 their proximity graph.  Each cell is denoised (mode-selection residuals
-subtracted), cropped to its positive support, assigned an even number of
-components proportional to its mass, and estimated with the complex method of
-moments followed by EM.  The per-cell estimates merge into one uniform
+subtracted), cropped to its positive support with an exposure of its own,
+assigned an even number of components proportional to its mass, and
+estimated with the complex method of moments followed by EM.  The per-cell estimates merge into one uniform
 measure over all recovered atoms.
 """
 from __future__ import annotations
@@ -144,7 +144,11 @@ def denoise_and_crop(image: CountImage, residual: CountImage,
                      mask: np.ndarray) -> CountImage | None:
     """Residual-subtracted counts on the mask, cropped to the positive support.
 
-    Returns None when the cell carries no positive count after denoising.
+    The crop carries its own exposure, so its moments and likelihood describe
+    the cell's atoms alone: at finite t the rounded counts come with
+    t = their total; noiseless intensities are rescaled to unit mass.
+    Returns None when the cell carries no positive count after denoising
+    (and, at finite t, after rounding).
     """
     if residual.counts.shape != image.counts.shape:
         raise ValueError("residual must align with the image")
@@ -163,11 +167,14 @@ def denoise_and_crop(image: CountImage, residual: CountImage,
     widths = grid.bin_widths
     lo = grid.window_lo + np.array([c0 * widths[0], r0 * widths[1]])
     hi = grid.window_lo + np.array([c1 * widths[0], r1 * widths[1]])
-    sub = BinGrid(lo, hi, (c1 - c0, r1 - r0), grid.anchor)
+    sub = BinGrid(lo, hi, (c1 - c0, r1 - r0))
     counts = den2d[r0:r1, c0:c1].ravel()
-    if np.isfinite(image.t):
-        counts = np.round(counts)  # denoised counts stay integer at finite t
-    return CountImage(sub, counts, image.t)
+    if image.noiseless:
+        return CountImage(sub, counts / counts.sum(), np.inf)
+    counts = np.round(counts)  # denoised counts stay integer at finite t
+    if counts.sum() == 0:
+        return None
+    return CountImage(sub, counts, counts.sum())
 
 
 def even_round(x: float) -> int:
@@ -186,8 +193,8 @@ def allocate_components(masks: list, denoised: CountImage, k: int) -> list:
     return [even_round(mass / total * k) for mass in masses]
 
 
-def run_pipeline(image: CountImage, kernel: Kernel, config: PartitionConfig,
-                 seed: int = 0) -> PipelineResult:
+def run_pipeline(image: CountImage, kernel: Kernel,
+                 config: PartitionConfig) -> PipelineResult:
     """Full workflow: modes, partition, denoise, allocate, estimate, merge.
 
     Per-cell estimation failures are isolated: the cell is flagged and the

@@ -50,6 +50,13 @@ class TestBuiltinConfiguration:
             builtin_configuration("ring", 4)
 
 
+def lookup(table, estimator, t, m):
+    """The table's row for one (estimator, t, m) cell."""
+    [row] = [r for r in table.rows
+             if r["estimator"] == estimator and r["t"] == t and r["m"] == m]
+    return row
+
+
 def small_spec(**overrides):
     base = dict(
         configuration="grid", k=4, sigma=0.05, resolutions=(20,),
@@ -82,22 +89,22 @@ class TestRunRiskExperiment:
     def test_mean_permutation_invariant(self):
         spec = small_spec(replicates=4)
         table = run_risk_experiment(spec)
-        row = table.lookup("mm", 1e4, 400)
+        row = lookup(table, "mm", 1e4, 400)
         samples = [s for s in row["w1_samples"] if s is not None]
         assert row["mean_w1"] == pytest.approx(np.mean(sorted(samples)))
 
     def test_noiseless_row(self):
         spec = small_spec(t_values=(np.inf,), replicates=5)
         table = run_risk_experiment(spec)
-        row = table.lookup("em", np.inf, 400)
+        row = lookup(table, "em", np.inf, 400)
         assert row["n"] == 5
         assert row["stderr_w1"] == 0.0
 
     def test_noiseless_bounds_finite_t(self):
         spec = small_spec(t_values=(1e3, np.inf), replicates=4, seed=7)
         table = run_risk_experiment(spec)
-        noiseless_row = table.lookup("em", np.inf, 400)
-        noisy_row = table.lookup("em", 1e3, 400)
+        noiseless_row = lookup(table, "em", np.inf, 400)
+        noisy_row = lookup(table, "em", 1e3, 400)
         assert (
             noiseless_row["mean_w1"]
             <= noisy_row["mean_w1"] + 2 * noisy_row["stderr_w1"]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from poisson_deconv.measures import (
-    ALGEBRAIC_TOL,
     AtomicUniformMeasure,
     ClusterProfile,
     MomentVector,
@@ -12,10 +11,15 @@ from poisson_deconv.measures import (
     hausdorff,
     local_divergence,
     moment_distance,
+    multi_indices,
     perturb_matching_moments,
     voronoi_assign,
     wasserstein_p,
 )
+
+
+# Slack for identities that hold exactly up to rounding.
+ALGEBRAIC_TOL = 1e-12
 
 
 def brute_force_wp(mu, nu, p):
@@ -84,6 +88,13 @@ class TestExactMoments:
         m = exact_moments(mu, 2, multi_index=True)
         assert set(m.entries) == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
         assert m.entries[(1, 1)] == pytest.approx(0.5 * 0.25)
+
+    def test_multi_indices_by_degree_then_first_index(self):
+        assert multi_indices(2, 1) == [(0,), (1,), (2,)]
+        assert multi_indices(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+        family = multi_indices(3, 3)
+        assert len(family) == 20  # C(3 + 3, 3)
+        assert family[:4] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 class TestMomentDistance:

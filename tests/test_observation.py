@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poisson_deconv.kernels import GaussianKernel
 from poisson_deconv.measures import AtomicUniformMeasure
@@ -33,26 +37,24 @@ class TestBinGrid:
         grid = BinGrid([0, 0], [1, 2], (4, 5))
         assert grid.m == 20
         assert np.allclose(grid.bin_widths, [0.25, 0.4])
-        covered = np.zeros(grid.m)
-        for i in range(grid.m):
-            lo, hi = grid.bin_bounds(i)
-            covered[i] = np.prod(hi - lo)
+        covered = np.outer(np.diff(grid.axis_edges(1)), np.diff(grid.axis_edges(0)))
+        assert covered.size == grid.m
         assert covered.sum() == pytest.approx(2.0)
 
     def test_row_major_ordering(self):
         grid = BinGrid([0, 0], [4, 3], (4, 3))
-        lo, hi = grid.bin_bounds(1)  # second bin: ix=1, iy=0
-        assert np.allclose(lo, [1, 0])
-        lo, hi = grid.bin_bounds(4)  # ix=0, iy=1
-        assert np.allclose(lo, [0, 1])
+        anchors = grid.anchors()
+        assert np.allclose(anchors[1], [1.5, 0.5])  # second bin: ix=1, iy=0
+        assert np.allclose(anchors[4], [0.5, 1.5])  # ix=0, iy=1
 
     def test_anchors_center_and_corner(self):
+        # anchors are bin centres, half a bin in from the window's corners
         grid = BinGrid([0, 0], [1, 1], (2, 2))
         centers = grid.anchors()
         assert np.allclose(centers[0], [0.25, 0.25])
         assert np.allclose(centers[3], [0.75, 0.75])
-        corners = grid.with_anchor("corner").anchors()
-        assert np.allclose(corners[0], [0.0, 0.0])
+        assert np.allclose(centers[0] - grid.window_lo, grid.bin_widths / 2)
+        assert np.allclose(grid.window_hi - centers[-1], grid.bin_widths / 2)
 
     def test_diameter_bound(self):
         # regular grid satisfies diam(B_i) <= C m^{-1/d} by construction
@@ -236,6 +238,35 @@ class TestImageIO:
         back = load_image(tmp_path)
         assert back.noiseless
         assert np.array_equal(back.counts, img.counts)
+
+
+@st.composite
+def count_images(draw):
+    """Planar images of 1-12 bins per axis with pixels up to 1e-5 away from square."""
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    px = draw(st.floats(1e-3, 1e2))
+    py = px * (1.0 + draw(st.floats(0.0, 1e-5)))
+    lo = np.array([draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
+    grid = BinGrid(lo, lo + np.array([nx * px, ny * py]), (nx, ny))
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 10**6), min_size=grid.m, max_size=grid.m))
+        return CountImage(grid, counts, draw(st.floats(1e-3, 1e9)))
+    counts = draw(st.lists(st.floats(0.0, 1e3), min_size=grid.m, max_size=grid.m))
+    return CountImage(grid, counts, np.inf)
+
+
+class TestImageRoundtripProperty:
+    @given(count_images())
+    def test_save_load_roundtrip(self, img):
+        with tempfile.TemporaryDirectory() as directory:
+            save_image(img, directory)
+            back = load_image(directory)
+        assert np.array_equal(back.counts, img.counts)
+        assert back.t == img.t
+        lo, hi = img.grid.window_lo, img.grid.window_hi
+        scale = np.abs(lo) + np.abs(hi)
+        assert np.all(np.abs(back.grid.window_lo - lo) <= 1e-12 * scale)
+        assert np.all(np.abs(back.grid.window_hi - hi) <= 1e-12 * scale)
 
 
 class TestCountImageValidation:
