@@ -19,7 +19,7 @@ import numpy as np
 
 from .em import EmConfig, run_em
 from .harness import ExperimentSpec, run_risk_experiment, run_runtime_comparison
-from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
+from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel, kernel_moments
 from .measures import (
     AtomicUniformMeasure,
     exact_moments,
@@ -27,7 +27,7 @@ from .measures import (
     moment_distance,
     wasserstein_p,
 )
-from .mm import estimate_moments, mm_complex, mm_general, _psi_for
+from .mm import compute_psi, estimate_moments, mm_complex, mm_general
 from .observation import BinGrid, load_image, noiseless, save_image, simulate
 from .pipeline import PartitionConfig, run_pipeline
 
@@ -153,12 +153,9 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
         }
     else:
         raise ConfigError(f"unknown estimator '{estimator}'")
-    psi = _psi_for(kernel, k, None) if image.grid.dimension == 2 else None
-    if psi is not None:
-        m_hat = estimate_moments(image, psi, k)
-        diagnostics["moments_hat"] = [
-            [m_hat.entries[a].real, m_hat.entries[a].imag] for a in range(1, k + 1)
-        ]
+    if image.grid.dimension == 2:
+        m_hat = estimate_moments(image, compute_psi(kernel_moments(kernel, k)))
+        diagnostics["moments_hat"] = [[m.real, m.imag] for m in m_hat.tolist()]
     diagnostics["objective"] = objective
     payload = est.to_dict()
     payload["diagnostics"] = diagnostics
@@ -215,6 +212,10 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
 
 
 def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
+    if "em_max_iterations" in config:
+        raise ConfigError(
+            "unknown field 'em_max_iterations'; set em.max_iterations instead"
+        )
     t_values = tuple(
         np.inf if isinstance(t, str) and t.lower() in ("inf", "infinity") else float(t)
         for t in _require(config, "t_values")
@@ -224,10 +225,10 @@ def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
         t_values=t_values,
         seed=int(config["seed"]),
         jobs=jobs,
+        em=_em_config(config.get("em", {})),
         **_present(config, {
             "configuration": str, "k": int, "sigma": float, "replicates": int,
             "estimators": tuple, "atoms": lambda atoms: tuple(map(tuple, atoms)),
-            "em_max_iterations": int,
         }),
     )
     mode = config.get("mode", "risk")

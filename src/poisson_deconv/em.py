@@ -64,13 +64,13 @@ class EmTrace:
     def iterations(self) -> int:
         return len(self.loglik)
 
-    def monotone(self, tol: float = 1e-7) -> bool:
-        """True when the log-likelihood never decreases beyond rounding."""
+    def monotone(self) -> bool:
+        """True when no log-likelihood step falls by more than 1e-7 relative."""
         ll = np.asarray(self.loglik)
         if ll.size < 2:
             return True
         scale = np.maximum(1.0, np.abs(ll[:-1]))
-        return bool(np.all(np.diff(ll) >= -tol * scale))
+        return bool(np.all(np.diff(ll) >= -1e-7 * scale))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -100,17 +100,17 @@ def _log_likelihood_effective(image: CountImage, kernel: Kernel,
     return float(np.sum(counts * np.log(t * np.maximum(lam, floor)) - t * lam))
 
 
-def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure,
-                   floor: float = 1e-30) -> float:
+def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) -> float:
     """Poisson log-likelihood sum_i [X_i log(t lam_i) - t lam_i], constants dropped.
 
-    Intensities are floored inside the logarithm so bins with positive counts
-    but vanishing model intensity contribute a large negative value instead of
-    NaN.  Requires a finite exposure; noiseless images are handled by run_em.
+    Intensities are floored at ``EmConfig.intensity_floor`` inside the
+    logarithm so bins with positive counts but vanishing model intensity
+    contribute a large negative value instead of NaN.  Requires a finite
+    exposure; noiseless images are handled by run_em.
     """
     if image.noiseless:
         raise ValueError("log_likelihood requires finite t; see run_em for t = inf")
-    return _log_likelihood_effective(image, kernel, mu, floor)
+    return _log_likelihood_effective(image, kernel, mu, EmConfig.intensity_floor)
 
 
 def e_step(image: CountImage, kernel: Kernel,

@@ -83,7 +83,7 @@ class ExperimentSpec:
     seed: int = 0
     estimators: tuple = ("mm", "em")
     atoms: tuple | None = None  # for configuration == "custom"
-    em_max_iterations: int = 50
+    em: EmConfig = field(default_factory=EmConfig)
     jobs: int | None = None
 
     def __post_init__(self):
@@ -151,7 +151,7 @@ class RiskTable:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
 
-    def write_dat_files(self, directory, prefix: str = "risk") -> list:
+    def write_dat_files(self, directory) -> list:
         """Gnuplot-ready columns (t, mean_w1, stderr_w1) per estimator and m."""
         os.makedirs(directory, exist_ok=True)
         paths = []
@@ -162,7 +162,7 @@ class RiskTable:
                 if r["estimator"] == est and r["m"] == m and np.isfinite(r["t"])
             ]
             rows.sort(key=lambda r: r["t"])
-            path = os.path.join(directory, f"{prefix}_{est}_m{m}.dat")
+            path = os.path.join(directory, f"risk_{est}_m{m}.dat")
             with open(path, "w") as fh:
                 fh.write("# t mean_w1 stderr_w1\n")
                 for r in rows:
@@ -210,10 +210,7 @@ def _run_replicate(payload: dict) -> dict:
                     init = mm_est
                     if init is None:
                         init = mm_complex(image, kernel, k)
-                    est, _ = run_em(
-                        image, kernel, init,
-                        EmConfig(max_iterations=spec.em_max_iterations),
-                    )
+                    est, _ = run_em(image, kernel, init, spec.em)
                 else:  # pragma: no cover - spec validation rejects earlier
                     raise ValueError(name)
             elapsed = time.perf_counter() - start

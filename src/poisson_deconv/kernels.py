@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -34,36 +33,6 @@ logger = logging.getLogger(__name__)
 _CLIP_SIGMAS = 9.0
 # Gauss-Legendre nodes per x-panel of the anisotropic bin integrals.
 _GL_ORDER = 10
-
-
-@dataclass(frozen=True, eq=False)
-class KernelMoments:
-    """Kernel moments m_j^K = int y^j K(y) dy for j = 0..order.
-
-    ``values[j]`` is real for kernels on the line and complex for planar
-    kernels viewed through the x+iy embedding.  m_0^K is always 1.
-    """
-
-    values: np.ndarray
-    flavor: str  # "real" or "complex"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        if self.flavor not in ("real", "complex"):
-            raise ValueError("flavor must be 'real' or 'complex'")
-        if vals.ndim != 1 or vals.shape[0] < 1:
-            raise ValueError("values must be a 1-d array [m_0 .. m_order]")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("kernel moments must be finite")
-        if abs(vals[0] - 1.0) > 1e-9:
-            raise ValueError("m_0 must equal 1 (probability kernel)")
-        vals = vals.astype(complex if self.flavor == "complex" else float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0] - 1
 
 
 class Kernel:
@@ -363,7 +332,7 @@ class TabulatedKernel(Kernel):
     Parameters
     ----------
     samples : array_like
-        Nonnegative nodal values, shape (n,) for d=1 or (n_y, n_x) for d=2.
+        Finite, nonnegative nodal values, shape (n,) for d=1 or (n_y, n_x) for d=2.
     spacing : float
         Grid spacing between consecutive nodes (same along every axis).
     origin : array_like
@@ -374,6 +343,8 @@ class TabulatedKernel(Kernel):
         samples = np.asarray(samples, float)
         if samples.ndim not in (1, 2):
             raise ValueError("samples must be 1-d or 2-d")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("kernel samples must be finite (no NaN/inf)")
         if np.any(samples < 0):
             raise ValueError("kernel samples must be nonnegative")
         if spacing <= 0:
@@ -561,18 +532,18 @@ def _gaussian_multi_moments(cov: np.ndarray, order: int) -> dict:
     return {alpha: float(mom(*alpha)) for alpha in multi_indices(order, 2)}
 
 
-def kernel_moments(kernel: Kernel, order: int) -> KernelMoments:
-    """Moments of the kernel up to the requested order.
+def kernel_moments(kernel: Kernel, order: int) -> np.ndarray:
+    """Kernel moments m_0..m_order as one array, the first link of the MM chain.
 
-    Kernels on the line report real moments; planar kernels report complex
-    moments of z = x + iy (identically zero beyond order 0 for rotationally
-    symmetric kernels).
+    Entry j is int y^j K(y) dy: a float array for kernels on the line, and a
+    complex array of the moments of z = x + iy for planar kernels (identically
+    zero beyond order 0 for rotationally symmetric kernels).  m_0 is 1.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if kernel.dimension == 1:
         moments = kernel.multi_moments(order)
-        return KernelMoments(np.array([moments[(j,)] for j in range(order + 1)]), "real")
+        return np.array([moments[(j,)] for j in range(order + 1)])
     vals = np.zeros(order + 1, dtype=complex)
     vals[0] = 1.0
     if not kernel.is_rotationally_symmetric():
@@ -580,4 +551,4 @@ def kernel_moments(kernel: Kernel, order: int) -> KernelMoments:
         for j in range(order + 1):
             vals[j] = sum(math.comb(j, l) * 1j**l * moments[(j - l, l)]
                           for l in range(j + 1))
-    return KernelMoments(vals, "complex")
+    return vals

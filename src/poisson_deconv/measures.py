@@ -3,11 +3,12 @@
 The estimation target throughout the library is a uniform distribution on k
 points of R^d (d = 1 or 2): every atom carries mass 1/k, and uniformity is
 structural (weights are never stored).  This module provides the measure type,
-the package's one enumerator of multi-indices, exact moment computation, the
-moment distance M_k, exact p-Wasserstein distances between equal-size uniform
-measures, the Hausdorff distance between supports, Voronoi-cell conditional
-measures relative to a clustered reference, the cluster-weighted local
-Wasserstein divergence, and a moment-matched perturbation that produces
+the package's one enumerator of multi-indices, exact complex moments m_1..m_k
+as a plain array (the array the MM chain estimates), the moment distance M_k
+between two such arrays, exact p-Wasserstein distances between equal-size
+uniform measures, the Hausdorff distance between supports, Voronoi-cell
+conditional measures relative to a clustered reference, the cluster-weighted
+local Wasserstein divergence, and a moment-matched perturbation that produces
 adversarial pairs sharing their first k-1 moments.
 """
 from __future__ import annotations
@@ -77,11 +78,9 @@ class AtomicUniformMeasure:
         raise ValueError("complex view requires dimension 1 or 2")
 
     @classmethod
-    def from_complex(cls, z, dimension: int = 2) -> "AtomicUniformMeasure":
-        """Build a measure from complex scalars (dimension 2 or 1)."""
+    def from_complex(cls, z) -> "AtomicUniformMeasure":
+        """Build a planar measure from complex scalars x + iy."""
         z = np.asarray(z, dtype=complex).ravel()
-        if dimension == 1:
-            return cls(np.real(z)[:, None])
         return cls(np.column_stack([np.real(z), np.imag(z)]))
 
     def to_dict(self) -> dict:
@@ -104,62 +103,29 @@ class AtomicUniformMeasure:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True, eq=False)
-class MomentVector:
-    """Moments m_alpha of a measure for 1 <= |alpha| <= order.
+def exact_moments(mu: AtomicUniformMeasure, order: int) -> np.ndarray:
+    """Exact complex moments m_1..m_order of a k-atomic uniform measure (d <= 2).
 
-    ``entries`` maps either integer indices 1..order to complex scalars
-    (the complex embedding used for d <= 2) or multi-index tuples with
-    1 <= |alpha| <= order to real scalars.
-    """
-
-    order: int
-    entries: dict
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.is_multi_index:
-            dim = len(next(iter(self.entries)))
-            expected = set(multi_indices(self.order, dim)[1:])  # alpha = 0 comes first
-        else:
-            expected = set(range(1, self.order + 1))
-        if set(self.entries) != expected:
-            raise ValueError("entries must cover every index with 1 <= |alpha| <= order")
-        if not all(np.isfinite(v).all() for v in map(np.asarray, self.entries.values())):
-            raise ValueError("moment entries must be finite")
-
-    @property
-    def is_multi_index(self) -> bool:
-        return isinstance(next(iter(self.entries)), tuple)
-
-
-def exact_moments(mu: AtomicUniformMeasure, order: int, multi_index: bool = False) -> MomentVector:
-    """Exact moments of a k-atomic uniform measure up to the given order.
-
-    With ``multi_index=False`` (the default, valid for d <= 2) the atoms are
-    viewed as complex scalars and entry alpha is (1/k) sum_i z_i^alpha.  With
-    ``multi_index=True`` the entries are the monomial moments
-    (1/k) sum_i prod_l x_{il}^{alpha_l} over all 1 <= |alpha| <= order.
+    The atoms are viewed as complex scalars z_i, and entry a - 1 of the
+    returned complex array is (1/k) sum_i z_i^a: the same array that
+    ``mm.estimate_moments`` estimates from counts.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not multi_index:
-        z = mu.as_complex()
-        entries = {a: np.mean(z**a) for a in range(1, order + 1)}
-        return MomentVector(order, entries)
-    entries = {}
-    for alpha in multi_indices(order, mu.dimension)[1:]:
-        mono = np.prod(mu.atoms ** np.asarray(alpha, float), axis=1)
-        entries[alpha] = float(np.mean(mono))
-    return MomentVector(order, entries)
+    z = mu.as_complex()
+    return np.array([np.mean(z**a) for a in range(1, order + 1)])
 
 
-def moment_distance(a: MomentVector, b: MomentVector) -> float:
-    """Moment difference M_k: the sum of |m_alpha(a) - m_alpha(b)| over all indices."""
-    if a.order != b.order or set(a.entries) != set(b.entries):
-        raise ValueError("moment vectors must share order and index family")
-    return float(sum(abs(a.entries[key] - b.entries[key]) for key in a.entries))
+def moment_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Moment difference M_k: the sum of |a_j - b_j| over two moment arrays.
+
+    The terms are summed in index order.  Raises ValueError when the arrays'
+    shapes differ.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError("moment arrays must have the same shape")
+    return float(sum(abs(x - y) for x, y in zip(a, b)))
 
 
 def _pairwise(mu: AtomicUniformMeasure, nu: AtomicUniformMeasure) -> np.ndarray:
@@ -251,8 +217,8 @@ class ClusterProfile:
     multiplicities: np.ndarray
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        mult = np.asarray(self.multiplicities, dtype=int)
+        centers = np.atleast_2d(np.array(self.centers, dtype=float))
+        mult = np.array(self.multiplicities, dtype=int)
         if centers.shape[0] != mult.shape[0]:
             raise ValueError("one multiplicity per center required")
         if np.any(mult < 1):

@@ -4,9 +4,13 @@ The estimator chain: kernel-adapted monic polynomials psi_alpha turn bin
 counts into unbiased moment estimates of the mixing measure; Newton's
 identities convert power-sum moments into elementary symmetric polynomials;
 Vieta's formula assembles the monic polynomial whose roots are the atoms; a
-root finder recovers them.  Two variants are exposed: the complex estimator,
-which projects its roots to the real line on 1-d data, and a general
-moment-matching optimizer constrained to a domain box.
+root finder recovers them.  Every link of the complex chain passes plain
+NumPy arrays: kernel moments m_0..m_k, the unit lower-triangular psi
+coefficient matrix, the moment estimates m_1..m_k, then elementary symmetric
+values and polynomial coefficients; k is read from the arrays' lengths.  Two
+variants are exposed: the complex estimator, which projects its roots to the
+real line on 1-d data, and a general moment-matching optimizer constrained to
+a domain box.
 """
 from __future__ import annotations
 
@@ -19,8 +23,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
-from .kernels import Kernel, KernelMoments, kernel_moments
-from .measures import AtomicUniformMeasure, MomentVector, multi_indices
+from .kernels import Kernel, kernel_moments
+from .measures import AtomicUniformMeasure, multi_indices
 from .observation import BinGrid, CountImage
 
 logger = logging.getLogger(__name__)
@@ -34,54 +38,20 @@ class DegenerateDataWarning(UserWarning):
     """All counts are zero; the estimator returns window-center atoms."""
 
 
-@dataclass(frozen=True, eq=False)
-class PsiPolynomials:
-    """Monic polynomials psi_0..psi_order with E_{K*mu}[psi_i(V)] = m_i(mu).
-
-    ``coeffs[i, j]`` is the coefficient of z^j in psi_i; the matrix is unit
-    lower triangular (each psi_i is monic of degree i).
-    """
-
-    coeffs: np.ndarray
-    flavor: str  # "real" or "complex"
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs)
-        if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-            raise ValueError("coeffs must be square (order+1, order+1)")
-        if not np.allclose(np.diag(coeffs), 1.0):
-            raise ValueError("each psi_i must be monic (unit diagonal)")
-        coeffs = coeffs.astype(complex if self.flavor == "complex" else float)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def evaluate(self, i: int, z) -> np.ndarray:
-        """psi_i evaluated at scalar or array argument."""
-        return np.polynomial.polynomial.polyval(z, self.coeffs[i, : i + 1])
-
-    @classmethod
-    def monomials(cls, order: int, flavor: str = "complex") -> "PsiPolynomials":
-        """psi_i(z) = z^i; exact for rotationally symmetric planar kernels."""
-        return cls(np.eye(order + 1), flavor)
-
-
-def compute_psi(kmoments: KernelMoments) -> PsiPolynomials:
+def compute_psi(m: np.ndarray) -> np.ndarray:
     """Kernel-adapted moment polynomials from the kernel moments m_0..m_ell.
 
-    The unit lower-triangular matrix M with M[i, j] = C(i, j) * m_{i-j}^K
-    expresses the blurred monomial expectations in terms of the clean ones;
-    row i of M^{-1} holds the coefficients of psi_i.  That inverse is
-    C(i, j) * mu_{i-j}, where mu_0 = 1 and mu_n = -sum_{j=1..n} C(n, j) m_j
-    mu_{n-j} are the moments of the kernel's binomial-type inverse.  For the
-    standard Gaussian on the line this reproduces the probabilists' Hermite
-    polynomials.
+    Returns the unit lower-triangular (ell+1, ell+1) array whose row i holds
+    the ascending coefficients of the monic psi_i, with
+    E_{K*mu}[psi_i(V)] = m_i(mu); it has the dtype of ``m``.  The matrix M
+    with M[i, j] = C(i, j) * m_{i-j} expresses the blurred monomial
+    expectations in terms of the clean ones, and the result is M^{-1}.  That
+    inverse is C(i, j) * mu_{i-j}, where mu_0 = 1 and mu_n = -sum_{j=1..n}
+    C(n, j) m_j mu_{n-j} are the moments of the kernel's binomial-type
+    inverse.  For the standard Gaussian on the line this reproduces the
+    probabilists' Hermite polynomials.
     """
-    ell = kmoments.order
-    m = kmoments.values
+    ell = m.shape[0] - 1
     mu = np.zeros(ell + 1, dtype=m.dtype)
     mu[0] = 1.0
     for n in range(1, ell + 1):
@@ -90,50 +60,40 @@ def compute_psi(kmoments: KernelMoments) -> PsiPolynomials:
     for i in range(ell + 1):
         for j in range(i + 1):
             A[i, j] = math.comb(i, j) * mu[i - j]
-    return PsiPolynomials(A, kmoments.flavor)
+    return A
 
 
-def estimate_moments(image: CountImage, psi: PsiPolynomials, k: int) -> MomentVector:
-    """Moment estimates m_hat_alpha = sum_i psi_alpha(gamma_i) X_i / t.
+def estimate_moments(image: CountImage, psi: np.ndarray) -> np.ndarray:
+    """Moment estimates m_hat_a = sum_i psi_a(gamma_i) X_i / t for a = 1..order.
 
-    In noiseless mode (t = inf) the stored intensities stand in for X_i / t.
-    Planar grids feed the anchors through the x+iy embedding (complex psi);
-    1-d grids use the real flavor.
+    ``psi`` is the coefficient array of ``compute_psi``; the result is the
+    complex array m_hat_1..m_hat_order.  In noiseless mode (t = inf) the
+    stored intensities stand in for X_i / t.  Planar grids feed the anchors
+    through the x+iy embedding; 1-d grids use them as they are.
     """
-    if k < 1 or k > psi.order:
-        raise ValueError("k must satisfy 1 <= k <= psi.order")
     grid = image.grid
     anchors = grid.anchors()
     if grid.dimension == 2:
-        if psi.flavor != "complex":
-            raise ValueError("planar images require complex-flavor psi")
         gamma = anchors[:, 0] + 1j * anchors[:, 1]
     else:
         gamma = anchors[:, 0]
     weights = image.counts if image.noiseless else image.counts / image.t
-    entries = {}
-    for a in range(1, k + 1):
-        entries[a] = complex(np.sum(psi.evaluate(a, gamma) * weights))
-    return MomentVector(k, entries)
+    m_hat = np.empty(psi.shape[0] - 1, dtype=complex)
+    for a in range(1, psi.shape[0]):
+        # one expression: an (m,) value row kept across iterations raises peak memory
+        coeffs = psi[a, : a + 1]
+        m_hat[a - 1] = np.sum(np.polynomial.polynomial.polyval(gamma, coeffs) * weights)
+    return m_hat
 
 
-def newton_to_elementary(moments, k: int | None = None) -> np.ndarray:
+def newton_to_elementary(m) -> np.ndarray:
     """Elementary symmetric values eps_0..eps_k from complex moments m_1..m_k.
 
-    Newton's identity for uniform k-atomic measures:
-    eps_l = (k/l) * sum_{j=1}^{l} (-1)^(j-1) eps_{l-j} m_j.
+    k is the length of ``m``.  Newton's identity for uniform k-atomic
+    measures: eps_l = (k/l) * sum_{j=1}^{l} (-1)^(j-1) eps_{l-j} m_j.
     """
-    if isinstance(moments, MomentVector):
-        if k is None:
-            k = moments.order
-        m = np.array([moments.entries[a] for a in range(1, k + 1)], dtype=complex)
-    else:
-        m = np.asarray(moments, dtype=complex).ravel()
-        if k is None:
-            k = m.shape[0]
-        m = m[:k]
-    if m.shape[0] != k:
-        raise ValueError("moments m_1..m_k required")
+    m = np.asarray(m, dtype=complex).ravel()
+    k = m.shape[0]
     eps = np.zeros(k + 1, dtype=complex)
     eps[0] = 1.0
     for l in range(1, k + 1):
@@ -275,10 +235,16 @@ def complex_roots(coeffs) -> np.ndarray:
     return roots
 
 
-def measure_from_moments(moments, k: int, dimension: int = 2) -> AtomicUniformMeasure:
-    """Invert complex moments m_1..m_k into the unique k-atomic uniform measure."""
-    eps = newton_to_elementary(moments, k)
-    roots = complex_roots(poly_from_elementary(eps))
+def measure_from_moments(m, dimension: int = 2) -> AtomicUniformMeasure:
+    """Invert complex moments m_1..m_k into the unique k-atomic uniform measure.
+
+    k is the length of ``m``; on 1-d data (``dimension`` 1) the atoms are the
+    sorted real parts of the roots.  Raises ValueError on non-finite moments.
+    """
+    m = np.asarray(m, dtype=complex).ravel()
+    if not np.all(np.isfinite(m)):
+        raise ValueError("moments m_1..m_k must be finite")
+    roots = complex_roots(poly_from_elementary(newton_to_elementary(m)))
     if dimension == 1:
         return AtomicUniformMeasure(np.sort(roots.real))
     return AtomicUniformMeasure.from_complex(roots)
@@ -294,31 +260,25 @@ def _degenerate_guard(image: CountImage, k: int) -> AtomicUniformMeasure | None:
     return AtomicUniformMeasure(np.tile(center, (k, 1)))
 
 
-def _psi_for(kernel: Kernel, k: int, psi: PsiPolynomials | None) -> PsiPolynomials:
-    if psi is not None:
-        if psi.order < k:
-            raise ValueError("supplied psi has insufficient order")
-        return psi
-    if kernel.dimension == 2 and kernel.is_rotationally_symmetric():
-        return PsiPolynomials.monomials(k, "complex")
-    return compute_psi(kernel_moments(kernel, k))
-
-
-def mm_complex(image: CountImage, kernel: Kernel, k: int,
-               psi: PsiPolynomials | None = None) -> AtomicUniformMeasure:
+def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasure:
     """Complex method-of-moments estimator for planar and 1-d images.
 
     Estimated complex moments are inverted through Newton's identities and
     Vieta's formula; the atoms are the roots of the resulting polynomial, with
     their real parts taken on 1-d data.  Atoms may land outside the
-    observation window; no projection onto it is applied.
+    observation window; no projection onto it is applied.  Raises ValueError
+    when the kernel's dimension differs from the image's.
     """
+    if kernel.dimension != image.grid.dimension:
+        raise ValueError(
+            f"a {kernel.dimension}-d kernel cannot deconvolve a "
+            f"{image.grid.dimension}-d image"
+        )
     guard = _degenerate_guard(image, k)
     if guard is not None:
         return guard
-    psi = _psi_for(kernel, k, psi)
-    m_hat = estimate_moments(image, psi, k)
-    return measure_from_moments(m_hat, k, dimension=image.grid.dimension)
+    m_hat = estimate_moments(image, compute_psi(kernel_moments(kernel, k)))
+    return measure_from_moments(m_hat, dimension=image.grid.dimension)
 
 
 # general (box-constrained) moment matching ---------------------------------

@@ -59,8 +59,8 @@ class BinGrid:
     resolution: tuple
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.window_lo, float))
-        hi = np.atleast_1d(np.asarray(self.window_hi, float))
+        lo = np.atleast_1d(np.array(self.window_lo, float))
+        hi = np.atleast_1d(np.array(self.window_hi, float))
         res = tuple(int(n) for n in np.atleast_1d(self.resolution))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.shape[0] not in (1, 2):
             raise ValueError("window must be 1- or 2-dimensional")
@@ -185,13 +185,13 @@ def noiseless(kernel: Kernel, mu: AtomicUniformMeasure, grid: BinGrid) -> CountI
 _REQUIRED_META = ("width_px", "height_px", "pixel_size")
 
 
-def save_image(image: CountImage, directory, stem: str = "image") -> tuple:
+def save_image(image: CountImage, directory) -> tuple:
     """Write image.csv / image.json; integer counts are written bit-exactly."""
     if image.grid.dimension != 2:
         raise ValueError("the CSV image format covers planar images")
     os.makedirs(directory, exist_ok=True)
-    csv_path = os.path.join(directory, f"{stem}.csv")
-    json_path = os.path.join(directory, f"{stem}.json")
+    csv_path = os.path.join(directory, "image.csv")
+    json_path = os.path.join(directory, "image.json")
     rows = image.as_2d()
     with open(csv_path, "w") as fh:
         for row in rows:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poisson_deconv.em import EmConfig
 from poisson_deconv.harness import (
     ExperimentSpec,
     RiskTable,
@@ -61,7 +62,7 @@ def small_spec(**overrides):
     base = dict(
         configuration="grid", k=4, sigma=0.05, resolutions=(20,),
         t_values=(1e4,), replicates=3, seed=5, estimators=("mm", "em"),
-        em_max_iterations=10, jobs=1,
+        em=EmConfig(max_iterations=10), jobs=1,
     )
     base.update(overrides)
     return ExperimentSpec(**base)

@@ -93,49 +93,49 @@ class TestKernelMoments:
     def test_standard_gaussian_1d(self):
         k = GaussianKernel(sigma=1.0, dim=1)
         m = kernel_moments(k, 4)
-        assert np.allclose(m.values, [1.0, 0.0, 1.0, 0.0, 3.0])
+        assert np.allclose(m, [1.0, 0.0, 1.0, 0.0, 3.0])
 
     def test_scaled_gaussian_1d(self):
         s = 0.3
         m = kernel_moments(GaussianKernel(sigma=s, dim=1), 6)
-        assert m.values[2] == pytest.approx(s**2)
-        assert m.values[4] == pytest.approx(3 * s**4)
-        assert m.values[6] == pytest.approx(15 * s**6)
+        assert m[2] == pytest.approx(s**2)
+        assert m[4] == pytest.approx(3 * s**4)
+        assert m[6] == pytest.approx(15 * s**6)
 
     def test_isotropic_complex_moments_vanish(self):
         m = kernel_moments(GaussianKernel(sigma=0.25, dim=2), 5)
-        assert m.flavor == "complex"
-        assert np.allclose(m.values[1:], 0.0)
+        assert m.dtype == complex
+        assert np.allclose(m[1:], 0.0)
 
     def test_anisotropic_complex_moments_wick(self):
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
         m = kernel_moments(GaussianKernel(cov=cov), 4)
         # Wick: E[Z^{2l}] = (2l-1)!! c^l with pseudo-variance c = Sxx - Syy + 2i Sxy
         c = cov[0, 0] - cov[1, 1] + 2j * cov[0, 1]
-        assert m.values[1] == pytest.approx(0.0, abs=1e-12)
-        assert m.values[2] == pytest.approx(c, abs=1e-12)
-        assert m.values[3] == pytest.approx(0.0, abs=1e-12)
-        assert m.values[4] == pytest.approx(3 * c**2, abs=1e-12)
+        assert m[1] == pytest.approx(0.0, abs=1e-12)
+        assert m[2] == pytest.approx(c, abs=1e-12)
+        assert m[3] == pytest.approx(0.0, abs=1e-12)
+        assert m[4] == pytest.approx(3 * c**2, abs=1e-12)
 
     def test_uniform_box_1d(self):
         m = kernel_moments(UniformBoxKernel([1.0]), 2)
-        assert m.values[1] == pytest.approx(0.0)
-        assert m.values[2] == pytest.approx(1.0 / 3.0)
+        assert m[1] == pytest.approx(0.0)
+        assert m[2] == pytest.approx(1.0 / 3.0)
 
     def test_tabulated_uniform_matches_analytic(self):
         xs = np.linspace(-1, 1, 801)
         k = TabulatedKernel(np.full_like(xs, 0.5), xs[1] - xs[0], [-1.0])
         m = kernel_moments(k, 2)
-        assert m.values[1] == pytest.approx(0.0, abs=1e-12)
-        assert m.values[2] == pytest.approx(1.0 / 3.0, abs=1e-4)
+        assert m[1] == pytest.approx(0.0, abs=1e-12)
+        assert m[2] == pytest.approx(1.0 / 3.0, abs=1e-4)
 
     def test_tabulated_gaussian_quadrature_oracle(self):
         s = 0.5
         xs = np.arange(-4.0, 4.0 + 1e-9, 0.002)
         k = TabulatedKernel(norm.pdf(xs, scale=s), 0.002, [xs[0]])
         m = kernel_moments(k, 4)
-        assert m.values[2] == pytest.approx(s**2, rel=1e-4)
-        assert m.values[4] == pytest.approx(3 * s**4, rel=1e-3)
+        assert m[2] == pytest.approx(s**2, rel=1e-4)
+        assert m[4] == pytest.approx(3 * s**4, rel=1e-3)
 
 
 class TestBinIntensity:
@@ -443,6 +443,18 @@ class TestTabulatedLoading:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             TabulatedKernel([-0.1, 0.5, 0.1], 0.1, [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.array([[0.1, 0.5, 0.1], [0.2, bad, 0.2]])
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedKernel(samples, 0.1, [0.0, 0.0])
+
+    def test_nan_token_rejected_on_load(self, tmp_path):
+        (tmp_path / "k.csv").write_text("0.1,nan,0.1\n")
+        (tmp_path / "k.json").write_text('{"spacing": 0.1, "origin": [0.0]}')
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedKernel.load(tmp_path / "k.csv")
 
     def test_missing_spacing_rejected(self, tmp_path):
         np.savetxt(tmp_path / "k.csv", np.ones((1, 5)), delimiter=",")

@@ -6,7 +6,6 @@ import pytest
 from poisson_deconv.measures import (
     AtomicUniformMeasure,
     ClusterProfile,
-    MomentVector,
     exact_moments,
     hausdorff,
     local_divergence,
@@ -66,28 +65,22 @@ class TestExactMoments:
     def test_two_atoms_on_line(self):
         mu = AtomicUniformMeasure([0.0, 1.0])
         m = exact_moments(mu, 2)
-        assert m.entries[1] == pytest.approx(0.5)
-        assert m.entries[2] == pytest.approx(0.5)
+        assert m[0] == pytest.approx(0.5)
+        assert m[1] == pytest.approx(0.5)
 
     def test_single_atom_powers(self):
         c = 0.37
         mu = AtomicUniformMeasure([c])
         for p in range(1, 6):
-            assert exact_moments(mu, p).entries[p] == pytest.approx(c**p)
+            assert exact_moments(mu, p)[p - 1] == pytest.approx(c**p)
 
     def test_three_atoms_hand_sum(self):
         # hand sums of powers of {1,2,3}: (6/3, 14/3, 36/3)
         mu = AtomicUniformMeasure([1.0, 2.0, 3.0])
         m = exact_moments(mu, 3)
-        assert m.entries[1] == pytest.approx(2.0)
-        assert m.entries[2] == pytest.approx(14.0 / 3.0)
-        assert m.entries[3] == pytest.approx(12.0)
-
-    def test_multi_index_family(self):
-        mu = AtomicUniformMeasure([[0.5, 0.25]])
-        m = exact_moments(mu, 2, multi_index=True)
-        assert set(m.entries) == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
-        assert m.entries[(1, 1)] == pytest.approx(0.5 * 0.25)
+        assert m[0] == pytest.approx(2.0)
+        assert m[1] == pytest.approx(14.0 / 3.0)
+        assert m[2] == pytest.approx(12.0)
 
     def test_multi_indices_by_degree_then_first_index(self):
         assert multi_indices(2, 1) == [(0,), (1,), (2,)]
@@ -216,6 +209,16 @@ class TestClusterProfile:
         with pytest.raises(ValueError):
             ClusterProfile([[0.0, 0.0], [0.0, 0.0]], [1, 1])
 
+    def test_caller_arrays_stay_writeable(self):
+        centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+        multiplicities = np.array([1, 2])
+        prof = ClusterProfile(centers, multiplicities)
+        centers[1, 0] = 5.0
+        multiplicities[1] = 7
+        assert prof.separation == 1.0
+        assert prof.k == 3
+        assert not prof.centers.flags.writeable
+
 
 class TestVoronoiAssign:
     def test_reference_atoms_stay_home(self):
@@ -275,8 +278,8 @@ class TestPerturbMatchingMoments:
         nu = perturb_matching_moments(mu, tau)
         assert np.allclose(np.sort(nu.atoms[:, 0]), [-np.sqrt(1 - tau), np.sqrt(1 - tau)])
         m_nu = exact_moments(nu, 2)
-        assert abs(m_nu.entries[1]) < 1e-12
-        assert m_nu.entries[2] == pytest.approx(1 - tau, abs=1e-12)
+        assert abs(m_nu[0]) < 1e-12
+        assert m_nu[1] == pytest.approx(1 - tau, abs=1e-12)
 
     def test_small_tau_converges(self):
         mu = AtomicUniformMeasure([0.1, 0.4, 0.9])
@@ -293,9 +296,9 @@ class TestPerturbMatchingMoments:
         tau = 1e-4
         nu = perturb_matching_moments(mu, tau)
         m = exact_moments(nu, 3)
-        assert abs(m.entries[1] - 2.0) < 1e-8
-        assert abs(m.entries[2] - 14.0 / 3.0) < 1e-8
-        assert abs(m.entries[3] - 12.0) == pytest.approx(tau, rel=1e-3)
+        assert abs(m[0] - 2.0) < 1e-8
+        assert abs(m[1] - 14.0 / 3.0) < 1e-8
+        assert abs(m[2] - 12.0) == pytest.approx(tau, rel=1e-3)
         assert wasserstein_p(mu, nu, 1) > 0
 
     def test_too_large_tau_rejected(self):
@@ -313,8 +316,8 @@ class TestPerturbMatchingMoments:
             nu = perturb_matching_moments(mu, 1e-5)
             m_mu, m_nu = exact_moments(mu, k), exact_moments(nu, k)
             for a in range(1, k):
-                assert abs(m_mu.entries[a] - m_nu.entries[a]) < 1e-8
-            assert abs(m_mu.entries[k] - m_nu.entries[k]) > 1e-6
+                assert abs(m_mu[a - 1] - m_nu[a - 1]) < 1e-8
+            assert abs(m_mu[k - 1] - m_nu[k - 1]) > 1e-6
 
 
 class TestStabilityProbe:

@@ -56,6 +56,14 @@ class TestBinGrid:
         assert np.allclose(centers[0] - grid.window_lo, grid.bin_widths / 2)
         assert np.allclose(grid.window_hi - centers[-1], grid.bin_widths / 2)
 
+    def test_caller_window_stays_writeable(self):
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
+        grid = BinGrid(lo, hi, (2, 2))
+        lo[0], hi[1] = -3.0, 9.0
+        np.testing.assert_array_equal(grid.window_lo, [0.0, 0.0])
+        np.testing.assert_array_equal(grid.window_hi, [1.0, 2.0])
+        assert not grid.window_lo.flags.writeable
+
     def test_diameter_bound(self):
         # regular grid satisfies diam(B_i) <= C m^{-1/d} by construction
         for n in (10, 20, 40):

@@ -1,9 +1,14 @@
-"""The package's public surface: every public name is loaded somewhere in it.
+"""The package's public surface: every public name and knob is used somewhere in it.
 
 A public function, class, constant or method that no module of
 ``poisson_deconv`` loads is API kept alive only by tests or by nobody.  The
 scan parses the sources with ``ast``; a name counts as loaded when it is read
 as a variable or as an attribute anywhere in the package.
+
+Likewise a defaulted parameter of a public function or method that no call in
+the package passes is a knob only tests turn, or nobody.  A call passes a
+parameter by keyword, by position, or through ``*``/``**``; callees are
+matched by name, as loaded names are.
 """
 import ast
 from pathlib import Path
@@ -20,6 +25,11 @@ ALLOWED_UNUSED = {
     "mu0": "the clustered reference measure of the paper's multiscale loss",
     "local_divergence": "the paper's multiscale loss, not yet reported by experiments",
     "perturb_matching_moments": "builds the paper's moment-matched adversarial pairs",
+}
+
+# Defaulted parameters no call in the package passes, each kept on purpose.
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "the console entry point reads sys.argv when argv is None",
 }
 
 
@@ -75,3 +85,82 @@ def test_every_public_name_is_loaded_in_the_package():
 def test_allowlist_names_only_unused_definitions():
     unused = {name.rsplit(".", 1)[-1] for name, _ in unused_public_definitions()}
     assert ALLOWED_UNUSED.keys() <= unused
+
+
+def _defaulted_parameters(func: ast.FunctionDef, is_method: bool):
+    """(position or None, name) of each defaulted parameter a caller can set.
+
+    Positions count from the first argument a call writes, so a method's
+    ``self`` or ``cls`` is skipped; keyword-only parameters have no position.
+    """
+    args = func.args
+    positional = args.posonlyargs + args.args
+    is_static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in func.decorator_list)
+    offset = 1 if is_method and not is_static else 0
+    first_default = len(positional) - len(args.defaults)
+    for index in range(first_default, len(positional)):
+        yield index - offset, positional[index].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, node, is_method) of every public function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def _calls_by_name(trees) -> dict:
+    """Callee name -> list of (positional count or None for *, keywords or None for **)."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            double_starred = any(kw.arg is None for kw in node.keywords)
+            calls.setdefault(name, []).append((
+                None if starred else len(node.args),
+                None if double_starred else {kw.arg for kw in node.keywords},
+            ))
+    return calls
+
+
+def unpassed_defaulted_parameters() -> list:
+    """``module.function(param)`` for each defaulted parameter no package call passes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    calls = _calls_by_name(trees.values())
+    unpassed = []
+    for module, tree in trees.items():
+        for name, func, is_method in _public_functions(tree):
+            sites = calls.get(name.rsplit(".", 1)[-1], [])
+            for position, param in _defaulted_parameters(func, is_method):
+                passed = any(
+                    n_args is None or keywords is None or param in keywords
+                    or (position is not None and position < n_args)
+                    for n_args, keywords in sites
+                )
+                if not passed:
+                    unpassed.append(f"{module}.{name}({param})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    offenders = [p for p in unpassed_defaulted_parameters() if p not in ALLOWED_DEFAULTS]
+    assert not offenders, "defaulted parameters nothing in poisson_deconv passes: " + (
+        ", ".join(offenders))
+
+
+def test_default_allowlist_names_only_unpassed_parameters():
+    assert ALLOWED_DEFAULTS.keys() <= set(unpassed_defaulted_parameters())
