@@ -48,17 +48,26 @@ class EmConfig:
 
 @dataclass
 class EmTrace:
-    """Per-iteration diagnostics of one EM run."""
+    """Per-iteration diagnostics of one EM run.
+
+    inner_nit holds each m-step's L-BFGS-B iteration count and q_evals the
+    number of Q evaluations it computed.
+    """
 
     loglik: list = field(default_factory=list)
     w1_step: list = field(default_factory=list)
     status: list = field(default_factory=list)
+    inner_nit: list = field(default_factory=list)
+    q_evals: list = field(default_factory=list)
     collision: bool = False
 
-    def append(self, loglik: float, w1_step: float, status: str):
+    def append(self, loglik: float, w1_step: float, status: str, inner_nit: int,
+               q_evals: int):
         self.loglik.append(float(loglik))
         self.w1_step.append(float(w1_step))
         self.status.append(status)
+        self.inner_nit.append(int(inner_nit))
+        self.q_evals.append(int(q_evals))
 
     @property
     def iterations(self) -> int:
@@ -75,11 +84,12 @@ class EmTrace:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "loglik", "w1_step", "status"])
-            for i, (ll, w1, st) in enumerate(
-                zip(self.loglik, self.w1_step, self.status), start=1
-            ):
-                writer.writerow([i, repr(ll), repr(w1), st])
+            writer.writerow(
+                ["iteration", "loglik", "w1_step", "status", "inner_nit", "q_evals"]
+            )
+            rows = zip(self.loglik, self.w1_step, self.status, self.inner_nit, self.q_evals)
+            for i, (ll, w1, st, nit, evals) in enumerate(rows, start=1):
+                writer.writerow([i, repr(ll), repr(w1), st, nit, evals])
 
 
 def _effective(image: CountImage) -> tuple:
@@ -127,22 +137,56 @@ def e_step(image: CountImage, kernel: Kernel,
     return resp
 
 
-def _q_function(image: CountImage, kernel: Kernel, resp: np.ndarray, k: int,
-                floor: float):
-    counts, t = _effective(image)
-    weights = counts[:, None] * resp  # X_i * p_ij
+class _QFunction:
+    """-Q(mu, mu_tilde) and its gradient at flat atom coordinates, one evaluation per point.
 
-    def fun(theta_flat):
-        atoms = theta_flat.reshape(k, -1)
-        lam = _lambda_matrix(kernel, image, atoms)
-        lam_f = np.maximum(lam, floor)
-        q = np.sum(weights * np.log(t * lam_f)) - t * np.sum(lam)
-        grad_lam = kernel.bin_integral_gradient_matrix(image.grid, atoms) / k
-        coef = weights / lam_f - t  # (m, k)
-        grad = np.einsum("mk,mkd->kd", coef, grad_lam)
+    Q = sum_ij X_i p_ij ln(t lam_ij) - t sum_ij lam_ij, with lam_ij floored
+    at ``floor`` inside the logarithm only.  An evaluation makes one
+    ``bin_integral_matrix`` and one ``bin_integral_gradient_matrix`` call and
+    works in place in one (m, k) buffer.  Every point's value and (k * d)
+    gradient are remembered, keyed by the coordinates' bytes, so calling
+    again at a point (the optimizer's first point, its final one in the
+    acceptance check, or one L-BFGS-B returns to after a failed line
+    search) computes nothing; the gradient is returned as a copy.
+    ``computed`` counts the evaluations actually made.
+    """
+
+    def __init__(self, image: CountImage, kernel: Kernel, resp: np.ndarray, k: int,
+                 floor: float):
+        counts, self.t = _effective(image)
+        self.weights = counts[:, None] * resp  # X_i * p_ij
+        self.work = np.empty_like(self.weights)
+        self.grid, self.kernel, self.k, self.floor = image.grid, kernel, k, floor
+        self.memory = {}
+
+    @property
+    def computed(self) -> int:
+        return len(self.memory)
+
+    def __call__(self, theta_flat):
+        theta = np.asarray(theta_flat, float)
+        key = theta.tobytes()
+        if key not in self.memory:
+            self.memory[key] = self._evaluate(theta.reshape(self.k, -1))
+        value, grad = self.memory[key]
+        return value, grad.copy()
+
+    def _evaluate(self, atoms):
+        t, work = self.t, self.work
+        lam = self.kernel.bin_integral_matrix(self.grid, atoms)
+        lam /= self.k
+        total = lam.sum()
+        np.maximum(lam, self.floor, out=lam)
+        np.multiply(lam, t, out=work)
+        np.log(work, out=work)
+        work *= self.weights
+        q = work.sum() - t * total
+        grad_lam = self.kernel.bin_integral_gradient_matrix(self.grid, atoms)
+        grad_lam /= self.k
+        np.divide(self.weights, lam, out=work)
+        work -= t  # dQ/dlam_ij
+        grad = np.matmul(work.T[:, None, :], grad_lam.transpose(1, 0, 2))  # (k, 1, d)
         return -q, -grad.ravel()
-
-    return fun
 
 
 def _default_domain(image: CountImage, kernel: Kernel) -> tuple:
@@ -154,17 +198,20 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
            mu_tilde: AtomicUniformMeasure, config: EmConfig = EmConfig()):
     """Ascend Q over atom coordinates inside the domain box.
 
-    Returns (measure, status) where status is "improved" when the optimizer's
-    candidate raised Q, "line_search" when only a halved step did, and "kept"
-    when no improvement was found (the input measure is returned unchanged).
-    An exception from the inner optimizer is logged at WARNING and also
-    yields "kept".
+    Returns (measure, status, nit, q_evals).  status is "improved" when the
+    optimizer's candidate raised Q, "line_search" when only a halved step
+    did, and "kept" when no improvement was found (the input measure is
+    returned unchanged).  An exception from the inner optimizer is logged at
+    WARNING and also yields "kept".  nit is L-BFGS-B's iteration count (0
+    when it raised) and q_evals the number of Q evaluations computed; Q is
+    evaluated at most once per point, so the optimizer's repeat of the
+    starting point and the acceptance check at its final point cost nothing.
     """
     k, d = mu_tilde.k, mu_tilde.dimension
     lo, hi = config.domain if config.domain is not None else _default_domain(image, kernel)
     lo = np.broadcast_to(np.asarray(lo, float), (d,))
     hi = np.broadcast_to(np.asarray(hi, float), (d,))
-    fun = _q_function(image, kernel, resp, k, config.intensity_floor)
+    fun = _QFunction(image, kernel, resp, k, config.intensity_floor)
     x0 = np.clip(mu_tilde.atoms, lo, hi).ravel()
     q0 = -fun(x0)[0]
     bounds = [(lo[ax], hi[ax]) for _ in range(k) for ax in range(d)]
@@ -183,17 +230,20 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
             "m_step kept the current measure: inner optimizer raised %s: %s",
             type(exc).__name__, exc,
         )
-        return mu_tilde, "kept"
+        return mu_tilde, "kept", 0, fun.computed
+    measure, status = mu_tilde, "kept"
     if -fun(candidate)[0] > q0:
-        return AtomicUniformMeasure(candidate.reshape(k, d)), "improved"
-    # halve toward the candidate until Q improves
-    direction = candidate - x0
-    for _ in range(20):
-        direction = 0.5 * direction
-        trial = x0 + direction
-        if -fun(trial)[0] > q0:
-            return AtomicUniformMeasure(trial.reshape(k, d)), "line_search"
-    return mu_tilde, "kept"
+        measure, status = AtomicUniformMeasure(candidate.reshape(k, d)), "improved"
+    else:
+        # halve toward the candidate until Q improves
+        direction = candidate - x0
+        for _ in range(20):
+            direction = 0.5 * direction
+            trial = x0 + direction
+            if -fun(trial)[0] > q0:
+                measure, status = AtomicUniformMeasure(trial.reshape(k, d)), "line_search"
+                break
+    return measure, status, int(res.nit), fun.computed
 
 
 def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
@@ -203,7 +253,8 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     Stops after max_iterations or once the W_1 movement between consecutive
     iterates drops below early_stop_w1.  Returns the final measure together
     with an EmTrace holding per-iteration log-likelihood (computed at t = 1
-    on noiseless inputs), step sizes, and m-step statuses.
+    on noiseless inputs), step sizes, m-step statuses and inner-solver
+    statistics.
     """
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
@@ -213,10 +264,10 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     current = init
     for _ in range(config.max_iterations):
         resp = e_step(image, kernel, current)
-        nxt, status = m_step(image, kernel, resp, current, config)
+        nxt, status, nit, q_evals = m_step(image, kernel, resp, current, config)
         step = wasserstein_p(nxt, current, 1)
         ll = _log_likelihood_effective(image, kernel, nxt, config.intensity_floor)
-        trace.append(ll, step, status)
+        trace.append(ll, step, status, nit, q_evals)
         current = nxt
         if current.k > 1:
             pairwise = np.linalg.norm(

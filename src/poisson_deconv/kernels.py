@@ -8,7 +8,9 @@ axis edges: ``bin_integral_matrix`` gives the (m, k) integrals and
 the atom coordinates, with no loop over bins.
 
 - Product kernels (Gaussians with diagonal covariance, uniform boxes)
-  multiply per-axis CDF differences.
+  multiply per-axis CDF differences.  Each axis factor is built from that
+  axis's n + 1 edges, so a CDF tail or density value is computed once per
+  edge and shared by the two bins that meet there.
 - Anisotropic Gaussians integrate the bivariate density's strip masses
   along x with fixed-order Gauss-Legendre; their gradients are the same
   strip masses on the bins' edges.
@@ -80,48 +82,42 @@ class Kernel:
 class _ProductKernel(Kernel):
     """Kernel factorizing over coordinates; bin integrals become per-axis products."""
 
-    def axis_cdf_diff(self, lo: np.ndarray, hi: np.ndarray, coords: np.ndarray,
+    def axis_cdf_diff(self, edges: np.ndarray, coords: np.ndarray,
                       axis: int) -> np.ndarray:
-        """Integrals of the axis factor over [lo_i, hi_i] - theta_j, shape (n, k)."""
+        """Integrals of the axis factor over [edges_b, edges_b+1] - theta_j, shape (n, k).
+
+        ``edges`` holds the n + 1 edges of n consecutive bins on ``axis``.
+        """
         raise NotImplementedError
 
-    def axis_cdf_diff_grad(self, lo, hi, coords, axis):
+    def axis_cdf_diff_grad(self, edges, coords, axis):
         """Derivatives of axis_cdf_diff in theta_j, shape (n, k)."""
         raise NotImplementedError
 
-    def _axis_factors(self, grid, atoms):
-        factors = []
-        for axis in range(self.dimension):
-            edges = grid.axis_edges(axis)
-            factors.append(self.axis_cdf_diff(edges[:-1], edges[1:], atoms[:, axis], axis))
-        return factors
-
     def bin_integral_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
         atoms = np.atleast_2d(atoms)
-        factors = self._axis_factors(grid, atoms)
+        dx = self.axis_cdf_diff(grid.axis_edges(0), atoms[:, 0], 0)
         if self.dimension == 1:
-            return factors[0]
-        dx, dy = factors  # row-major flat order: index = iy * n_x + ix
+            return dx
+        dy = self.axis_cdf_diff(grid.axis_edges(1), atoms[:, 1], 1)
+        # row-major flat order: index = iy * n_x + ix
         return (dy[:, None, :] * dx[None, :, :]).reshape(grid.m, atoms.shape[0])
 
     def bin_integral_gradient_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
         atoms = np.atleast_2d(atoms)
-        vals, grads = [], []
-        for axis in range(self.dimension):
-            edges = grid.axis_edges(axis)
-            vals.append(self.axis_cdf_diff(edges[:-1], edges[1:], atoms[:, axis], axis))
-            grads.append(
-                self.axis_cdf_diff_grad(edges[:-1], edges[1:], atoms[:, axis], axis)
-            )
         k = atoms.shape[0]
         out = np.empty((grid.m, k, self.dimension))
         if self.dimension == 1:
-            out[:, :, 0] = grads[0]
+            out[:, :, 0] = self.axis_cdf_diff_grad(grid.axis_edges(0), atoms[:, 0], 0)
             return out
-        dx, dy = vals
-        gx, gy = grads
-        out[:, :, 0] = (dy[:, None, :] * gx[None, :, :]).reshape(grid.m, k)
-        out[:, :, 1] = (gy[:, None, :] * dx[None, :, :]).reshape(grid.m, k)
+        ex, ey = grid.axis_edges(0), grid.axis_edges(1)
+        dx = self.axis_cdf_diff(ex, atoms[:, 0], 0)
+        dy = self.axis_cdf_diff(ey, atoms[:, 1], 1)
+        gx = self.axis_cdf_diff_grad(ex, atoms[:, 0], 0)
+        gy = self.axis_cdf_diff_grad(ey, atoms[:, 1], 1)
+        blocks = out.reshape(dy.shape[0], dx.shape[0], k, 2)
+        np.multiply(dy[:, None, :], gx[None, :, :], out=blocks[..., 0])
+        np.multiply(gy[:, None, :], dx[None, :, :], out=blocks[..., 1])
         return out
 
     def multi_moments(self, order: int) -> dict:
@@ -163,12 +159,14 @@ class GaussianKernel(_ProductKernel):
             if np.any(np.linalg.eigvalsh(cov) <= 0):
                 raise ValueError("cov must be positive definite")
             self.cov = cov
-        self._diagonal = np.allclose(self.cov, np.diag(np.diag(self.cov)))
+        # exact tests: a kernel only nearly diagonal or isotropic has complex
+        # moments the symmetric shortcuts would set to zero
+        self._diagonal = bool(np.array_equal(self.cov, np.diag(np.diag(self.cov))))
         self._axis_sigma = np.sqrt(np.diag(self.cov))
 
     def is_rotationally_symmetric(self) -> bool:
         return (self.dimension == 2 and self._diagonal
-                and np.allclose(self._axis_sigma, self._axis_sigma[0]))
+                and bool(np.all(self._axis_sigma == self._axis_sigma[0])))
 
     def spread(self) -> float:
         return float(self._axis_sigma.max())
@@ -196,20 +194,18 @@ class GaussianKernel(_ProductKernel):
         return _gaussian_multi_moments(self.cov, order)
 
     # product CDF path (diagonal covariance only)
-    def axis_cdf_diff(self, lo, hi, coords, axis):
+    def _standardized(self, edges, coords, axis):
         if not self._diagonal:
             raise ValueError("CDF product path requires a diagonal covariance")
-        s = self._axis_sigma[axis]
-        a = (np.asarray(lo, float)[:, None] - coords[None, :]) / s
-        b = (np.asarray(hi, float)[:, None] - coords[None, :]) / s
-        return _normal_mass(a, b)
+        return (edges[:, None] - coords[None, :]) / self._axis_sigma[axis]
 
-    def axis_cdf_diff_grad(self, lo, hi, coords, axis):
-        s = self._axis_sigma[axis]
-        a = (np.asarray(lo, float)[:, None] - coords[None, :]) / s
-        b = (np.asarray(hi, float)[:, None] - coords[None, :]) / s
-        phi = lambda u: np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
-        return (phi(a) - phi(b)) / s
+    def axis_cdf_diff(self, edges, coords, axis):
+        return _normal_mass(self._standardized(edges, coords, axis))
+
+    def axis_cdf_diff_grad(self, edges, coords, axis):
+        z = self._standardized(edges, coords, axis)
+        phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
+        return (phi[:-1] - phi[1:]) / self._axis_sigma[axis]
 
     # anisotropic path: strip masses of the bivariate density ------------------
     def _strip_masses(self, offsets, edges, axis):
@@ -226,7 +222,7 @@ class GaussianKernel(_ProductKernel):
         cond_sd = math.sqrt(var_v - beta * self.cov[0, 1])
         z = (edges[:, None] - beta * offsets[None, :]) / cond_sd
         phi = np.exp(-0.5 * offsets * offsets / var_u) / math.sqrt(2 * math.pi * var_u)
-        return _normal_mass(z[:-1], z[1:]) * phi
+        return _normal_mass(z) * phi
 
     def _x_panels(self, bin_width: float):
         """Gauss-Legendre node fractions and weights over a bin's clipped x-span.
@@ -305,17 +301,17 @@ class UniformBoxKernel(_ProductKernel):
             vals[j] = h**j / (j + 1)
         return vals
 
-    def axis_cdf_diff(self, lo, hi, coords, axis):
+    def axis_cdf_diff(self, edges, coords, axis):
         h = self.half_widths[axis]
-        a = np.asarray(lo, float)[:, None] - coords[None, :]
-        b = np.asarray(hi, float)[:, None] - coords[None, :]
+        e = edges[:, None] - coords[None, :]
+        a, b = e[:-1], e[1:]
         overlap = np.clip(np.minimum(b, h) - np.maximum(a, -h), 0.0, None)
         return overlap / (2 * h)
 
-    def axis_cdf_diff_grad(self, lo, hi, coords, axis):
+    def axis_cdf_diff_grad(self, edges, coords, axis):
         h = self.half_widths[axis]
-        a = np.asarray(lo, float)[:, None] - coords[None, :]
-        b = np.asarray(hi, float)[:, None] - coords[None, :]
+        e = edges[:, None] - coords[None, :]
+        a, b = e[:-1], e[1:]
         overlap = np.minimum(b, h) - np.maximum(a, -h)
         slope = ((a > -h).astype(float) - (b < h)) / (2 * h)
         return np.where(overlap > 0, slope, 0.0)
@@ -486,14 +482,17 @@ class TabulatedKernel(Kernel):
         return cls(samples, float(meta["spacing"]), origin)
 
 
-def _normal_mass(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """P(za < Z < zb) for standard normal Z and za <= zb, elementwise.
+def _normal_mass(z: np.ndarray) -> np.ndarray:
+    """P(z[b] < Z < z[b + 1]) for standard normal Z and nondecreasing edges z.
 
+    ``z`` holds n + 1 standardized edges along axis 0; the result has n rows.
     Each difference is taken on the side of the mean where it does not
     cancel, from the tail masses Phi(-|z|), so bins far in either tail keep
-    their relative accuracy.
+    their relative accuracy.  Each tail mass is computed once and shared by
+    the two bins meeting at that edge.
     """
-    ta, tb = ndtr(-np.abs(za)), ndtr(-np.abs(zb))
+    tail = ndtr(-np.abs(z))
+    za, zb, ta, tb = z[:-1], z[1:], tail[:-1], tail[1:]
     return np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,11 +52,16 @@ class BinGrid:
     resolution : tuple of int
         Bins per axis, (n_x,) or (n_x, n_y); m = prod(resolution).
         Flat indexing is row-major: i = iy * n_x + ix.
+
+    The axis edges and m are computed once on construction; ``axis_edges``
+    returns the stored read-only arrays.
     """
 
     window_lo: np.ndarray
     window_hi: np.ndarray
     resolution: tuple
+    m: int = field(init=False)
+    _edges: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.array(self.window_lo, float))
@@ -68,28 +73,25 @@ class BinGrid:
             raise ValueError("window_hi must exceed window_lo")
         if len(res) != lo.shape[0] or any(n < 1 for n in res):
             raise ValueError("resolution must give >= 1 bins per axis")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        edges = tuple(np.linspace(a, b, n + 1) for a, b, n in zip(lo, hi, res))
+        for array in (lo, hi) + edges:
+            array.flags.writeable = False
         object.__setattr__(self, "window_lo", lo)
         object.__setattr__(self, "window_hi", hi)
         object.__setattr__(self, "resolution", res)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "m", int(np.prod(res)))
 
     @property
     def dimension(self) -> int:
         return self.window_lo.shape[0]
 
     @property
-    def m(self) -> int:
-        return int(np.prod(self.resolution))
-
-    @property
     def bin_widths(self) -> np.ndarray:
         return (self.window_hi - self.window_lo) / np.asarray(self.resolution, float)
 
     def axis_edges(self, axis: int) -> np.ndarray:
-        return np.linspace(
-            self.window_lo[axis], self.window_hi[axis], self.resolution[axis] + 1
-        )
+        return self._edges[axis]
 
     def anchors(self) -> np.ndarray:
         """Bin centres, the points gamma_i the moment estimators use; (m, d), row-major."""
@@ -126,7 +128,7 @@ class CountImage:
             raise NegativeCountError("counts must be nonnegative")
         if not (self.t > 0):
             raise ValueError("exposure t must be positive (inf for noiseless)")
-        if np.isfinite(self.t) and not np.allclose(counts, np.round(counts)):
+        if np.isfinite(self.t) and not np.array_equal(counts, np.round(counts)):
             raise ValueError("counts must be integers when t is finite")
         counts = counts.copy()
         counts.flags.writeable = False

@@ -11,12 +11,49 @@ from poisson_deconv.em import (
     log_likelihood,
     m_step,
     run_em,
-    _q_function,
+    _QFunction,
 )
-from poisson_deconv.kernels import GaussianKernel
+from poisson_deconv.kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
 from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
 from poisson_deconv.mm import mm_complex
 from poisson_deconv.observation import BinGrid, CountImage, noiseless, simulate
+
+
+def reference_q_function(image, kernel, resp, k, floor):
+    """-Q and -grad Q from the plain formulas, every temporary its own array."""
+    counts, t = em._effective(image)
+    weights = counts[:, None] * resp  # X_i * p_ij
+
+    def fun(theta_flat):
+        atoms = theta_flat.reshape(k, -1)
+        lam = kernel.bin_integral_matrix(image.grid, atoms) / k
+        lam_f = np.maximum(lam, floor)
+        q = np.sum(weights * np.log(t * lam_f)) - t * np.sum(lam)
+        grad_lam = kernel.bin_integral_gradient_matrix(image.grid, atoms) / k
+        coef = weights / lam_f - t  # (m, k)
+        grad = np.einsum("mk,mkd->kd", coef, grad_lam)
+        return -q, -grad.ravel()
+
+    return fun
+
+
+class CountingKernel(GaussianKernel):
+    """Isotropic Gaussian recording the atoms of every gradient-matrix call."""
+
+    def __init__(self, sigma):
+        super().__init__(sigma=sigma, dim=2)
+        self.gradient_points = []
+
+    def bin_integral_gradient_matrix(self, grid, atoms):
+        self.gradient_points.append(np.asarray(atoms, float).tobytes())
+        return super().bin_integral_gradient_matrix(grid, atoms)
+
+
+def sampled_gaussian_kernel(sigma=0.06, spacing=0.02, half_extent=0.2):
+    nodes = np.arange(-half_extent, half_extent + 0.5 * spacing, spacing)
+    xx, yy = np.meshgrid(nodes, nodes)
+    return TabulatedKernel(np.exp(-0.5 * (xx**2 + yy**2) / sigma**2), spacing,
+                           [nodes[0], nodes[0]])
 
 
 @pytest.fixture
@@ -89,10 +126,63 @@ class TestMStep:
         img = simulate(kernel, mu, grid, 1e4, seed=6)
         start = AtomicUniformMeasure([[0.3, 0.3], [0.75, 0.7]])
         resp = e_step(img, kernel, start)
-        out, status = m_step(img, kernel, resp, start)
-        neg_q = _q_function(img, kernel, resp, 2, 1e-30)
+        out, status, nit, q_evals = m_step(img, kernel, resp, start)
+        neg_q = _QFunction(img, kernel, resp, 2, 1e-30)
         assert -neg_q(out.atoms.ravel())[0] >= -neg_q(start.atoms.ravel())[0]
         assert status in ("improved", "line_search", "kept")
+        assert nit >= 1 and q_evals >= 2
+
+    @pytest.mark.parametrize("kernel", [
+        GaussianKernel(sigma=0.06, dim=2),
+        GaussianKernel(cov=np.diag([0.0036, 0.0016])),
+        GaussianKernel(cov=[[0.0036, 0.0012], [0.0012, 0.0025]]),
+        UniformBoxKernel([0.1, 0.15]),
+        sampled_gaussian_kernel(),
+    ], ids=["isotropic", "diagonal", "anisotropic", "box", "tabulated"])
+    def test_q_matches_reference(self, kernel):
+        grid = BinGrid([0, 0], [1, 1], (20, 20))
+        truth = AtomicUniformMeasure([[0.3, 0.35], [0.7, 0.6], [0.5, 0.8]])
+        img = simulate(kernel, truth, grid, 1e4, seed=21)
+        resp = e_step(img, kernel, truth)
+        fun = _QFunction(img, kernel, resp, 3, 1e-30)
+        reference = reference_q_function(img, kernel, resp, 3, 1e-30)
+        near = truth.atoms + 0.01
+        # atoms in one corner leave counted bins far away with lam below the floor
+        corner = np.array([[0.02, 0.03], [0.05, 0.01], [0.04, 0.06]])
+        lam = kernel.bin_integral_matrix(grid, corner) / 3
+        assert np.any((lam < 1e-30) & (img.counts[:, None] * resp > 0))
+        for atoms in (near, corner):
+            value, grad = fun(atoms.ravel())
+            ref_value, ref_grad = reference(atoms.ravel())
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_repeated_point_is_not_recomputed(self, small_setup):
+        _, mu, grid = small_setup
+        kernel = CountingKernel(0.08)
+        img = simulate(kernel, mu, grid, 1e4, seed=6)
+        fun = _QFunction(img, kernel, e_step(img, kernel, mu), 2, 1e-30)
+        x = mu.atoms.ravel() + 0.01
+        value, grad = fun(x)
+        grad[:] = 0.0  # the caller's copy, not the remembered gradient
+        again, grad_again = fun(x.copy())
+        assert again == value and np.any(grad_again != 0.0)
+        fun(x + 1e-3)
+        assert fun.computed == len(kernel.gradient_points) == 2
+
+    def test_m_step_computes_each_point_once(self, small_setup):
+        _, mu, grid = small_setup
+        kernel = CountingKernel(0.08)
+        img = simulate(kernel, mu, grid, 1e4, seed=6)
+        start = AtomicUniformMeasure([[0.3, 0.3], [0.75, 0.7]])
+        resp = e_step(img, kernel, start)
+        # from this start L-BFGS-B's line searches fail near the optimum and
+        # it returns to points evaluated several calls before (34 requests at
+        # 20 points), so remembering only the last point would recompute
+        _, status, nit, q_evals = m_step(img, kernel, resp, start)
+        points = kernel.gradient_points
+        assert status == "improved" and nit >= 1
+        assert q_evals == len(points) == len(set(points))
 
     def test_gradient_matches_finite_differences(self):
         kernel = GaussianKernel(sigma=0.1, dim=2)
@@ -103,7 +193,7 @@ class TestMStep:
             mu = AtomicUniformMeasure(rng.uniform(0.2, 0.8, size=(k, 2)))
             img = simulate(kernel, mu, grid, 500.0, seed=int(rng.integers(1e6)))
             resp = e_step(img, kernel, mu)
-            fun = _q_function(img, kernel, resp, k, 1e-30)
+            fun = _QFunction(img, kernel, resp, k, 1e-30)
             x = rng.uniform(0.2, 0.8, size=2 * k)
             _, grad = fun(x)
             scale = max(np.linalg.norm(grad), 1.0)
@@ -129,9 +219,10 @@ class TestMStep:
 
         monkeypatch.setattr(em, "minimize", failing_minimize)
         with caplog.at_level(logging.WARNING, logger="poisson_deconv.em"):
-            out, status = m_step(img, kernel, resp, mu)
+            out, status, nit, q_evals = m_step(img, kernel, resp, mu)
         assert status == "kept"
         assert out is mu
+        assert (nit, q_evals) == (0, 1)
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         assert "FloatingPointError" in record.getMessage()
@@ -143,7 +234,7 @@ class TestMStep:
         grid = BinGrid([0, 0], [1, 1], (50, 50))
         img = simulate(kernel, mu, grid, 1e6, seed=8)
         resp = e_step(img, kernel, mu)
-        out, _ = m_step(img, kernel, resp, AtomicUniformMeasure([[0.45, 0.5]]))
+        out, *_ = m_step(img, kernel, resp, AtomicUniformMeasure([[0.45, 0.5]]))
         centroid = (img.counts[:, None] * img.grid.anchors()).sum(axis=0) / img.total()
         assert np.allclose(out.atoms[0], centroid, atol=1e-2)
 
@@ -209,15 +300,29 @@ class TestRunEm:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,loglik,w1_step,status"
+        assert lines[0] == "iteration,loglik,w1_step,status,inner_nit,q_evals"
         assert len(lines) == trace.iterations + 1
+        last = lines[-1].split(",")
+        assert [int(v) for v in last[-2:]] == [trace.inner_nit[-1], trace.q_evals[-1]]
+
+    def test_trace_counts_inner_solver_work(self, small_setup):
+        _, mu, grid = small_setup
+        kernel = CountingKernel(0.08)
+        img = simulate(kernel, mu, grid, 1e4, seed=13)
+        init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        _, trace = run_em(img, kernel, init, EmConfig(max_iterations=4))
+        assert len(trace.inner_nit) == len(trace.q_evals) == trace.iterations
+        assert all(nit >= 0 for nit in trace.inner_nit) and trace.inner_nit[0] >= 1
+        assert all(evals >= 1 for evals in trace.q_evals)
+        # every gradient matrix of the run is one counted Q evaluation
+        assert sum(trace.q_evals) == len(kernel.gradient_points)
 
 
 class TestEmTrace:
     def test_monotone_detects_decrease(self):
         trace = EmTrace()
-        trace.append(-10.0, 1.0, "improved")
-        trace.append(-9.0, 0.5, "improved")
+        trace.append(-10.0, 1.0, "improved", 5, 7)
+        trace.append(-9.0, 0.5, "improved", 4, 6)
         assert trace.monotone()
-        trace.append(-9.5, 0.1, "improved")
+        trace.append(-9.5, 0.1, "improved", 3, 5)
         assert not trace.monotone()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from poisson_deconv.kernels import (
@@ -78,10 +79,38 @@ def reference_bin_integral(kernel, lo, hi, atom):
         return float(val)
     val = 1.0
     for axis in range(kernel.dimension):
-        val *= kernel.axis_cdf_diff(
-            lo[axis : axis + 1], hi[axis : axis + 1], atom[axis : axis + 1], axis
+        val *= per_bin_cdf_diff(
+            kernel, lo[axis : axis + 1], hi[axis : axis + 1], atom[axis : axis + 1], axis
         )[0, 0]
     return float(val)
+
+
+def per_bin_cdf_diff(kernel, lo, hi, coords, axis):
+    """A product kernel's axis factor over [lo_b, hi_b] - theta_j, one bin at a time, (n, k)."""
+    a = lo[:, None] - coords[None, :]
+    b = hi[:, None] - coords[None, :]
+    if isinstance(kernel, UniformBoxKernel):
+        h = kernel.half_widths[axis]
+        return np.clip(np.minimum(b, h) - np.maximum(a, -h), 0.0, None) / (2 * h)
+    s = np.sqrt(kernel.cov[axis, axis])
+    a, b = a / s, b / s
+    ta, tb = ndtr(-np.abs(a)), ndtr(-np.abs(b))
+    return np.where(a >= 0, ta - tb, np.where(b <= 0, tb - ta, 1.0 - ta - tb))
+
+
+def per_bin_cdf_diff_grad(kernel, lo, hi, coords, axis):
+    """Derivatives of per_bin_cdf_diff in theta_j, one bin at a time, (n, k)."""
+    a = lo[:, None] - coords[None, :]
+    b = hi[:, None] - coords[None, :]
+    if isinstance(kernel, UniformBoxKernel):
+        h = kernel.half_widths[axis]
+        overlap = np.minimum(b, h) - np.maximum(a, -h)
+        slope = ((a > -h).astype(float) - (b < h)) / (2 * h)
+        return np.where(overlap > 0, slope, 0.0)
+    s = np.sqrt(kernel.cov[axis, axis])
+    a, b = a / s, b / s
+    phi = lambda u: np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+    return (phi(a) - phi(b)) / s
 
 
 def bin_intensity(kernel, mu, lo, hi):
@@ -106,6 +135,18 @@ class TestKernelMoments:
         m = kernel_moments(GaussianKernel(sigma=0.25, dim=2), 5)
         assert m.dtype == complex
         assert np.allclose(m[1:], 0.0)
+
+    @pytest.mark.parametrize("cov", [
+        np.diag([0.05**2, (0.05 * 1.000005) ** 2]),
+        np.array([[0.0025, 5e-9], [5e-9, 0.0025]]),
+    ])
+    def test_nearly_symmetric_gaussian_keeps_pseudo_variance(self, cov):
+        # within np.allclose of a diagonal, isotropic covariance, yet
+        # m_2 = Sxx - Syy + 2i Sxy is not zero
+        m = kernel_moments(GaussianKernel(cov=cov), 2)
+        c = cov[0, 0] - cov[1, 1] + 2j * cov[0, 1]
+        assert abs(c) > 1e-9
+        assert m[2] == pytest.approx(c, rel=1e-9, abs=0)
 
     def test_anisotropic_complex_moments_wick(self):
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
@@ -390,6 +431,25 @@ class TestVectorizedPaths:
         lower = mass(-(sigmas + 1) * s, -sigmas * s)
         assert upper > 0
         assert upper == pytest.approx(lower, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kernel, scales", [
+        (GaussianKernel(cov=np.diag([0.0025, 0.0016])), [0.05, 0.04]),
+        (UniformBoxKernel([0.15, 0.25]), [0.15, 0.25]),
+    ])
+    def test_edge_factors_equal_per_bin_formula(self, kernel, scales):
+        # bins 9 and 20 sigma (or box half-widths) out on both sides of the
+        # atoms, among regular ones; each interior edge is shared by two bins
+        offsets = np.array([-21, -20, -10, -9, -1, -0.3, 0, 0.4, 1, 9, 10, 20, 21])
+        coords = np.array([0.5, 0.5 + 1e-3, 0.2])
+        for axis, scale in enumerate(scales):
+            edges = np.sort(np.concatenate([0.5 + scale * offsets, np.linspace(0, 1, 11)]))
+            lo, hi = edges[:-1], edges[1:]
+            np.testing.assert_array_equal(
+                kernel.axis_cdf_diff(edges, coords, axis),
+                per_bin_cdf_diff(kernel, lo, hi, coords, axis))
+            np.testing.assert_array_equal(
+                kernel.axis_cdf_diff_grad(edges, coords, axis),
+                per_bin_cdf_diff_grad(kernel, lo, hi, coords, axis))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -64,6 +64,19 @@ class TestBinGrid:
         np.testing.assert_array_equal(grid.window_hi, [1.0, 2.0])
         assert not grid.window_lo.flags.writeable
 
+    def test_axis_edges_stored_read_only(self):
+        lo, hi = np.array([0.1, -2.0]), np.array([1.3, 5.0])
+        grid = BinGrid(lo, hi, (7, 13))
+        for axis, n in enumerate((7, 13)):
+            edges = grid.axis_edges(axis)
+            np.testing.assert_array_equal(edges, np.linspace(lo[axis], hi[axis], n + 1))
+            assert edges is grid.axis_edges(axis)
+            assert not edges.flags.writeable
+            with pytest.raises(ValueError):
+                edges[0] = 0.0
+            assert not np.shares_memory(edges, lo) and not np.shares_memory(edges, hi)
+        assert grid.m == 91
+
     def test_diameter_bound(self):
         # regular grid satisfies diam(B_i) <= C m^{-1/d} by construction
         for n in (10, 20, 40):
@@ -239,6 +252,14 @@ class TestImageIO:
         img = load_image(tmp_path)
         assert img.t == 10.0
 
+    def test_fractional_token_rejected_at_finite_t(self, tmp_path):
+        (tmp_path / "image.csv").write_text("0,1\n2,100.0005\n")
+        (tmp_path / "image.json").write_text(
+            '{"width_px": 2, "height_px": 2, "pixel_size": 1.0, "t": 10}'
+        )
+        with pytest.raises(ValueError, match="integers"):
+            load_image(tmp_path)
+
     def test_noiseless_roundtrip(self, setup_2d, tmp_path):
         kernel, mu, grid = setup_2d
         img = noiseless(kernel, mu, grid)
@@ -283,6 +304,13 @@ class TestCountImageValidation:
         with pytest.raises(ValueError):
             CountImage(grid, [0.5, 1, 2, 3], 10.0)
         CountImage(grid, [0.5, 1, 2, 3], np.inf)  # fine in noiseless mode
+
+    @pytest.mark.parametrize("near", [100.0005, 1000000.5])
+    def test_nearly_integer_counts_rejected(self, near):
+        # save_image would write these rounded, so a round trip would change them
+        grid = BinGrid([0, 0], [1, 1], (2, 2))
+        with pytest.raises(ValueError, match="integers"):
+            CountImage(grid, [0.0, 1.0, 2.0, near], 10.0)
 
     @pytest.mark.parametrize("t", [10.0, np.inf])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
