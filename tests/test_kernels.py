@@ -79,8 +79,8 @@ def reference_bin_integral(kernel, lo, hi, atom):
         return float(val)
     val = 1.0
     for axis in range(kernel.dimension):
-        val *= per_bin_cdf_diff(
-            kernel, lo[axis : axis + 1], hi[axis : axis + 1], atom[axis : axis + 1], axis
+        val *= kernel.axis_cdf_diff(
+            np.array([lo[axis], hi[axis]]), atom[axis : axis + 1], axis
         )[0, 0]
     return float(val)
 
@@ -437,9 +437,9 @@ class TestVectorizedPaths:
         (UniformBoxKernel([0.15, 0.25]), [0.15, 0.25]),
     ])
     def test_edge_factors_equal_per_bin_formula(self, kernel, scales):
-        # bins 9 and 20 sigma (or box half-widths) out on both sides of the
-        # atoms, among regular ones; each interior edge is shared by two bins
-        offsets = np.array([-21, -20, -10, -9, -1, -0.3, 0, 0.4, 1, 9, 10, 20, 21])
+        # bins 9, 20 and 500 sigma (or box half-widths) out on both sides of
+        # the atoms, among regular ones; each interior edge is shared by two bins
+        offsets = np.array([-500, -21, -20, -10, -9, -1, -0.3, 0, 0.4, 1, 9, 10, 20, 21, 500])
         coords = np.array([0.5, 0.5 + 1e-3, 0.2])
         for axis, scale in enumerate(scales):
             edges = np.sort(np.concatenate([0.5 + scale * offsets, np.linspace(0, 1, 11)]))
