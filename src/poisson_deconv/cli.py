@@ -18,7 +18,12 @@ import sys
 import numpy as np
 
 from .em import EmConfig, run_em
-from .harness import ExperimentSpec, run_risk_experiment, run_runtime_comparison
+from .harness import (
+    ExperimentSpec,
+    builtin_configuration,
+    run_risk_experiment,
+    run_runtime_comparison,
+)
 from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel, kernel_moments
 from .measures import (
     AtomicUniformMeasure,
@@ -74,8 +79,6 @@ def _build_measure(spec: dict) -> AtomicUniformMeasure:
         if "atoms" in spec:
             return AtomicUniformMeasure(np.asarray(spec["atoms"], float))
         if "configuration" in spec:
-            from .harness import builtin_configuration
-
             return builtin_configuration(
                 spec["configuration"], int(_require(spec, "k", "measure spec"))
             )

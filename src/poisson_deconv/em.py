@@ -2,19 +2,25 @@
 
 The complete-data decomposition splits each bin count into per-atom Poisson
 contributions Z_ij ~ Poi(t * lam_ij) with lam_ij = (1/k) int_Bin K(x - theta_j).
-The e-step computes multinomial responsibilities p_ij = lam_ij / lam_i; the
-m-step ascends Q(mu, mu_tilde) = sum_ij (X_i p_ij ln(t lam_ij) - t lam_ij)
-over atom coordinates inside a box, accepting a candidate only if Q improved,
-which keeps the observed-data log-likelihood non-decreasing along the run.
+The e-step computes multinomial responsibilities p_ij = lam_ij / lam_i and the
+intensities lam_i; the m-step ascends
+Q(mu, mu_tilde) = sum_ij (X_i p_ij ln(t lam_ij) - t lam_ij) over atom
+coordinates inside the observation window inflated by 3 kernel spreads,
+accepting a candidate only if Q improved, which keeps the observed-data
+log-likelihood non-decreasing along the run.  Each iterate is e-stepped once:
+its intensities give the log-likelihood recorded for it and its
+responsibilities feed the next m-step.  An m-step that keeps its input is a
+fixed point of the iteration, so the run ends there.
 """
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial.distance import pdist
 
 from .kernels import Kernel
 from .measures import AtomicUniformMeasure, wasserstein_p
@@ -28,8 +34,8 @@ class EmConfig:
     """EM driver settings.
 
     max_iterations caps the outer loop; early_stop_w1 halts once consecutive
-    iterates move less than that in W_1.  The domain box defaults to the
-    observation window inflated by 3 kernel spreads when left as None.
+    iterates move no more than that in W_1, so 0 halts only at a fixed point
+    (an m-step that keeps its input).
     """
 
     max_iterations: int = 50
@@ -37,7 +43,6 @@ class EmConfig:
     inner_max_iterations: int = 100
     inner_grad_tol: float = 1e-8
     intensity_floor: float = 1e-30
-    domain: tuple | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -99,15 +104,9 @@ def _effective(image: CountImage) -> tuple:
     return image.counts, image.t
 
 
-def _lambda_matrix(kernel: Kernel, image: CountImage, atoms: np.ndarray) -> np.ndarray:
-    return kernel.bin_integral_matrix(image.grid, atoms) / atoms.shape[0]
-
-
-def _log_likelihood_effective(image: CountImage, kernel: Kernel,
-                              mu: AtomicUniformMeasure, floor: float) -> float:
+def _log_likelihood(image: CountImage, intensity: np.ndarray, floor: float) -> float:
     counts, t = _effective(image)
-    lam = _lambda_matrix(kernel, image, mu.atoms).sum(axis=1)
-    return float(np.sum(counts * np.log(t * np.maximum(lam, floor)) - t * lam))
+    return float(np.sum(counts * np.log(t * np.maximum(intensity, floor)) - t * intensity))
 
 
 def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) -> float:
@@ -120,21 +119,22 @@ def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) 
     """
     if image.noiseless:
         raise ValueError("log_likelihood requires finite t; see run_em for t = inf")
-    return _log_likelihood_effective(image, kernel, mu, EmConfig.intensity_floor)
+    _, intensity = e_step(image, kernel, mu)
+    return _log_likelihood(image, intensity, EmConfig.intensity_floor)
 
 
-def e_step(image: CountImage, kernel: Kernel,
-           mu_tilde: AtomicUniformMeasure) -> np.ndarray:
-    """Responsibilities p_ij = lam_ij / sum_h lam_ih, shape (m, k).
+def e_step(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure) -> tuple:
+    """Responsibilities p_ij = lam_ij / lam_i, shape (m, k), and intensities lam_i, shape (m,).
 
-    Rows with underflowing total intensity fall back to the uniform 1/k.
+    lam_i = sum_j lam_ij is the model intensity of bin i.  Rows with
+    underflowing total intensity fall back to the uniform 1/k.
     """
-    lam = _lambda_matrix(kernel, image, mu_tilde.atoms)
-    totals = lam.sum(axis=1, keepdims=True)
-    k_atoms = mu_tilde.k
+    lam = kernel.bin_integral_matrix(image.grid, mu_tilde.atoms) / mu_tilde.k
+    intensity = lam.sum(axis=1)
+    totals = intensity[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        resp = np.where(totals > 0, lam / totals, 1.0 / k_atoms)
-    return resp
+        resp = np.where(totals > 0, lam / totals, 1.0 / mu_tilde.k)
+    return resp, intensity
 
 
 class _QFunction:
@@ -196,7 +196,7 @@ def _default_domain(image: CountImage, kernel: Kernel) -> tuple:
 
 def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
            mu_tilde: AtomicUniformMeasure, config: EmConfig = EmConfig()):
-    """Ascend Q over atom coordinates inside the domain box.
+    """Ascend Q over atom coordinates inside the window inflated by 3 kernel spreads.
 
     Returns (measure, status, nit, q_evals).  status is "improved" when the
     optimizer's candidate raised Q, "line_search" when only a halved step
@@ -208,9 +208,7 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
     starting point and the acceptance check at its final point cost nothing.
     """
     k, d = mu_tilde.k, mu_tilde.dimension
-    lo, hi = config.domain if config.domain is not None else _default_domain(image, kernel)
-    lo = np.broadcast_to(np.asarray(lo, float), (d,))
-    hi = np.broadcast_to(np.asarray(hi, float), (d,))
+    lo, hi = _default_domain(image, kernel)
     fun = _QFunction(image, kernel, resp, k, config.intensity_floor)
     x0 = np.clip(mu_tilde.atoms, lo, hi).ravel()
     q0 = -fun(x0)[0]
@@ -251,31 +249,27 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     """Alternate e- and m-steps from the given initializer.
 
     Stops after max_iterations or once the W_1 movement between consecutive
-    iterates drops below early_stop_w1.  Returns the final measure together
-    with an EmTrace holding per-iteration log-likelihood (computed at t = 1
-    on noiseless inputs), step sizes, m-step statuses and inner-solver
-    statistics.
+    iterates is at most early_stop_w1.  An m-step that keeps its input moves
+    0, so any threshold >= 0 stops at that fixed point and the trace holds at
+    most one "kept" row, its last.  Each iterate is e-stepped once.  Returns
+    the final measure together with an EmTrace holding per-iteration
+    log-likelihood (computed at t = 1 on noiseless inputs), step sizes,
+    m-step statuses and inner-solver statistics.
     """
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
-    if config.domain is None:
-        config = replace(config, domain=_default_domain(image, kernel))
     trace = EmTrace()
     current = init
+    resp, _ = e_step(image, kernel, current)
     for _ in range(config.max_iterations):
-        resp = e_step(image, kernel, current)
         nxt, status, nit, q_evals = m_step(image, kernel, resp, current, config)
         step = wasserstein_p(nxt, current, 1)
-        ll = _log_likelihood_effective(image, kernel, nxt, config.intensity_floor)
+        resp, intensity = e_step(image, kernel, nxt)
+        ll = _log_likelihood(image, intensity, config.intensity_floor)
         trace.append(ll, step, status, nit, q_evals)
         current = nxt
-        if current.k > 1:
-            pairwise = np.linalg.norm(
-                current.atoms[:, None, :] - current.atoms[None, :, :], axis=2
-            )
-            np.fill_diagonal(pairwise, np.inf)
-            if pairwise.min() < 1e-12:
-                trace.collision = True
-        if step < config.early_stop_w1:
+        if current.k > 1 and pdist(current.atoms).min() < 1e-12:
+            trace.collision = True
+        if step <= config.early_stop_w1:
             break
     return current, trace

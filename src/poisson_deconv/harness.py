@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -127,20 +128,18 @@ class RiskTable:
             return repr(value)
         return str(value)
 
+    def _write_csv(self, path, columns) -> None:
+        with open(path, "w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in self.rows:
+                fh.write(",".join(self._fmt(row[c]) for c in columns) + "\n")
+
     def to_csv(self, path) -> None:
         """Deterministic risk columns only; byte-identical for identical runs."""
-        with open(path, "w") as fh:
-            fh.write(",".join(self.RISK_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(self._fmt(row[c]) for c in self.RISK_COLUMNS) + "\n")
+        self._write_csv(path, self.RISK_COLUMNS)
 
     def timing_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.TIMING_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(
-                    ",".join(self._fmt(row[c]) for c in self.TIMING_COLUMNS) + "\n"
-                )
+        self._write_csv(path, self.TIMING_COLUMNS)
 
     def summary_json(self, path) -> None:
         payload = []
@@ -196,13 +195,11 @@ def _run_replicate(payload: dict) -> dict:
         )
     out = {}
     mm_est = None
-    import warnings as _warnings
-
     for name in spec.estimators:
         start = time.perf_counter()
         try:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 if name == "mm":
                     est = mm_complex(image, kernel, k)
                     mm_est = est

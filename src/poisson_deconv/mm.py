@@ -382,17 +382,12 @@ def mm_general(image: CountImage, kernel: Kernel, k: int, domain,
     d = image.grid.dimension
     if lo.shape[0] != d or hi.shape[0] != d or np.any(hi <= lo):
         raise ValueError("domain must be a non-degenerate box matching the dimension")
+    m_hat = estimate_moments_multi(image, compute_psi_multi(kernel, k))
+    fun = _moment_objective(m_hat, k, d)
     guard = _degenerate_guard(image, k)
     if guard is not None:
         atoms = np.clip(guard.atoms, lo, hi)
-        measure = AtomicUniformMeasure(atoms)
-        mpsi = compute_psi_multi(kernel, k)
-        m_hat = estimate_moments_multi(image, mpsi)
-        obj, _ = _moment_objective(m_hat, k, d)(atoms.ravel())
-        return measure, obj
-
-    mpsi = compute_psi_multi(kernel, k)
-    m_hat = estimate_moments_multi(image, mpsi)
+        return AtomicUniformMeasure(atoms), fun(atoms.ravel())[0]
 
     if k == 1:
         # quadratic in the single atom: coordinate-wise first moments, clipped
@@ -400,10 +395,8 @@ def mm_general(image: CountImage, kernel: Kernel, k: int, domain,
             [m_hat[tuple(int(i == ax) for i in range(d))] for ax in range(d)]
         )
         atom = np.clip(first, lo, hi)
-        fun = _moment_objective(m_hat, k, d)
         return AtomicUniformMeasure(atom[None, :]), fun(atom)[0]
 
-    fun = _moment_objective(m_hat, k, d)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     starts = [rng.uniform(lo, hi, size=(k, d)) for _ in range(restarts)]
     if d == 2:

@@ -38,11 +38,17 @@ def reference_q_function(image, kernel, resp, k, floor):
 
 
 class CountingKernel(GaussianKernel):
-    """Isotropic Gaussian recording the atoms of every gradient-matrix call."""
+    """Isotropic Gaussian counting its value-matrix calls and recording the
+    atoms of every gradient-matrix call."""
 
     def __init__(self, sigma):
         super().__init__(sigma=sigma, dim=2)
+        self.value_calls = 0
         self.gradient_points = []
+
+    def bin_integral_matrix(self, grid, atoms):
+        self.value_calls += 1
+        return super().bin_integral_matrix(grid, atoms)
 
     def bin_integral_gradient_matrix(self, grid, atoms):
         self.gradient_points.append(np.asarray(atoms, float).tobytes())
@@ -99,7 +105,7 @@ class TestEStep:
     def test_single_component(self, small_setup):
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e3, seed=4)
-        resp = e_step(img, kernel, AtomicUniformMeasure([[0.5, 0.5]]))
+        resp, _ = e_step(img, kernel, AtomicUniformMeasure([[0.5, 0.5]]))
         assert np.allclose(resp, 1.0)
 
     def test_symmetric_atoms_split_half(self):
@@ -108,16 +114,19 @@ class TestEStep:
         img = CountImage(grid, np.ones(grid.m), 10.0)
         # both atoms symmetric about the center bin's center
         mu = AtomicUniformMeasure([[0.3, 0.5], [0.7, 0.5]])
-        resp = e_step(img, kernel, mu)
+        resp, _ = e_step(img, kernel, mu)
         center_bin = 12  # iy=2, ix=2
         assert np.allclose(resp[center_bin], [0.5, 0.5], atol=1e-12)
 
     def test_rows_sum_to_one(self, small_setup):
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=5)
-        resp = e_step(img, kernel, mu)
+        resp, intensity = e_step(img, kernel, mu)
         assert np.all(resp >= 0)
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+        expected = kernel.bin_integral_matrix(grid, mu.atoms).sum(axis=1) / mu.k
+        assert intensity.shape == (grid.m,)
+        assert np.allclose(intensity, expected, rtol=1e-12, atol=0.0)
 
 
 class TestMStep:
@@ -125,7 +134,7 @@ class TestMStep:
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=6)
         start = AtomicUniformMeasure([[0.3, 0.3], [0.75, 0.7]])
-        resp = e_step(img, kernel, start)
+        resp, _ = e_step(img, kernel, start)
         out, status, nit, q_evals = m_step(img, kernel, resp, start)
         neg_q = _QFunction(img, kernel, resp, 2, 1e-30)
         assert -neg_q(out.atoms.ravel())[0] >= -neg_q(start.atoms.ravel())[0]
@@ -143,7 +152,7 @@ class TestMStep:
         grid = BinGrid([0, 0], [1, 1], (20, 20))
         truth = AtomicUniformMeasure([[0.3, 0.35], [0.7, 0.6], [0.5, 0.8]])
         img = simulate(kernel, truth, grid, 1e4, seed=21)
-        resp = e_step(img, kernel, truth)
+        resp, _ = e_step(img, kernel, truth)
         fun = _QFunction(img, kernel, resp, 3, 1e-30)
         reference = reference_q_function(img, kernel, resp, 3, 1e-30)
         near = truth.atoms + 0.01
@@ -161,7 +170,8 @@ class TestMStep:
         _, mu, grid = small_setup
         kernel = CountingKernel(0.08)
         img = simulate(kernel, mu, grid, 1e4, seed=6)
-        fun = _QFunction(img, kernel, e_step(img, kernel, mu), 2, 1e-30)
+        resp, _ = e_step(img, kernel, mu)
+        fun = _QFunction(img, kernel, resp, 2, 1e-30)
         x = mu.atoms.ravel() + 0.01
         value, grad = fun(x)
         grad[:] = 0.0  # the caller's copy, not the remembered gradient
@@ -175,7 +185,7 @@ class TestMStep:
         kernel = CountingKernel(0.08)
         img = simulate(kernel, mu, grid, 1e4, seed=6)
         start = AtomicUniformMeasure([[0.3, 0.3], [0.75, 0.7]])
-        resp = e_step(img, kernel, start)
+        resp, _ = e_step(img, kernel, start)
         # from this start L-BFGS-B's line searches fail near the optimum and
         # it returns to points evaluated several calls before (34 requests at
         # 20 points), so remembering only the last point would recompute
@@ -192,7 +202,7 @@ class TestMStep:
             k = int(rng.integers(1, 4))
             mu = AtomicUniformMeasure(rng.uniform(0.2, 0.8, size=(k, 2)))
             img = simulate(kernel, mu, grid, 500.0, seed=int(rng.integers(1e6)))
-            resp = e_step(img, kernel, mu)
+            resp, _ = e_step(img, kernel, mu)
             fun = _QFunction(img, kernel, resp, k, 1e-30)
             x = rng.uniform(0.2, 0.8, size=2 * k)
             _, grad = fun(x)
@@ -212,7 +222,7 @@ class TestMStep:
     def test_optimizer_exception_logged_and_kept(self, small_setup, monkeypatch, caplog):
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=6)
-        resp = e_step(img, kernel, mu)
+        resp, _ = e_step(img, kernel, mu)
 
         def failing_minimize(*args, **kwargs):
             raise FloatingPointError("inner solver diverged")
@@ -233,7 +243,7 @@ class TestMStep:
         mu = AtomicUniformMeasure([[0.48, 0.55]])
         grid = BinGrid([0, 0], [1, 1], (50, 50))
         img = simulate(kernel, mu, grid, 1e6, seed=8)
-        resp = e_step(img, kernel, mu)
+        resp, _ = e_step(img, kernel, mu)
         out, *_ = m_step(img, kernel, resp, AtomicUniformMeasure([[0.45, 0.5]]))
         centroid = (img.counts[:, None] * img.grid.anchors()).sum(axis=0) / img.total()
         assert np.allclose(out.atoms[0], centroid, atol=1e-2)
@@ -310,12 +320,41 @@ class TestRunEm:
         kernel = CountingKernel(0.08)
         img = simulate(kernel, mu, grid, 1e4, seed=13)
         init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        kernel.value_calls = 0
         _, trace = run_em(img, kernel, init, EmConfig(max_iterations=4))
-        assert len(trace.inner_nit) == len(trace.q_evals) == trace.iterations
+        assert len(trace.inner_nit) == len(trace.q_evals) == trace.iterations >= 2
         assert all(nit >= 0 for nit in trace.inner_nit) and trace.inner_nit[0] >= 1
         assert all(evals >= 1 for evals in trace.q_evals)
         # every gradient matrix of the run is one counted Q evaluation
         assert sum(trace.q_evals) == len(kernel.gradient_points)
+        # and every value matrix one Q evaluation or the one E-step of an
+        # iterate (the initializer and each m-step's result)
+        assert kernel.value_calls <= sum(trace.q_evals) + trace.iterations + 1
+
+    def test_stops_at_the_fixed_point(self, small_setup):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=11)
+        final, trace = run_em(img, kernel, mu, EmConfig(max_iterations=30, early_stop_w1=0.0))
+        assert trace.status.count("kept") == 1 and trace.status[-1] == "kept"
+        assert trace.w1_step[-1] == 0.0
+        assert trace.iterations < 30
+        longer, _ = run_em(img, kernel, mu, EmConfig(max_iterations=50, early_stop_w1=0.0))
+        assert np.array_equal(final.atoms, longer.atoms)
+
+    def test_failing_m_step_ends_the_run(self, small_setup, monkeypatch, caplog):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=6)
+
+        def failing_minimize(*args, **kwargs):
+            raise FloatingPointError("inner solver diverged")
+
+        monkeypatch.setattr(em, "minimize", failing_minimize)
+        with caplog.at_level(logging.WARNING, logger="poisson_deconv.em"):
+            final, trace = run_em(img, kernel, mu, EmConfig(max_iterations=5, early_stop_w1=0.0))
+        assert final is mu
+        assert trace.iterations == 1 and trace.status == ["kept"]
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
 
 
 class TestEmTrace:
