@@ -55,8 +55,9 @@ class EmConfig:
 class EmTrace:
     """Per-iteration diagnostics of one EM run.
 
-    inner_nit holds each m-step's L-BFGS-B iteration count and q_evals the
-    number of Q evaluations it computed.
+    inner_nit holds each m-step's L-BFGS-B iteration count, q_evals the
+    number of Q evaluations it computed, and errors the exception its inner
+    optimizer raised as "Type: message", or None.
     """
 
     loglik: list = field(default_factory=list)
@@ -64,15 +65,17 @@ class EmTrace:
     status: list = field(default_factory=list)
     inner_nit: list = field(default_factory=list)
     q_evals: list = field(default_factory=list)
+    errors: list = field(default_factory=list)
     collision: bool = False
 
     def append(self, loglik: float, w1_step: float, status: str, inner_nit: int,
-               q_evals: int):
+               q_evals: int, error: str | None):
         self.loglik.append(float(loglik))
         self.w1_step.append(float(w1_step))
         self.status.append(status)
         self.inner_nit.append(int(inner_nit))
         self.q_evals.append(int(q_evals))
+        self.errors.append(error)
 
     @property
     def iterations(self) -> int:
@@ -90,11 +93,13 @@ class EmTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                ["iteration", "loglik", "w1_step", "status", "inner_nit", "q_evals"]
+                ["iteration", "loglik", "w1_step", "status", "inner_nit", "q_evals",
+                 "error"]
             )
-            rows = zip(self.loglik, self.w1_step, self.status, self.inner_nit, self.q_evals)
-            for i, (ll, w1, st, nit, evals) in enumerate(rows, start=1):
-                writer.writerow([i, repr(ll), repr(w1), st, nit, evals])
+            rows = zip(self.loglik, self.w1_step, self.status, self.inner_nit, self.q_evals,
+                       self.errors)
+            for i, (ll, w1, st, nit, evals, err) in enumerate(rows, start=1):
+                writer.writerow([i, repr(ll), repr(w1), st, nit, evals, err])
 
 
 def _effective(image: CountImage) -> tuple:
@@ -198,12 +203,13 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
            mu_tilde: AtomicUniformMeasure, config: EmConfig = EmConfig()):
     """Ascend Q over atom coordinates inside the window inflated by 3 kernel spreads.
 
-    Returns (measure, status, nit, q_evals).  status is "improved" when the
-    optimizer's candidate raised Q, "line_search" when only a halved step
-    did, and "kept" when no improvement was found (the input measure is
+    Returns (measure, status, nit, q_evals, error).  status is "improved"
+    when the optimizer's candidate raised Q, "line_search" when only a halved
+    step did, and "kept" when no improvement was found (the input measure is
     returned unchanged).  An exception from the inner optimizer is logged at
-    WARNING and also yields "kept".  nit is L-BFGS-B's iteration count (0
-    when it raised) and q_evals the number of Q evaluations computed; Q is
+    WARNING, returned as error = "Type: message" (None otherwise), and also
+    yields "kept".  nit is L-BFGS-B's iteration count (0 when it raised) and
+    q_evals the number of Q evaluations computed; Q is
     evaluated at most once per point, so the optimizer's repeat of the
     starting point and the acceptance check at its final point cost nothing.
     """
@@ -224,11 +230,9 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
         )
         candidate = res.x
     except Exception as exc:
-        logger.warning(
-            "m_step kept the current measure: inner optimizer raised %s: %s",
-            type(exc).__name__, exc,
-        )
-        return mu_tilde, "kept", 0, fun.computed
+        error = f"{type(exc).__name__}: {exc}"
+        logger.warning("m_step kept the current measure: inner optimizer raised %s", error)
+        return mu_tilde, "kept", 0, fun.computed, error
     measure, status = mu_tilde, "kept"
     if -fun(candidate)[0] > q0:
         measure, status = AtomicUniformMeasure(candidate.reshape(k, d)), "improved"
@@ -241,7 +245,7 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
             if -fun(trial)[0] > q0:
                 measure, status = AtomicUniformMeasure(trial.reshape(k, d)), "line_search"
                 break
-    return measure, status, int(res.nit), fun.computed
+    return measure, status, int(res.nit), fun.computed, None
 
 
 def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
@@ -254,7 +258,7 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     most one "kept" row, its last.  Each iterate is e-stepped once.  Returns
     the final measure together with an EmTrace holding per-iteration
     log-likelihood (computed at t = 1 on noiseless inputs), step sizes,
-    m-step statuses and inner-solver statistics.
+    m-step statuses, inner-solver statistics and inner-solver errors.
     """
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
@@ -262,11 +266,11 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     current = init
     resp, _ = e_step(image, kernel, current)
     for _ in range(config.max_iterations):
-        nxt, status, nit, q_evals = m_step(image, kernel, resp, current, config)
+        nxt, status, nit, q_evals, error = m_step(image, kernel, resp, current, config)
         step = wasserstein_p(nxt, current, 1)
         resp, intensity = e_step(image, kernel, nxt)
         ll = _log_likelihood(image, intensity, config.intensity_floor)
-        trace.append(ll, step, status, nit, q_evals)
+        trace.append(ll, step, status, nit, q_evals, error)
         current = nxt
         if current.k > 1 and pdist(current.atoms).min() < 1e-12:
             trace.collision = True

@@ -6,11 +6,12 @@ identities convert power-sum moments into elementary symmetric polynomials;
 Vieta's formula assembles the monic polynomial whose roots are the atoms; a
 root finder recovers them.  Every link of the complex chain passes plain
 NumPy arrays: kernel moments m_0..m_k, the unit lower-triangular psi
-coefficient matrix, the moment estimates m_1..m_k, then elementary symmetric
-values and polynomial coefficients; k is read from the arrays' lengths.  Two
-variants are exposed: the complex estimator, which projects its roots to the
-real line on 1-d data, and a general moment-matching optimizer constrained to
-a domain box.
+coefficient matrix, the moment estimates m_1..m_k (one triangular combination
+of the power sums sum_i gamma_i^j X_i / t, O(k * m) work), then elementary
+symmetric values and polynomial coefficients; k is read from the arrays'
+lengths.  Two variants are exposed: the complex estimator, which projects its
+roots to the real line on 1-d data, and a general moment-matching optimizer
+constrained to a domain box.
 """
 from __future__ import annotations
 
@@ -69,7 +70,10 @@ def estimate_moments(image: CountImage, psi: np.ndarray) -> np.ndarray:
     ``psi`` is the coefficient array of ``compute_psi``; the result is the
     complex array m_hat_1..m_hat_order.  In noiseless mode (t = inf) the
     stored intensities stand in for X_i / t.  Planar grids feed the anchors
-    through the x+iy embedding; 1-d grids use them as they are.
+    through the x+iy embedding; 1-d grids use them as they are.  The power
+    sums S_j = sum_i gamma_i^j X_i / t, j = 0..order, come from one (m,)
+    array of gamma^j multiplied by gamma in place, and
+    m_hat_a = sum_j psi[a, j] S_j, so a call costs O(order * m).
     """
     grid = image.grid
     anchors = grid.anchors()
@@ -78,12 +82,21 @@ def estimate_moments(image: CountImage, psi: np.ndarray) -> np.ndarray:
     else:
         gamma = anchors[:, 0]
     weights = image.counts if image.noiseless else image.counts / image.t
-    m_hat = np.empty(psi.shape[0] - 1, dtype=complex)
-    for a in range(1, psi.shape[0]):
-        # one expression: an (m,) value row kept across iterations raises peak memory
-        coeffs = psi[a, : a + 1]
-        m_hat[a - 1] = np.sum(np.polynomial.polynomial.polyval(gamma, coeffs) * weights)
-    return m_hat
+    sums = np.empty(psi.shape[0], dtype=complex)
+    sums[0] = weights.sum()
+    # gamma^j comes from repeated multiplication and is weighted afterwards,
+    # the order in which Horner's rule evaluates a monomial: with identity psi
+    # (isotropic kernels) m_hat_a is then bit for bit
+    # sum_i polyval(gamma_i, psi_a) w_i
+    power = np.ones(grid.m, dtype=complex)
+    work = np.empty_like(power)
+    for j in range(1, psi.shape[0]):
+        power *= gamma
+        np.multiply(power, weights, out=work)
+        sums[j] = work.sum()
+    # not psi @ sums: the first complex BLAS call of a process pages in
+    # about 0.1 MiB that no other step of the estimators needs
+    return (psi * sums).sum(axis=1)[1:]
 
 
 def newton_to_elementary(m) -> np.ndarray:

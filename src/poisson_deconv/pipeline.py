@@ -4,9 +4,10 @@ Greedy mode selection seeds a Voronoi tessellation of the window; modes closer
 than a link threshold merge into cells through the connected components of
 their proximity graph.  Each cell is denoised (mode-selection residuals
 subtracted), cropped to its positive support with an exposure of its own,
-assigned an even number of components proportional to its mass, and
-estimated with the complex method of moments followed by EM.  The per-cell estimates merge into one uniform
-measure over all recovered atoms.
+assigned a number of components proportional to its mass (pairs of atoms
+apportioned by largest remainder, so the counts sum to k), and estimated with
+the complex method of moments followed by EM.  The per-cell estimates merge
+into one uniform measure over all recovered atoms.
 """
 from __future__ import annotations
 
@@ -177,20 +178,30 @@ def denoise_and_crop(image: CountImage, residual: CountImage,
     return CountImage(sub, counts, counts.sum())
 
 
-def even_round(x: float) -> int:
-    """Nearest even integer to x, rounding halves of x/2 up: 2 * floor(x/2 + 0.5)."""
-    return 2 * int(np.floor(x / 2.0 + 0.5))
-
-
 def allocate_components(masks: list, denoised: CountImage, k: int) -> list:
-    """Even per-cell component counts proportional to denoised cell mass."""
+    """Per-cell component counts proportional to denoised cell mass, summing to k.
+
+    Largest-remainder apportionment of the k // 2 pairs by the cells' pair
+    quotas s_i / 2, where s_i = k * mass_i / total: each cell takes the floor
+    of its quota and the pairs left over go to the largest fractional parts,
+    lowest index first on ties.  When k is odd the last unit goes to the cell
+    with the largest s_i - 2 * pairs_i, so every other count is even.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     masses = np.array([float(denoised.counts[m].sum()) for m in masks])
     total = masses.sum()
     if total <= 0:
         return [0 for _ in masks]
-    return [even_round(mass / total * k) for mass in masses]
+    shares = masses / total * k
+    quotas = shares / 2.0
+    pairs = np.floor(quotas).astype(int)
+    leftover = k // 2 - int(pairs.sum())
+    pairs[np.argsort(pairs - quotas, kind="stable")[:leftover]] += 1
+    counts = 2 * pairs
+    if k % 2:
+        counts[np.argmax(shares - counts)] += 1
+    return counts.tolist()
 
 
 def run_pipeline(image: CountImage, kernel: Kernel,

@@ -135,11 +135,12 @@ class TestMStep:
         img = simulate(kernel, mu, grid, 1e4, seed=6)
         start = AtomicUniformMeasure([[0.3, 0.3], [0.75, 0.7]])
         resp, _ = e_step(img, kernel, start)
-        out, status, nit, q_evals = m_step(img, kernel, resp, start)
+        out, status, nit, q_evals, error = m_step(img, kernel, resp, start)
         neg_q = _QFunction(img, kernel, resp, 2, 1e-30)
         assert -neg_q(out.atoms.ravel())[0] >= -neg_q(start.atoms.ravel())[0]
         assert status in ("improved", "line_search", "kept")
         assert nit >= 1 and q_evals >= 2
+        assert error is None
 
     @pytest.mark.parametrize("kernel", [
         GaussianKernel(sigma=0.06, dim=2),
@@ -189,7 +190,7 @@ class TestMStep:
         # from this start L-BFGS-B's line searches fail near the optimum and
         # it returns to points evaluated several calls before (34 requests at
         # 20 points), so remembering only the last point would recompute
-        _, status, nit, q_evals = m_step(img, kernel, resp, start)
+        _, status, nit, q_evals, _ = m_step(img, kernel, resp, start)
         points = kernel.gradient_points
         assert status == "improved" and nit >= 1
         assert q_evals == len(points) == len(set(points))
@@ -229,8 +230,9 @@ class TestMStep:
 
         monkeypatch.setattr(em, "minimize", failing_minimize)
         with caplog.at_level(logging.WARNING, logger="poisson_deconv.em"):
-            out, status, nit, q_evals = m_step(img, kernel, resp, mu)
+            out, status, nit, q_evals, error = m_step(img, kernel, resp, mu)
         assert status == "kept"
+        assert error == "FloatingPointError: inner solver diverged"
         assert out is mu
         assert (nit, q_evals) == (0, 1)
         [record] = caplog.records
@@ -310,10 +312,11 @@ class TestRunEm:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,loglik,w1_step,status,inner_nit,q_evals"
+        assert lines[0] == "iteration,loglik,w1_step,status,inner_nit,q_evals,error"
         assert len(lines) == trace.iterations + 1
         last = lines[-1].split(",")
-        assert [int(v) for v in last[-2:]] == [trace.inner_nit[-1], trace.q_evals[-1]]
+        assert [int(v) for v in last[-3:-1]] == [trace.inner_nit[-1], trace.q_evals[-1]]
+        assert last[-1] == "" and trace.errors == [None] * trace.iterations
 
     def test_trace_counts_inner_solver_work(self, small_setup):
         _, mu, grid = small_setup
@@ -341,7 +344,7 @@ class TestRunEm:
         longer, _ = run_em(img, kernel, mu, EmConfig(max_iterations=50, early_stop_w1=0.0))
         assert np.array_equal(final.atoms, longer.atoms)
 
-    def test_failing_m_step_ends_the_run(self, small_setup, monkeypatch, caplog):
+    def test_failing_m_step_ends_the_run(self, small_setup, monkeypatch, caplog, tmp_path):
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=6)
 
@@ -355,13 +358,19 @@ class TestRunEm:
         assert trace.iterations == 1 and trace.status == ["kept"]
         [record] = caplog.records
         assert record.levelno == logging.WARNING
+        # the swallowed exception stays in the trace and its CSV
+        assert trace.errors == ["FloatingPointError: inner solver diverged"]
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        row = path.read_text().strip().splitlines()[-1].split(",")
+        assert row[3:] == ["kept", "0", "1", "FloatingPointError: inner solver diverged"]
 
 
 class TestEmTrace:
     def test_monotone_detects_decrease(self):
         trace = EmTrace()
-        trace.append(-10.0, 1.0, "improved", 5, 7)
-        trace.append(-9.0, 0.5, "improved", 4, 6)
+        trace.append(-10.0, 1.0, "improved", 5, 7, None)
+        trace.append(-9.0, 0.5, "improved", 4, 6, None)
         assert trace.monotone()
-        trace.append(-9.5, 0.1, "improved", 3, 5)
+        trace.append(-9.5, 0.1, "improved", 3, 5, None)
         assert not trace.monotone()

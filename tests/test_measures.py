@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poisson_deconv.measures import (
     AtomicUniformMeasure,
@@ -114,6 +116,45 @@ class TestMomentDistance:
         b = exact_moments(AtomicUniformMeasure([0.0, 1.0]), 3)
         with pytest.raises(ValueError):
             moment_distance(a, b)
+
+
+@st.composite
+def measure_triples(draw, coordinate):
+    """Three uniform measures with the same k (1..6) and dimension (1 or 2)."""
+    k, d = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2]))
+    return tuple(
+        AtomicUniformMeasure(np.reshape(
+            draw(st.lists(coordinate, min_size=k * d, max_size=k * d)), (k, d)))
+        for _ in range(3)
+    )
+
+
+P_VALUES = (1, 2, np.inf)
+
+
+class TestWassersteinAxiomsProperty:
+    @given(measure_triples(st.floats(-1, 1)))
+    def test_symmetry_and_triangle_inequality(self, measures):
+        mu, nu, rho = measures
+        for p in P_VALUES:
+            d_mu_nu = wasserstein_p(mu, nu, p)
+            assert d_mu_nu == pytest.approx(wasserstein_p(nu, mu, p), abs=ALGEBRAIC_TOL)
+            assert d_mu_nu <= (
+                wasserstein_p(mu, rho, p) + wasserstein_p(rho, nu, p) + ALGEBRAIC_TOL
+            )
+
+    # lattice coordinates: distinct atoms lie at least 0.05 apart, so a zero
+    # distance can only mean equal multisets
+    @given(measure_triples(st.integers(-20, 20).map(lambda i: 0.05 * i)), st.randoms())
+    def test_zero_exactly_on_equal_multisets(self, measures, random):
+        mu, nu, _ = measures
+        order = list(range(mu.k))
+        random.shuffle(order)
+        shuffled = AtomicUniformMeasure(mu.atoms[order])
+        same = sorted(map(tuple, mu.atoms)) == sorted(map(tuple, nu.atoms))
+        for p in P_VALUES:
+            assert wasserstein_p(mu, shuffled, p) == 0.0
+            assert (wasserstein_p(mu, nu, p) == 0.0) == same
 
 
 class TestWasserstein:

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -294,7 +294,71 @@ def planar_setup():
     return kernel, mu, grid
 
 
+def horner_moments(image, psi):
+    """One polyval of each psi_a over all m anchors, O(k^2 m) (oracle)."""
+    anchors = image.grid.anchors()
+    if image.grid.dimension == 2:
+        gamma = anchors[:, 0] + 1j * anchors[:, 1]
+    else:
+        gamma = anchors[:, 0]
+    weights = image.counts if image.noiseless else image.counts / image.t
+    return np.array([
+        np.sum(P.polyval(gamma, psi[a, : a + 1]) * weights)
+        for a in range(1, psi.shape[0])
+    ])
+
+
+@st.composite
+def psi_and_images(draw):
+    """A kernel-adapted psi of order 1..32 and a 1-d or planar image, finite t or t = inf."""
+    kind = draw(st.sampled_from(["line", "diagonal", "full", "box1", "box2"]))
+    scale = st.floats(0.02, 0.5)
+    if kind == "line":
+        kernel = GaussianKernel(sigma=draw(scale), dim=1)
+    elif kind == "diagonal":
+        kernel = GaussianKernel(cov=np.diag([draw(scale) ** 2, draw(scale) ** 2]))
+    elif kind == "full":
+        sx, sy, rho = draw(scale), draw(scale), draw(st.floats(-0.9, 0.9))
+        kernel = GaussianKernel(cov=[[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
+    else:
+        kernel = UniformBoxKernel([draw(scale) for _ in range(int(kind[-1]))])
+    d = kernel.dimension
+    lo = np.array([draw(st.floats(-2.0, 1.0)) for _ in range(d)])
+    hi = lo + np.array([draw(st.floats(0.1, 2.0)) for _ in range(d)])
+    resolution = tuple(draw(st.integers(1, 400 if d == 1 else 40)) for _ in range(d))
+    grid = BinGrid(lo, hi, resolution)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.sampled_from([1.0, 1e3, 1e6, np.inf]))
+    if np.isinf(t):
+        counts = rng.random(grid.m)
+    else:
+        counts = rng.poisson(rng.uniform(0, 50), grid.m).astype(float)
+    psi = compute_psi(kernel_moments(kernel, draw(st.integers(1, 32))))
+    return psi, CountImage(grid, counts, t)
+
+
 class TestEstimateMoments:
+    @settings(max_examples=60)
+    @given(psi_and_images())
+    def test_power_sums_match_horner(self, case):
+        # |error| <= 1e-12 * sum_j |psi_aj| sum_i |gamma_i|^j |w_i|, the size of
+        # the terms either evaluation adds up
+        psi, img = case
+        radius = np.linalg.norm(img.grid.anchors(), axis=1)  # |gamma_i|
+        weights = img.counts if img.noiseless else img.counts / img.t
+        magnitudes = np.array([np.sum(radius**j * weights) for j in range(psi.shape[0])])
+        bound = 1e-12 * (np.abs(psi) @ magnitudes)[1:]
+        assert np.all(np.abs(estimate_moments(img, psi) - horner_moments(img, psi)) <= bound)
+
+    @pytest.mark.parametrize("k", [1, 4, 12, 32])
+    @pytest.mark.parametrize("t", [1e4, np.inf])
+    def test_identity_psi_matches_horner_exactly(self, planar_setup, k, t):
+        kernel, mu, _ = planar_setup
+        grid = BinGrid([-0.2, 0.1], [1.3, 0.9], (60, 40))
+        img = noiseless(kernel, mu, grid) if np.isinf(t) else simulate(kernel, mu, grid, t, seed=k)
+        psi = compute_psi(kernel_moments(kernel, k))
+        np.testing.assert_array_equal(estimate_moments(img, psi), horner_moments(img, psi))
+
     def test_single_atom_first_moment(self):
         kernel = GaussianKernel(sigma=0.05, dim=2)
         mu = AtomicUniformMeasure([[0.5, 0.5]])

@@ -4,12 +4,17 @@ import pytest
 from poisson_deconv.em import EmConfig
 from poisson_deconv.kernels import GaussianKernel, UniformBoxKernel
 from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
-from poisson_deconv.observation import BinGrid, CountImage, noiseless, simulate
+from poisson_deconv.observation import (
+    BinGrid,
+    CountImage,
+    noiseless,
+    replicate_seed,
+    simulate,
+)
 from poisson_deconv.pipeline import (
     PartitionConfig,
     allocate_components,
     denoise_and_crop,
-    even_round,
     mode_selection,
     partition,
     run_pipeline,
@@ -87,13 +92,6 @@ class TestPartition:
 
 
 class TestEvenRoundAllocation:
-    def test_even_round_rules(self):
-        assert even_round(3.0) == 4  # half of 3 rounds up
-        assert even_round(2.0) == 2
-        assert even_round(0.9) == 0
-        assert even_round(1.0) == 2
-        assert even_round(4.7) == 4
-
     def test_equal_masses(self, grid10):
         masks = [np.zeros(grid10.m, bool), np.zeros(grid10.m, bool)]
         masks[0][:50] = True
@@ -102,7 +100,7 @@ class TestEvenRoundAllocation:
         den = CountImage(grid10, counts, 10.0)
         assert allocate_components(masks, den, 4) == [2, 2]
 
-    def test_total_can_differ_from_k(self, grid10):
+    def test_odd_k_gives_the_last_unit_to_one_cell(self, grid10):
         masks = [np.zeros(grid10.m, bool) for _ in range(3)]
         masks[0][:10] = True
         masks[1][10:20] = True
@@ -113,9 +111,21 @@ class TestEvenRoundAllocation:
         counts[20:] = 0.25   # mass 20
         den = CountImage(grid10, counts, np.inf)
         alloc = allocate_components(masks, den, 5)
-        # ratios 50/120, 50/120, 20/120 -> 2.08, 2.08, 0.83 -> 2, 2, 0
-        assert alloc == [2, 2, 0]
-        assert sum(alloc) != 5
+        # shares 2.08, 2.08, 0.83: pairs 1, 1, 0, and the odd unit goes to
+        # the largest share left over, 0.83
+        assert alloc == [2, 2, 1]
+        assert sum(alloc) == 5
+
+    def test_largest_remainder_pairs(self, grid10):
+        masks = [np.zeros(grid10.m, bool) for _ in range(4)]
+        for i in range(4):
+            masks[i][25 * i : 25 * (i + 1)] = True
+        counts = np.repeat([339.0, 413.0, 344.0, 504.0], 25)
+        den = CountImage(grid10, counts, 10.0)
+        # pair quotas 1.695, 2.065, 1.72, 2.52: floors 1, 2, 1, 2 and the two
+        # pairs left go to the fractions 0.72 and 0.695; rounding each share
+        # to the nearest even count would give 4, 4, 4, 6
+        assert allocate_components(masks, den, 16) == [4, 4, 4, 4]
 
 
 class TestDenoiseAndCrop:
@@ -155,6 +165,14 @@ def make_two_cluster_image(seed=0, t=2e5):
     grid = BinGrid([0, 0], [1, 1], (60, 60))
     img = simulate(kernel, truth, grid, t, seed=seed)
     return kernel, truth, grid, img
+
+
+def four_clusters():
+    """16 atoms: 4 clusters at {0.25, 0.75}^2, atoms at (+-0.04, +-0.04) offsets."""
+    return AtomicUniformMeasure([
+        (cx + dx, cy + dy) for cy in (0.25, 0.75) for cx in (0.25, 0.75)
+        for dy in (-0.04, 0.04) for dx in (-0.04, 0.04)
+    ])
 
 
 class TestRunPipeline:
@@ -244,10 +262,7 @@ class TestRunPipeline:
         # each cell's exposure is its own mass, so a cell holding 4 of the 16
         # atoms is not read as a quarter of a 4-atom image
         kernel = GaussianKernel(sigma=0.05, dim=2)
-        truth = AtomicUniformMeasure([
-            (cx + dx, cy + dy) for cy in (0.25, 0.75) for cx in (0.25, 0.75)
-            for dy in (-0.04, 0.04) for dx in (-0.04, 0.04)
-        ])
+        truth = four_clusters()
         img = noiseless(kernel, truth, BinGrid([0, 0], [1, 1], (80, 80)))
         config = PartitionConfig(
             mode_count=8, k=16, mode_half_widths=(0.08, 0.08), link_threshold=0.2
@@ -255,6 +270,23 @@ class TestRunPipeline:
         result = run_pipeline(img, kernel, config)
         assert result.estimate.k == 16
         assert wasserstein_p(result.estimate, truth, 1) <= 0.05
+
+    def test_cell_counts_sum_to_k(self):
+        # a noisy four-cluster image whose cell shares of k = 16 are 3.39,
+        # 4.13, 3.44 and 5.04; rounding each to an even count gives 18 atoms
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        truth = four_clusters()
+        img = simulate(kernel, truth, BinGrid([0, 0], [1, 1], (80, 80)), 1e5,
+                       replicate_seed(5, 50))
+        config = PartitionConfig(
+            mode_count=8, k=16, mode_half_widths=(0.08, 0.08), link_threshold=0.2,
+            em=EmConfig(max_iterations=1),
+        )
+        result = run_pipeline(img, kernel, config)
+        shares = [16 * cell.mass_ratio for cell in result.cells]
+        assert shares == pytest.approx([3.39, 4.13, 3.44, 5.04], abs=0.005)
+        assert [cell.k_assigned for cell in result.cells] == [4, 4, 4, 4]
+        assert result.estimate.k == 16
 
     def test_k_p_invariants(self):
         kernel, truth, grid, img = make_two_cluster_image(seed=8)
