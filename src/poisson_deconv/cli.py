@@ -199,13 +199,13 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
             "k_assigned": cell.k_assigned,
             "mass_ratio": cell.mass_ratio,
             "flags": cell.flags,
-            "em": cell.em_summary,
             "atoms": None if cell.estimate is None else cell.estimate.atoms.tolist(),
         })
     with open(os.path.join(out_dir, "cells.json"), "w") as fh:
         json.dump(cells_payload, fh, indent=2)
     if result.estimate is not None:
         result.estimate.to_json(os.path.join(out_dir, "estimate.json"))
+        result.trace.to_csv(os.path.join(out_dir, "trace.csv"))
     res2d = result.residual.as_2d()
     with open(os.path.join(out_dir, "residual.csv"), "w") as fh:
         for row in res2d:

@@ -11,6 +11,9 @@ log-likelihood non-decreasing along the run.  Each iterate is e-stepped once:
 its intensities give the log-likelihood recorded for it and its
 responsibilities feed the next m-step.  An m-step that keeps its input is a
 fixed point of the iteration, so the run ends there.
+
+maximize_likelihood climbs the observed-data log-likelihood itself with one
+L-BFGS-B run, which converges in far fewer steps than EM when atoms overlap.
 """
 from __future__ import annotations
 
@@ -57,7 +60,9 @@ class EmTrace:
 
     inner_nit holds each m-step's L-BFGS-B iteration count, q_evals the
     number of Q evaluations it computed, and errors the exception its inner
-    optimizer raised as "Type: message", or None.
+    optimizer raised as "Type: message", or None.  maximize_likelihood
+    records its one ascent as a single row, counting log-likelihood
+    evaluations under q_evals.
     """
 
     loglik: list = field(default_factory=list)
@@ -277,3 +282,81 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
         if step <= config.early_stop_w1:
             break
     return current, trace
+
+
+def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
+                        floor: float) -> tuple:
+    """-l(theta) and its gradient at flat atom coordinates.
+
+    l = sum_i X_i log(t max(lam_i, floor)) - t lam_i, the observed-data
+    log-likelihood, has the gradient sum_i W_i grad lam_i with
+    W_i = X_i / max(lam_i, floor) - t.  On a planar product kernel lam and
+    the gradient are einsum contractions of the (n, k) axis factors, so no
+    (m, k) or (m, k, d) array is built; plain einsum also calls no BLAS
+    routine, whose first use in a process pages in its code.  Other kernels
+    contract the dense bin-integral matrices.
+    """
+    counts, t = _effective(image)
+    grid, atoms = image.grid, np.reshape(theta_flat, (k, -1))
+    if kernel.is_planar_product():
+        ex, ey = grid.axis_edges(0), grid.axis_edges(1)
+        dx = kernel.axis_cdf_diff(ex, atoms[:, 0], 0)
+        dy = kernel.axis_cdf_diff(ey, atoms[:, 1], 1)
+        gx = kernel.axis_cdf_diff_grad(ex, atoms[:, 0], 0)
+        gy = kernel.axis_cdf_diff_grad(ey, atoms[:, 1], 1)
+        intensity = np.einsum("yj,xj->yx", dy, dx) / k
+        w = counts.reshape(intensity.shape) / np.maximum(intensity, floor) - t
+        grad = np.stack([np.einsum("yx,xj,yj->j", w, gx, dy),
+                         np.einsum("yx,xj,yj->j", w, dx, gy)], axis=1) / k
+    else:
+        intensity = kernel.bin_integral_matrix(grid, atoms).sum(axis=1) / k
+        w = counts / np.maximum(intensity, floor) - t
+        grad = np.einsum("i,ijd->jd", w, kernel.bin_integral_gradient_matrix(grid, atoms)) / k
+    return -_log_likelihood(image, intensity.ravel(), floor), -grad.ravel()
+
+
+def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
+                        config: EmConfig = EmConfig()):
+    """One L-BFGS-B ascent of the observed-data log-likelihood from ``init``.
+
+    l(theta) = sum_i X_i log(t lam_i) - t lam_i is climbed directly over atom
+    coordinates inside the window inflated by 3 kernel spreads, with
+    ``config``'s inner solver settings (``inner_max_iterations``,
+    ``inner_grad_tol``), ftol 1e-14 as in ``m_step``, and intensities floored
+    at ``intensity_floor`` inside the logarithm; noiseless images run at t = 1.
+    The optimizer's point is accepted ("improved") only if it raised l above
+    l(init); otherwise ``init`` is returned ("kept").  An exception from the
+    optimizer is logged at WARNING and also keeps ``init``.  Returns the
+    measure and an EmTrace of one row: the final l, the W_1 step from
+    ``init``, the status, L-BFGS-B's iteration count (0 when it raised), the
+    number of l evaluations computed, and the error as "Type: message" or None.
+    """
+    if init.k < 1:
+        raise ValueError("initializer must have at least one atom")
+    k, d = init.k, init.dimension
+    lo, hi = _default_domain(image, kernel)
+    args = (image, kernel, k, config.intensity_floor)
+    bounds = [(lo[ax], hi[ax]) for _ in range(k) for ax in range(d)]
+    measure, status, nit, evals, error = init, "kept", 0, 1, None
+    ll = -_neg_log_likelihood(init.atoms, *args)[0]
+    try:
+        res = minimize(
+            _neg_log_likelihood, np.clip(init.atoms, lo, hi).ravel(), args=args, jac=True,
+            method="L-BFGS-B", bounds=bounds,
+            options={
+                "maxiter": config.inner_max_iterations,
+                "gtol": config.inner_grad_tol,
+                "ftol": 1e-14,
+            },
+        )
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        logger.warning("maximize_likelihood kept its initializer: optimizer raised %s", error)
+    else:
+        nit, evals = int(res.nit), 1 + int(res.nfev)
+        if -res.fun > ll:
+            measure, status, ll = AtomicUniformMeasure(res.x.reshape(k, d)), "improved", -res.fun
+    trace = EmTrace()
+    trace.append(ll, wasserstein_p(measure, init, 1), status, nit, evals, error)
+    trace.collision = k > 1 and bool(pdist(measure.atoms).min() < 1e-12)
+    return measure, trace

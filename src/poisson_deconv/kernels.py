@@ -52,6 +52,14 @@ class Kernel:
     def is_rotationally_symmetric(self) -> bool:
         return False
 
+    def is_planar_product(self) -> bool:
+        """True for a planar kernel whose bin integrals are dy[iy, j] * dx[ix, j].
+
+        dx and dy are the kernel's axis factors (``axis_cdf_diff``) on the
+        grid's x and y edges, and their derivatives ``axis_cdf_diff_grad``.
+        """
+        return False
+
     def axis_moments(self, order: int, axis: int = 0) -> np.ndarray:
         """1-d marginal-factor moments; only defined for product kernels."""
         raise NotImplementedError
@@ -93,6 +101,9 @@ class _ProductKernel(Kernel):
     def axis_cdf_diff_grad(self, edges, coords, axis):
         """Derivatives of axis_cdf_diff in theta_j, shape (n, k)."""
         raise NotImplementedError
+
+    def is_planar_product(self) -> bool:
+        return self.dimension == 2
 
     def bin_integral_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
         atoms = np.atleast_2d(atoms)
@@ -163,6 +174,9 @@ class GaussianKernel(_ProductKernel):
         # moments the symmetric shortcuts would set to zero
         self._diagonal = bool(np.array_equal(self.cov, np.diag(np.diag(self.cov))))
         self._axis_sigma = np.sqrt(np.diag(self.cov))
+
+    def is_planar_product(self) -> bool:
+        return self._diagonal and super().is_planar_product()
 
     def is_rotationally_symmetric(self) -> bool:
         return (self.dimension == 2 and self._diagonal

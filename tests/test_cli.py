@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poisson_deconv import cli
-from poisson_deconv.cli import ConfigError, cmd_estimate, cmd_experiment, main
+from poisson_deconv.cli import ConfigError, cmd_estimate, cmd_experiment, cmd_pipeline, main
 from poisson_deconv.em import EmConfig
 from poisson_deconv.harness import RiskTable
 from poisson_deconv.kernels import GaussianKernel
@@ -37,6 +37,22 @@ def test_mm_real_is_not_an_estimator(estimate_config, tmp_path):
     # images load as planar grids, so a real-line MM name has nothing to select
     with pytest.raises(ConfigError, match="unknown estimator 'mm-real'"):
         cmd_estimate({**estimate_config, "estimator": "mm-real"}, str(tmp_path / "out"))
+
+
+def test_pipeline_writes_the_refinement_trace(estimate_config, tmp_path):
+    config = {"kernel": estimate_config["kernel"], "image": estimate_config["image"],
+              "partition": {"mode_count": 2, "k": 2, "mode_half_widths": [0.08, 0.08],
+                            "link_threshold": 0.2}}
+    out = tmp_path / "out"
+    assert cmd_pipeline(config, str(out)) == 0
+    lines = (out / "trace.csv").read_text().strip().splitlines()
+    assert lines[0] == "iteration,loglik,w1_step,status,inner_nit,q_evals,error"
+    [row] = [line.split(",") for line in lines[1:]]
+    assert row[0] == "1" and row[3] == "improved" and row[-1] == ""
+    cells = json.loads((out / "cells.json").read_text())
+    assert cells and all("em" not in cell for cell in cells)
+    atoms = json.loads((out / "estimate.json").read_text())["atoms"]
+    np.testing.assert_allclose(sorted(atoms), [[0.35, 0.4], [0.65, 0.6]], atol=1e-6)
 
 
 @pytest.fixture

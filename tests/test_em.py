@@ -10,7 +10,9 @@ from poisson_deconv.em import (
     e_step,
     log_likelihood,
     m_step,
+    maximize_likelihood,
     run_em,
+    _neg_log_likelihood,
     _QFunction,
 )
 from poisson_deconv.kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
@@ -364,6 +366,103 @@ class TestRunEm:
         trace.to_csv(path)
         row = path.read_text().strip().splitlines()[-1].split(",")
         assert row[3:] == ["kept", "0", "1", "FloatingPointError: inner solver diverged"]
+
+
+class TestMaximizeLikelihood:
+    @pytest.mark.parametrize("kernel", [
+        GaussianKernel(sigma=0.06, dim=2),
+        GaussianKernel(cov=np.diag([0.0036, 0.0016])),
+        UniformBoxKernel([0.1, 0.15]),
+    ], ids=["isotropic", "diagonal", "box"])
+    def test_planar_product_path_matches_dense(self, kernel, monkeypatch):
+        grid = BinGrid([0, 0], [1, 1], (20, 24))
+        truth = AtomicUniformMeasure([[0.3, 0.35], [0.7, 0.6], [0.5, 0.8]])
+        img = simulate(kernel, truth, grid, 1e4, seed=21)
+        # atoms in one corner leave counted bins with intensity below the floor
+        corner = np.array([[0.02, 0.03], [0.05, 0.01], [0.04, 0.06]])
+        assert np.any((kernel.bin_integral_matrix(grid, corner).sum(axis=1) < 3e-30)
+                      & (img.counts > 0))
+        points = [(truth.atoms + 0.01).ravel(), corner.ravel()]
+        assert kernel.is_planar_product()
+        product = [_neg_log_likelihood(x, img, kernel, 3, 1e-30) for x in points]
+        # l on the dense matrices
+        monkeypatch.setattr(kernel, "is_planar_product", lambda: False)
+        for x, (value, grad) in zip(points, product):
+            ref_value, ref_grad = _neg_log_likelihood(x, img, kernel, 3, 1e-30)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("kernel", [
+        GaussianKernel(sigma=0.1, dim=2),
+        GaussianKernel(cov=[[0.0036, 0.0012], [0.0012, 0.0025]]),
+    ], ids=["isotropic", "anisotropic"])
+    def test_gradient_matches_finite_differences(self, kernel):
+        grid = BinGrid([0, 0], [1, 1], (8, 8))
+        rng = np.random.default_rng(7)
+        for probe in range(20):
+            k = int(rng.integers(1, 4))
+            mu = AtomicUniformMeasure(rng.uniform(0.2, 0.8, size=(k, 2)))
+            img = simulate(kernel, mu, grid, 500.0, seed=int(rng.integers(1e6)))
+
+            def fun(x):
+                return _neg_log_likelihood(x, img, kernel, k, 1e-30)
+
+            # near the truth, so no counted bin lies in the far tail, where the
+            # anisotropic bin integrals (clipped at 9 sigma_x) lose relative accuracy
+            x = mu.atoms.ravel() + rng.uniform(-0.03, 0.03, size=2 * k)
+            _, grad = fun(x)
+            scale = max(np.linalg.norm(grad), 1.0)
+            for i in range(x.size):
+                best = np.inf
+                for eps in (1e-5, 1e-4, 1e-3):
+                    step = np.zeros_like(x)
+                    step[i] = eps
+                    num = (fun(x + step)[0] - fun(x - step)[0]) / (2 * eps)
+                    denom = max(abs(num), abs(grad[i]), 1e-3 * scale)
+                    best = min(best, abs(grad[i] - num) / denom)
+                assert best < 1e-5
+
+    def test_ascent_does_not_lower_the_likelihood(self, small_setup):
+        kernel, mu, grid = small_setup
+        for seed, init in enumerate([None, [[0.3, 0.3], [0.75, 0.7]], [[0.5, 0.5], [0.52, 0.5]]]):
+            img = simulate(kernel, mu, grid, 1e4, seed=30 + seed)
+            init = mm_complex(img, kernel, 2) if init is None else AtomicUniformMeasure(init)
+            out, trace = maximize_likelihood(img, kernel, init)
+            assert log_likelihood(img, kernel, out) >= log_likelihood(img, kernel, init)
+            assert trace.iterations == 1 and trace.status == ["improved"]
+            assert trace.loglik[0] == pytest.approx(log_likelihood(img, kernel, out), rel=1e-12)
+            assert trace.w1_step[0] == wasserstein_p(out, init, 1) > 0
+            assert trace.inner_nit[0] >= 1 and trace.q_evals[0] >= 2
+            assert trace.errors == [None] and not trace.collision
+
+    def test_optimizer_exception_logged_and_kept(self, small_setup, monkeypatch, caplog):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=6)
+
+        def failing_minimize(*args, **kwargs):
+            raise FloatingPointError("inner solver diverged")
+
+        monkeypatch.setattr(em, "minimize", failing_minimize)
+        with caplog.at_level(logging.WARNING, logger="poisson_deconv.em"):
+            out, trace = maximize_likelihood(img, kernel, mu)
+        assert out is mu
+        assert trace.status == ["kept"] and trace.w1_step == [0.0]
+        assert (trace.inner_nit, trace.q_evals) == ([0], [1])
+        assert trace.errors == ["FloatingPointError: inner solver diverged"]
+        assert trace.loglik[0] == pytest.approx(log_likelihood(img, kernel, mu), rel=1e-12)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "FloatingPointError: inner solver diverged" in record.getMessage()
+
+    def test_noiseless_image_runs_at_unit_exposure(self, small_setup):
+        kernel, mu, grid = small_setup
+        img = noiseless(kernel, mu, grid)
+        init = AtomicUniformMeasure([[0.4, 0.45], [0.65, 0.6]])
+        out, trace = maximize_likelihood(img, kernel, init)
+        assert wasserstein_p(out, mu, 1) < 1e-6
+        lam = kernel.bin_integral_matrix(grid, out.atoms).mean(axis=1)
+        expected = np.sum(img.counts * np.log(np.maximum(lam, 1e-30)) - lam)
+        assert trace.loglik[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestEmTrace:

@@ -361,6 +361,27 @@ class TestPerturbMatchingMoments:
             assert abs(m_mu[k - 1] - m_nu[k - 1]) > 1e-6
 
 
+class TestPerturbMatchingMomentsProperty:
+    # atoms on a 0.1 lattice in [-1, 1], at least 0.2 apart; tau is a fraction
+    # of the smallest |p| at a critical point of p(x) = prod (x - atom), so
+    # p + tau keeps k distinct real roots
+    @given(
+        st.lists(st.integers(-10, 10), min_size=1, max_size=6, unique=True).filter(
+            lambda ints: len(ints) < 2 or np.diff(np.sort(ints)).min() >= 2),
+        st.floats(0.01, 0.5),
+    )
+    def test_first_k_minus_1_moments_kept_and_kth_shifted_by_tau(self, ints, fraction):
+        atoms = 0.1 * np.array(ints, float)
+        k = atoms.size
+        critical = np.roots(np.polyder(np.poly(atoms))).real
+        tau = fraction * (np.abs(np.polyval(np.poly(atoms), critical)).min() if k > 1 else 1.0)
+        mu = AtomicUniformMeasure(atoms)
+        nu = perturb_matching_moments(mu, tau)
+        m_mu, m_nu = exact_moments(mu, k), exact_moments(nu, k)
+        assert np.abs(m_nu[:-1] - m_mu[:-1]).max(initial=0.0) <= ALGEBRAIC_TOL
+        assert abs(m_nu[-1] - (m_mu[-1] - tau)) <= ALGEBRAIC_TOL
+
+
 class TestStabilityProbe:
     def test_ratio_bounded_on_random_pairs(self):
         # global comparison: W_1^k(mu, nu) <= C * M_k(mu, nu); probe boundedness

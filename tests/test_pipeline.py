@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poisson_deconv.em import EmConfig
+from poisson_deconv.em import EmConfig, log_likelihood
 from poisson_deconv.kernels import GaussianKernel, UniformBoxKernel
 from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
 from poisson_deconv.observation import (
@@ -235,9 +235,10 @@ class TestRunPipeline:
         assert np.all(dists < 0.05)
 
     def test_order_invariance(self):
-        # recompute every cell in reverse order; merged atom multiset agrees
+        # MM on every cell in reverse order, merged and refined on the full
+        # image, gives the pipeline's atom multiset
         from poisson_deconv.mm import mm_complex
-        from poisson_deconv.em import run_em
+        from poisson_deconv.em import maximize_likelihood
 
         kernel, truth, grid, img = make_two_cluster_image(seed=9)
         config = self.make_config()
@@ -250,13 +251,27 @@ class TestRunPipeline:
             sub = denoise_and_crop(img, residual, cell.mask)
             if sub is None:
                 continue
-            init = mm_complex(sub, kernel, cell.k_assigned)
-            est, _ = run_em(sub, kernel, init, config.em)
-            atoms.append(est.atoms)
-        merged = np.vstack(atoms)
-        a = merged[np.lexsort(merged.T)]
+            atoms.append(mm_complex(sub, kernel, cell.k_assigned).atoms)
+        refined, _ = maximize_likelihood(
+            img, kernel, AtomicUniformMeasure(np.vstack(atoms)), config.em)
+        a = refined.atoms[np.lexsort(refined.atoms.T)]
         b = result.estimate.atoms[np.lexsort(result.estimate.atoms.T)]
         assert np.allclose(a, b, atol=1e-12)
+
+    def test_refinement_raises_the_likelihood_of_the_merged_cells(self):
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        img = simulate(kernel, four_clusters(), BinGrid([0, 0], [1, 1], (80, 80)), 1e5,
+                       replicate_seed(1, 0))
+        config = PartitionConfig(
+            mode_count=8, k=16, mode_half_widths=(0.08, 0.08), link_threshold=0.2
+        )
+        result = run_pipeline(img, kernel, config)
+        merged = AtomicUniformMeasure(
+            np.vstack([c.estimate.atoms for c in result.cells if c.estimate is not None]))
+        refined = log_likelihood(img, kernel, result.estimate)
+        assert refined >= log_likelihood(img, kernel, merged)
+        assert result.trace.status == ["improved"]
+        assert result.trace.loglik == [pytest.approx(refined, rel=1e-12)]
 
     def test_noiseless_four_clusters(self):
         # each cell's exposure is its own mass, so a cell holding 4 of the 16
@@ -269,7 +284,7 @@ class TestRunPipeline:
         )
         result = run_pipeline(img, kernel, config)
         assert result.estimate.k == 16
-        assert wasserstein_p(result.estimate, truth, 1) <= 0.05
+        assert wasserstein_p(result.estimate, truth, 1) <= 1e-6
 
     def test_cell_counts_sum_to_k(self):
         # a noisy four-cluster image whose cell shares of k = 16 are 3.39,
