@@ -6,11 +6,14 @@ The e-step computes multinomial responsibilities p_ij = lam_ij / lam_i and the
 intensities lam_i; the m-step ascends
 Q(mu, mu_tilde) = sum_ij (X_i p_ij ln(t lam_ij) - t lam_ij) over atom
 coordinates inside the observation window inflated by 3 kernel spreads,
-accepting a candidate only if Q improved, which keeps the observed-data
-log-likelihood non-decreasing along the run.  Each iterate is e-stepped once:
-its intensities give the log-likelihood recorded for it and its
-responsibilities feed the next m-step.  An m-step that keeps its input is a
-fixed point of the iteration, so the run ends there.
+accepting a point only if Q rose by more than a rounding-level 1e-13 of |Q|,
+which keeps the observed-data log-likelihood non-decreasing along the run.
+run_em over-relaxes its steps where that raises the log-likelihood (adaptive
+over-relaxed bound optimization, Salakhutdinov & Roweis, ICML 2003), still
+with one m-step per iteration.  Each iterate is e-stepped once: its
+intensities give the log-likelihood recorded for it and its responsibilities
+feed the next m-step.  An m-step that keeps its input is a fixed point of the
+iteration, so the run ends there.
 
 maximize_likelihood climbs the observed-data log-likelihood itself with one
 L-BFGS-B run, which converges in far fewer steps than EM when atoms overlap.
@@ -30,6 +33,12 @@ from .measures import AtomicUniformMeasure, wasserstein_p
 from .observation import CountImage
 
 logger = logging.getLogger(__name__)
+
+# Factor by which run_em grows its over-relaxation after an accepted step.
+_OVERRELAX_GROWTH = 1.5
+# m_step accepts a point only if Q rose by more than this fraction of |Q|; a
+# smaller rise is rounding noise, not progress.
+_Q_RISE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -153,19 +162,25 @@ class _QFunction:
     Q = sum_ij X_i p_ij ln(t lam_ij) - t sum_ij lam_ij, with lam_ij floored
     at ``floor`` inside the logarithm only.  An evaluation makes one
     ``bin_integral_matrix`` and one ``bin_integral_gradient_matrix`` call and
-    works in place in one (m, k) buffer.  Every point's value and (k * d)
-    gradient are remembered, keyed by the coordinates' bytes, so calling
-    again at a point (the optimizer's first point, its final one in the
-    acceptance check, or one L-BFGS-B returns to after a failed line
-    search) computes nothing; the gradient is returned as a copy.
-    ``computed`` counts the evaluations actually made.
+    works in place in one (m, k) buffer.  The 1/k of lam_ij = L_ij / k and
+    the exposure t stay scalars: with W = X p, ln(t lam) = ln L + ln(t / k)
+    and dQ = sum_i (W / L - t / k) dL, so the (m, k) and (m, k, d) matrices
+    are never rescaled.  Every point's value and (k * d) gradient are
+    remembered, keyed by the coordinates' bytes, so calling again at a point
+    (the optimizer's first point, its final one in the acceptance check, or
+    one L-BFGS-B returns to after a failed line search) computes nothing;
+    the gradient is returned as a copy.  ``computed`` counts the evaluations
+    actually made.
     """
 
     def __init__(self, image: CountImage, kernel: Kernel, resp: np.ndarray, k: int,
                  floor: float):
-        counts, self.t = _effective(image)
+        counts, t = _effective(image)
         self.weights = counts[:, None] * resp  # X_i * p_ij
         self.work = np.empty_like(self.weights)
+        self.t_per_atom = t / k
+        # sum_ij W_ij ln(t / k), the part of Q that does not depend on the atoms
+        self.q_offset = self.weights.sum() * np.log(self.t_per_atom)
         self.grid, self.kernel, self.k, self.floor = image.grid, kernel, k, floor
         self.memory = {}
 
@@ -182,19 +197,16 @@ class _QFunction:
         return value, grad.copy()
 
     def _evaluate(self, atoms):
-        t, work = self.t, self.work
-        lam = self.kernel.bin_integral_matrix(self.grid, atoms)
-        lam /= self.k
+        work = self.work
+        lam = self.kernel.bin_integral_matrix(self.grid, atoms)  # L_ij = k lam_ij
         total = lam.sum()
-        np.maximum(lam, self.floor, out=lam)
-        np.multiply(lam, t, out=work)
-        np.log(work, out=work)
+        np.maximum(lam, self.k * self.floor, out=lam)
+        np.log(lam, out=work)
         work *= self.weights
-        q = work.sum() - t * total
+        q = work.sum() + self.q_offset - self.t_per_atom * total
         grad_lam = self.kernel.bin_integral_gradient_matrix(self.grid, atoms)
-        grad_lam /= self.k
         np.divide(self.weights, lam, out=work)
-        work -= t  # dQ/dlam_ij
+        work -= self.t_per_atom  # dQ/dL_ij
         grad = np.matmul(work.T[:, None, :], grad_lam.transpose(1, 0, 2))  # (k, 1, d)
         return -q, -grad.ravel()
 
@@ -208,13 +220,16 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
            mu_tilde: AtomicUniformMeasure, config: EmConfig = EmConfig()):
     """Ascend Q over atom coordinates inside the window inflated by 3 kernel spreads.
 
-    Returns (measure, status, nit, q_evals, error).  status is "improved"
-    when the optimizer's candidate raised Q, "line_search" when only a halved
-    step did, and "kept" when no improvement was found (the input measure is
-    returned unchanged).  An exception from the inner optimizer is logged at
-    WARNING, returned as error = "Type: message" (None otherwise), and also
-    yields "kept".  nit is L-BFGS-B's iteration count (0 when it raised) and
-    q_evals the number of Q evaluations computed; Q is
+    Returns (measure, status, nit, q_evals, error).  A point is accepted only
+    if it raised Q by more than 1e-13 |Q(mu_tilde)|; a smaller rise is
+    rounding noise.  status is "improved" when the optimizer's candidate is
+    accepted.  Only when the candidate lowered Q are steps halved toward it,
+    and "line_search" means a halved step was accepted.  Otherwise the input
+    measure is returned unchanged as "kept", at once when the candidate
+    neither lowered nor raised Q.  An exception from the inner optimizer is
+    logged at WARNING, returned as error = "Type: message" (None otherwise),
+    and also yields "kept".  nit is L-BFGS-B's iteration count (0 when it
+    raised) and q_evals the number of Q evaluations computed; Q is
     evaluated at most once per point, so the optimizer's repeat of the
     starting point and the acceptance check at its final point cost nothing.
     """
@@ -238,16 +253,18 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
         error = f"{type(exc).__name__}: {exc}"
         logger.warning("m_step kept the current measure: inner optimizer raised %s", error)
         return mu_tilde, "kept", 0, fun.computed, error
+    threshold = q0 + _Q_RISE_RTOL * abs(q0)
     measure, status = mu_tilde, "kept"
-    if -fun(candidate)[0] > q0:
+    q_candidate = -fun(candidate)[0]
+    if q_candidate > threshold:
         measure, status = AtomicUniformMeasure(candidate.reshape(k, d)), "improved"
-    else:
-        # halve toward the candidate until Q improves
+    elif q_candidate < q0:
+        # the candidate overshot: halve toward it until Q improves
         direction = candidate - x0
         for _ in range(20):
             direction = 0.5 * direction
             trial = x0 + direction
-            if -fun(trial)[0] > q0:
+            if -fun(trial)[0] > threshold:
                 measure, status = AtomicUniformMeasure(trial.reshape(k, d)), "line_search"
                 break
     return measure, status, int(res.nit), fun.computed, None
@@ -255,7 +272,15 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
 
 def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
            config: EmConfig = EmConfig()):
-    """Alternate e- and m-steps from the given initializer.
+    """Alternate e- and m-steps from the given initializer, over-relaxing the steps.
+
+    An over-relaxation factor eta starts at 1.  After an m-step that moved
+    theta to M(theta): when eta > 1, the point theta + eta (M(theta) - theta),
+    clipped to the m-step's domain, is taken if its log-likelihood beats the
+    current one, and eta grows by 1.5; otherwise M(theta) is taken and eta
+    reset to 1.  When eta = 1, M(theta) is taken and eta set to 1.5, so the
+    first iteration is plain EM.  The trial point needs intensities only, so
+    each iteration still makes one m-step.
 
     Stops after max_iterations or once the W_1 movement between consecutive
     iterates is at most early_stop_w1.  An m-step that keeps its input moves
@@ -263,25 +288,68 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     most one "kept" row, its last.  Each iterate is e-stepped once.  Returns
     the final measure together with an EmTrace holding per-iteration
     log-likelihood (computed at t = 1 on noiseless inputs), step sizes,
-    m-step statuses, inner-solver statistics and inner-solver errors.
+    m-step statuses, inner-solver statistics and inner-solver errors.  One
+    DEBUG record on this module's logger gives the iterations, the
+    over-relaxed steps tried and accepted, the final eta and why the run
+    stopped.
     """
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
+    floor = config.intensity_floor
+    lo, hi = _default_domain(image, kernel)
     trace = EmTrace()
     current = init
-    resp, _ = e_step(image, kernel, current)
+    resp, intensity = e_step(image, kernel, current)
+    ll = _log_likelihood(image, intensity, floor)
+    eta, tried, accepted, stop = 1.0, 0, 0, "max_iterations"
     for _ in range(config.max_iterations):
         nxt, status, nit, q_evals, error = m_step(image, kernel, resp, current, config)
+        if status != "kept":
+            if eta > 1.0:
+                tried += 1
+                atoms = np.clip(current.atoms + eta * (nxt.atoms - current.atoms), lo, hi)
+                if _log_likelihood(image, _intensity(image.grid, kernel, atoms), floor) > ll:
+                    nxt, accepted = AtomicUniformMeasure(atoms), accepted + 1
+                    eta *= _OVERRELAX_GROWTH
+                else:
+                    eta = 1.0
+            else:
+                eta = _OVERRELAX_GROWTH
         step = wasserstein_p(nxt, current, 1)
         resp, intensity = e_step(image, kernel, nxt)
-        ll = _log_likelihood(image, intensity, config.intensity_floor)
+        ll = _log_likelihood(image, intensity, floor)
         trace.append(ll, step, status, nit, q_evals, error)
         current = nxt
         if current.k > 1 and pdist(current.atoms).min() < 1e-12:
             trace.collision = True
         if step <= config.early_stop_w1:
+            stop = "fixed point" if status == "kept" else "early_stop_w1"
             break
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "run_em: %d iterations, %d of %d over-relaxed steps accepted, final eta %g, "
+            "stopped at %s", trace.iterations, accepted, tried, eta, stop,
+        )
     return current, trace
+
+
+def _product_intensity(dx: np.ndarray, dy: np.ndarray, k: int) -> np.ndarray:
+    """Intensities lam on the (ny, nx) grid from the axis factors dx (nx, k) and dy (ny, k)."""
+    return np.einsum("yj,xj->yx", dy, dx) / k
+
+
+def _intensity(grid, kernel: Kernel, atoms: np.ndarray) -> np.ndarray:
+    """Model intensities lam_i, shape (m,), and no gradient.
+
+    A planar product kernel builds them from its (n, k) axis factors, without
+    an (m, k) array; other kernels sum the bin-integral matrix.
+    """
+    k = len(atoms)
+    if kernel.is_planar_product():
+        dx = kernel.axis_cdf_diff(grid.axis_edges(0), atoms[:, 0], 0)
+        dy = kernel.axis_cdf_diff(grid.axis_edges(1), atoms[:, 1], 1)
+        return _product_intensity(dx, dy, k).ravel()
+    return kernel.bin_integral_matrix(grid, atoms).sum(axis=1) / k
 
 
 def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
@@ -304,12 +372,14 @@ def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
         dy = kernel.axis_cdf_diff(ey, atoms[:, 1], 1)
         gx = kernel.axis_cdf_diff_grad(ex, atoms[:, 0], 0)
         gy = kernel.axis_cdf_diff_grad(ey, atoms[:, 1], 1)
-        intensity = np.einsum("yj,xj->yx", dy, dx) / k
+        intensity = _product_intensity(dx, dy, k)
         w = counts.reshape(intensity.shape) / np.maximum(intensity, floor) - t
-        grad = np.stack([np.einsum("yx,xj,yj->j", w, gx, dy),
-                         np.einsum("yx,xj,yj->j", w, dx, gy)], axis=1) / k
+        # two two-operand contractions cost far less than one three-operand einsum
+        grad = np.stack([np.einsum("yj,yj->j", np.einsum("yx,xj->yj", w, gx), dy),
+                         np.einsum("yj,yj->j", np.einsum("yx,xj->yj", w, dx), gy)],
+                        axis=1) / k
     else:
-        intensity = kernel.bin_integral_matrix(grid, atoms).sum(axis=1) / k
+        intensity = _intensity(grid, kernel, atoms)
         w = counts / np.maximum(intensity, floor) - t
         grad = np.einsum("i,ijd->jd", w, kernel.bin_integral_gradient_matrix(grid, atoms)) / k
     return -_log_likelihood(image, intensity.ravel(), floor), -grad.ravel()

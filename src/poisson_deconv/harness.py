@@ -3,10 +3,10 @@
 A spec names one of the built-in atom configurations (grid, corners, u-shape)
 or supplies custom atoms, a kernel width, grid resolutions, exposure values
 (inf for the noiseless regime), and the estimators to run.  Each (t, m) cell
-is replicated with independently derived seeds; per-replicate W_1 errors and
-wall times aggregate into a RiskTable.  risk.csv contains only deterministic
-columns so identical spec+seed runs are byte-identical; timings are written
-separately.
+is replicated with independently derived seeds; per-replicate W_1 errors, wall
+times and the number of warnings each estimator raised aggregate into a
+RiskTable.  risk.csv contains only deterministic columns so identical
+spec+seed runs are byte-identical; timings are written separately.
 """
 from __future__ import annotations
 
@@ -178,7 +178,11 @@ def _fallback_measure(grid: BinGrid, k: int) -> AtomicUniformMeasure:
 
 
 def _run_replicate(payload: dict) -> dict:
-    """One replicate of one cell: simulate, run the estimators, score."""
+    """One replicate of one cell: simulate, run the estimators, score.
+
+    Every warning an estimator raises is recorded, repeats included, and
+    counted under its "n_warnings"; none reaches the caller.
+    """
     spec: ExperimentSpec = payload["spec"]
     t, n_side, rep = payload["t"], payload["m_side"], payload["rep"]
     truth = spec.truth()
@@ -198,8 +202,8 @@ def _run_replicate(payload: dict) -> dict:
     for name in spec.estimators:
         start = time.perf_counter()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 if name == "mm":
                     est = mm_complex(image, kernel, k)
                     mm_est = est
@@ -215,6 +219,7 @@ def _run_replicate(payload: dict) -> dict:
                 "w1": wasserstein_p(est, truth, 1),
                 "time": elapsed,
                 "failed": False,
+                "n_warnings": len(caught),
             }
         except (RootRecoveryError, ValueError, FloatingPointError) as exc:
             elapsed = time.perf_counter() - start
@@ -225,6 +230,7 @@ def _run_replicate(payload: dict) -> dict:
                 "time": elapsed,
                 "failed": True,
                 "error": str(exc),
+                "n_warnings": len(caught),
             }
     return out
 
@@ -253,6 +259,7 @@ def _aggregate_cell(spec: ExperimentSpec, t: float, n_side: int,
             "m": n_side * n_side,
             "n": len(results),
             "n_fail": int(failed.sum()),
+            "n_warnings": sum(r[name]["n_warnings"] for r in results),
             "mean_w1": mean,
             "stderr_w1": stderr,
             "mean_w1_pessimistic": float(pess.mean()),

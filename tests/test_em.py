@@ -1,7 +1,11 @@
 import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from poisson_deconv import em
 from poisson_deconv.em import (
@@ -37,6 +41,37 @@ def reference_q_function(image, kernel, resp, k, floor):
         return -q, -grad.ravel()
 
     return fun
+
+
+def reference_plain_em(image, kernel, init, config):
+    """Plain EM, run_em's loop without over-relaxation: every iterate is the m-step's result."""
+    trace = EmTrace()
+    current = init
+    resp, _ = e_step(image, kernel, current)
+    for _ in range(config.max_iterations):
+        nxt, status, nit, q_evals, error = m_step(image, kernel, resp, current, config)
+        step = wasserstein_p(nxt, current, 1)
+        resp, intensity = e_step(image, kernel, nxt)
+        ll = em._log_likelihood(image, intensity, config.intensity_floor)
+        trace.append(ll, step, status, nit, q_evals, error)
+        current = nxt
+        if current.k > 1 and pdist(current.atoms).min() < 1e-12:
+            trace.collision = True
+        if step <= config.early_stop_w1:
+            break
+    return current, trace
+
+
+RUN_SUMMARY = re.compile(
+    r"run_em: (\d+) iterations, (\d+) of (\d+) over-relaxed steps accepted, "
+    r"final eta (\S+), stopped at (.+)$")
+
+
+def run_summary(caplog):
+    """The fields of the one run_em DEBUG record captured."""
+    [match] = [m for m in (RUN_SUMMARY.match(r.getMessage()) for r in caplog.records) if m]
+    iterations, accepted, tried, eta, stop = match.groups()
+    return int(iterations), int(accepted), int(tried), float(eta), stop
 
 
 class CountingKernel(GaussianKernel):
@@ -242,6 +277,29 @@ class TestMStep:
         assert "FloatingPointError" in record.getMessage()
         assert "inner solver diverged" in record.getMessage()
 
+    def test_kept_at_a_fixed_point_computes_no_halving_points(self, small_setup, monkeypatch):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=11)
+        final, trace = run_em(img, kernel, mu, EmConfig(max_iterations=50, early_stop_w1=0.0))
+        assert trace.status[-1] == "kept"
+        resp, _ = e_step(img, kernel, final)
+        requested, results = set(), []
+        minimize = em.minimize
+
+        def recording_minimize(fun, x0, **kwargs):
+            def recorded(x):
+                requested.add(np.asarray(x, float).tobytes())
+                return fun(x)
+
+            results.append(minimize(recorded, x0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(em, "minimize", recording_minimize)
+        out, status, _, q_evals, _ = m_step(img, kernel, resp, final)
+        assert status == "kept" and out is final
+        # Q was computed only at the optimizer's own points
+        assert q_evals == len(requested) <= results[0].nfev
+
     def test_k1_matches_weighted_centroid(self):
         kernel = GaussianKernel(sigma=0.06, dim=2)
         mu = AtomicUniformMeasure([[0.48, 0.55]])
@@ -366,6 +424,107 @@ class TestRunEm:
         trace.to_csv(path)
         row = path.read_text().strip().splitlines()[-1].split(",")
         assert row[3:] == ["kept", "0", "1", "FloatingPointError: inner solver diverged"]
+
+
+class TestOverRelaxation:
+    def test_reaches_the_plain_em_optimum_in_fewer_m_steps(self, small_setup):
+        kernel, _, grid = small_setup
+        # two atoms 2 sigma apart, where plain EM converges slowly; small_setup's
+        # well-separated pair converges in about 8 plain steps either way
+        mu = AtomicUniformMeasure([[0.45, 0.45], [0.57, 0.55]])
+        config = EmConfig(max_iterations=200, early_stop_w1=0.0)
+        plain_steps = steps = 0
+        for seed, init in enumerate([[[0.3, 0.3], [0.7, 0.7]], [[0.02, 0.03], [0.05, 0.01]],
+                                     [[0.2, 0.8], [0.8, 0.2]]]):
+            img = simulate(kernel, mu, grid, 1e4, seed=60 + seed)
+            init = AtomicUniformMeasure(init)
+            _, plain = reference_plain_em(img, kernel, init, config)
+            _, trace = run_em(img, kernel, init, config)
+            assert trace.status[-1] == plain.status[-1] == "kept"
+            assert trace.loglik[-1] >= plain.loglik[-1] - 1e-9 * abs(plain.loglik[-1])
+            plain_steps += plain.iterations
+            steps += trace.iterations
+        assert steps < plain_steps
+
+    def test_first_iteration_is_plain_em(self, small_setup):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=14)
+        init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        config = EmConfig(max_iterations=1)
+        plain, plain_trace = reference_plain_em(img, kernel, init, config)
+        final, trace = run_em(img, kernel, init, config)
+        assert np.array_equal(final.atoms, plain.atoms)
+        assert vars(trace) == vars(plain_trace)
+
+    def test_iterates_stay_in_the_domain(self, small_setup, monkeypatch):
+        kernel, _, grid = small_setup
+        # the truth's first atom lies outside the window, near the domain's
+        # corner, and the run starts near the window's corner
+        mu = AtomicUniformMeasure([[-0.2, -0.2], [0.6, 0.6]])
+        img = simulate(kernel, mu, grid, 1e5, seed=3)
+        lo, hi = em._default_domain(img, kernel)
+        iterates = []
+
+        def recording_e_step(image, kernel, measure):
+            iterates.append(measure.atoms)
+            return e_step(image, kernel, measure)
+
+        monkeypatch.setattr(em, "e_step", recording_e_step)
+        init = AtomicUniformMeasure([[0.1, 0.1], [0.6, 0.6]])
+        _, trace = run_em(img, kernel, init, EmConfig(max_iterations=100, early_stop_w1=0.0))
+        assert len(iterates) == trace.iterations + 1 >= 3
+        assert all(np.all((lo <= atoms) & (atoms <= hi)) for atoms in iterates)
+        assert np.any(iterates[-1] == lo)  # the run ends on the domain's edge
+        assert trace.monotone()
+
+    def test_tabulated_kernel_stays_monotone(self, caplog):
+        kernel = sampled_gaussian_kernel()
+        assert not kernel.is_planar_product()
+        grid = BinGrid([0, 0], [1, 1], (20, 20))
+        truth = AtomicUniformMeasure([[0.4, 0.45], [0.55, 0.5]])
+        img = simulate(kernel, truth, grid, 1e4, seed=22)
+        init = AtomicUniformMeasure([[0.42, 0.43], [0.53, 0.52]])
+        with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
+            _, trace = run_em(img, kernel, init, EmConfig(max_iterations=10))
+        assert trace.iterations >= 3 and trace.monotone()
+        _, _, tried, _, _ = run_summary(caplog)
+        assert tried >= 1
+
+    @settings(max_examples=30)
+    @given(
+        atoms=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        log_t=st.floats(3.0, 6.0),
+        sigma=st.floats(0.04, 0.12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_loglik_monotone_from_any_start(self, atoms, log_t, sigma, seed):
+        kernel = GaussianKernel(sigma=sigma, dim=2)
+        truth = AtomicUniformMeasure([[0.35, 0.4], [0.6, 0.65]])
+        img = simulate(kernel, truth, BinGrid([0, 0], [1, 1], (16, 16)), 10**log_t, seed=seed)
+        init = AtomicUniformMeasure(np.reshape(atoms, (2, 2)))
+        _, trace = run_em(img, kernel, init, EmConfig(max_iterations=20))
+        assert trace.monotone()
+
+    def test_debug_record_summarizes_the_run(self, small_setup, caplog):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=11)
+        init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
+            _, trace = run_em(img, kernel, init, EmConfig(max_iterations=50, early_stop_w1=0.0))
+        iterations, accepted, tried, eta, stop = run_summary(caplog)
+        assert (iterations, stop) == (trace.iterations, "fixed point")
+        assert 0 <= accepted <= tried < iterations and eta >= 1.0
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
+            run_em(img, kernel, init, EmConfig(max_iterations=2))
+        iterations, accepted, tried, eta, stop = run_summary(caplog)
+        assert (iterations, tried, stop) == (2, 1, "max_iterations")
+        # the first step is plain EM; eta then grows on success or resets to 1
+        assert eta == (1.5**2 if accepted else 1.0)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="poisson_deconv.em"):
+            run_em(img, kernel, init, EmConfig(max_iterations=2))
+        assert caplog.records == []
 
 
 class TestMaximizeLikelihood:

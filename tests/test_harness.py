@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from poisson_deconv import harness
 from poisson_deconv.em import EmConfig
 from poisson_deconv.harness import (
     ExperimentSpec,
@@ -110,6 +113,24 @@ class TestRunRiskExperiment:
             noiseless_row["mean_w1"]
             <= noisy_row["mean_w1"] + 2 * noisy_row["stderr_w1"]
         )
+
+
+class TestWarningCounts:
+    def test_each_estimator_counts_its_warnings(self, monkeypatch, recwarn):
+        real_mm = harness.mm_complex
+
+        def warning_mm(image, kernel, k):
+            warnings.warn("probe", RuntimeWarning)
+            return real_mm(image, kernel, k)
+
+        monkeypatch.setattr(harness, "mm_complex", warning_mm)
+        table = run_risk_experiment(small_spec(replicates=3))
+        # the same warning is counted on every replicate; "em" reuses the MM start
+        assert lookup(table, "mm", 1e4, 400)["n_warnings"] == 3
+        assert lookup(table, "em", 1e4, 400)["n_warnings"] == 0
+        table = run_risk_experiment(small_spec(replicates=2, estimators=("em",)))
+        assert lookup(table, "em", 1e4, 400)["n_warnings"] == 2
+        assert len(recwarn) == 0
 
 
 class TestRiskTableOutputs:
