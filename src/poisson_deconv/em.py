@@ -8,15 +8,14 @@ Q(mu, mu_tilde) = sum_ij (X_i p_ij ln(t lam_ij) - t lam_ij) over atom
 coordinates inside the observation window inflated by 3 kernel spreads,
 accepting a point only if Q rose by more than a rounding-level 1e-13 of |Q|,
 which keeps the observed-data log-likelihood non-decreasing along the run.
-run_em over-relaxes its steps where that raises the log-likelihood (adaptive
-over-relaxed bound optimization, Salakhutdinov & Roweis, ICML 2003), still
-with one m-step per iteration.  Each iterate is e-stepped once: its
-intensities give the log-likelihood recorded for it and its responsibilities
-feed the next m-step.  An m-step that keeps its input is a fixed point of the
-iteration, so the run ends there.
-
 maximize_likelihood climbs the observed-data log-likelihood itself with one
 L-BFGS-B run, which converges in far fewer steps than EM when atoms overlap.
+run_em alternates the two (Redner & Walker, SIAM Review 26, 1984; Jamshidian
+& Jennrich, JRSS-B 59, 1997): after every m-step that moves, it ascends the
+log-likelihood from the m-step's point, still with one m-step per iteration.
+Each iterate is e-stepped once: its intensities give the log-likelihood
+recorded for it and its responsibilities feed the next m-step.  An m-step
+that keeps its input is a fixed point of EM, so the run ends there.
 """
 from __future__ import annotations
 
@@ -34,8 +33,6 @@ from .observation import CountImage
 
 logger = logging.getLogger(__name__)
 
-# Factor by which run_em grows its over-relaxation after an accepted step.
-_OVERRELAX_GROWTH = 1.5
 # m_step accepts a point only if Q rose by more than this fraction of |Q|; a
 # smaller rise is rounding noise, not progress.
 _Q_RISE_RTOL = 1e-13
@@ -47,7 +44,9 @@ class EmConfig:
 
     max_iterations caps the outer loop; early_stop_w1 halts once consecutive
     iterates move no more than that in W_1, so 0 halts only at a fixed point
-    (an m-step that keeps its input).
+    (an m-step that keeps its input).  inner_max_iterations and
+    inner_grad_tol drive L-BFGS-B both in each m-step and in each ascent of
+    the log-likelihood.
     """
 
     max_iterations: int = 50
@@ -69,9 +68,10 @@ class EmTrace:
 
     inner_nit holds each m-step's L-BFGS-B iteration count, q_evals the
     number of Q evaluations it computed, and errors the exception its inner
-    optimizer raised as "Type: message", or None.  maximize_likelihood
-    records its one ascent as a single row, counting log-likelihood
-    evaluations under q_evals.
+    optimizer raised as "Type: message", or None; in run_em's trace they
+    count m-step work only, not that of the ascents between m-steps.
+    maximize_likelihood records its one ascent as a single row, counting
+    log-likelihood evaluations under q_evals.
     """
 
     loglik: list = field(default_factory=list)
@@ -272,15 +272,15 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
 
 def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
            config: EmConfig = EmConfig()):
-    """Alternate e- and m-steps from the given initializer, over-relaxing the steps.
+    """Alternate e- and m-steps from the given initializer, ascending the likelihood between.
 
-    An over-relaxation factor eta starts at 1.  After an m-step that moved
-    theta to M(theta): when eta > 1, the point theta + eta (M(theta) - theta),
-    clipped to the m-step's domain, is taken if its log-likelihood beats the
-    current one, and eta grows by 1.5; otherwise M(theta) is taken and eta
-    reset to 1.  When eta = 1, M(theta) is taken and eta set to 1.5, so the
-    first iteration is plain EM.  The trial point needs intensities only, so
-    each iteration still makes one m-step.
+    After an m-step that moved theta to M(theta), maximize_likelihood climbs
+    the log-likelihood from M(theta) and returns M(theta) itself unless it
+    raised the log-likelihood (status "improved"), also when its optimizer
+    raised.  The ascent is skipped on the last iteration max_iterations
+    allows, so max_iterations=1 is one plain EM step.  Each iteration makes
+    one m-step and one e-step.  Neither the m-step nor the ascent lowers the
+    log-likelihood, so it never falls along the run.
 
     Stops after max_iterations or once the W_1 movement between consecutive
     iterates is at most early_stop_w1.  An m-step that keeps its input moves
@@ -288,36 +288,25 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     most one "kept" row, its last.  Each iterate is e-stepped once.  Returns
     the final measure together with an EmTrace holding per-iteration
     log-likelihood (computed at t = 1 on noiseless inputs), step sizes,
-    m-step statuses, inner-solver statistics and inner-solver errors.  One
-    DEBUG record on this module's logger gives the iterations, the
-    over-relaxed steps tried and accepted, the final eta and why the run
-    stopped.
+    m-step statuses, m-step solver statistics and solver errors.  One DEBUG
+    record on this module's logger gives the iterations, the ascents tried,
+    accepted and raised, the ascents' log-likelihood evaluations and
+    L-BFGS-B iterations, and why the run stopped.
     """
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
-    floor = config.intensity_floor
-    lo, hi = _default_domain(image, kernel)
-    trace = EmTrace()
+    trace, ascents = EmTrace(), []
     current = init
-    resp, intensity = e_step(image, kernel, current)
-    ll = _log_likelihood(image, intensity, floor)
-    eta, tried, accepted, stop = 1.0, 0, 0, "max_iterations"
-    for _ in range(config.max_iterations):
+    resp, _ = e_step(image, kernel, current)
+    stop = "max_iterations"
+    for iteration in range(1, config.max_iterations + 1):
         nxt, status, nit, q_evals, error = m_step(image, kernel, resp, current, config)
-        if status != "kept":
-            if eta > 1.0:
-                tried += 1
-                atoms = np.clip(current.atoms + eta * (nxt.atoms - current.atoms), lo, hi)
-                if _log_likelihood(image, _intensity(image.grid, kernel, atoms), floor) > ll:
-                    nxt, accepted = AtomicUniformMeasure(atoms), accepted + 1
-                    eta *= _OVERRELAX_GROWTH
-                else:
-                    eta = 1.0
-            else:
-                eta = _OVERRELAX_GROWTH
+        if status != "kept" and iteration < config.max_iterations:
+            nxt, ascent = maximize_likelihood(image, kernel, nxt, config)
+            ascents.append(ascent)
         step = wasserstein_p(nxt, current, 1)
         resp, intensity = e_step(image, kernel, nxt)
-        ll = _log_likelihood(image, intensity, floor)
+        ll = _log_likelihood(image, intensity, config.intensity_floor)
         trace.append(ll, step, status, nit, q_evals, error)
         current = nxt
         if current.k > 1 and pdist(current.atoms).min() < 1e-12:
@@ -327,8 +316,11 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
             break
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "run_em: %d iterations, %d of %d over-relaxed steps accepted, final eta %g, "
-            "stopped at %s", trace.iterations, accepted, tried, eta, stop,
+            "run_em: %d iterations, %d of %d ascents accepted, %d raised, "
+            "%d likelihood evaluations, %d L-BFGS-B iterations, stopped at %s",
+            trace.iterations, sum(a.status[0] == "improved" for a in ascents), len(ascents),
+            sum(a.errors[0] is not None for a in ascents), sum(a.q_evals[0] for a in ascents),
+            sum(a.inner_nit[0] for a in ascents), stop,
         )
     return current, trace
 
@@ -336,20 +328,6 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
 def _product_intensity(dx: np.ndarray, dy: np.ndarray, k: int) -> np.ndarray:
     """Intensities lam on the (ny, nx) grid from the axis factors dx (nx, k) and dy (ny, k)."""
     return np.einsum("yj,xj->yx", dy, dx) / k
-
-
-def _intensity(grid, kernel: Kernel, atoms: np.ndarray) -> np.ndarray:
-    """Model intensities lam_i, shape (m,), and no gradient.
-
-    A planar product kernel builds them from its (n, k) axis factors, without
-    an (m, k) array; other kernels sum the bin-integral matrix.
-    """
-    k = len(atoms)
-    if kernel.is_planar_product():
-        dx = kernel.axis_cdf_diff(grid.axis_edges(0), atoms[:, 0], 0)
-        dy = kernel.axis_cdf_diff(grid.axis_edges(1), atoms[:, 1], 1)
-        return _product_intensity(dx, dy, k).ravel()
-    return kernel.bin_integral_matrix(grid, atoms).sum(axis=1) / k
 
 
 def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
@@ -379,7 +357,7 @@ def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
                          np.einsum("yj,yj->j", np.einsum("yx,xj->yj", w, dx), gy)],
                         axis=1) / k
     else:
-        intensity = _intensity(grid, kernel, atoms)
+        intensity = kernel.bin_integral_matrix(grid, atoms).sum(axis=1) / k
         w = counts / np.maximum(intensity, floor) - t
         grad = np.einsum("i,ijd->jd", w, kernel.bin_integral_gradient_matrix(grid, atoms)) / k
     return -_log_likelihood(image, intensity.ravel(), floor), -grad.ravel()

@@ -19,6 +19,7 @@ from poisson_deconv.em import (
     _neg_log_likelihood,
     _QFunction,
 )
+from poisson_deconv.harness import builtin_configuration
 from poisson_deconv.kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
 from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
 from poisson_deconv.mm import mm_complex
@@ -44,7 +45,7 @@ def reference_q_function(image, kernel, resp, k, floor):
 
 
 def reference_plain_em(image, kernel, init, config):
-    """Plain EM, run_em's loop without over-relaxation: every iterate is the m-step's result."""
+    """Plain EM, run_em's loop without the ascents: every iterate is the m-step's result."""
     trace = EmTrace()
     current = init
     resp, _ = e_step(image, kernel, current)
@@ -63,15 +64,16 @@ def reference_plain_em(image, kernel, init, config):
 
 
 RUN_SUMMARY = re.compile(
-    r"run_em: (\d+) iterations, (\d+) of (\d+) over-relaxed steps accepted, "
-    r"final eta (\S+), stopped at (.+)$")
+    r"run_em: (?P<iterations>\d+) iterations, (?P<accepted>\d+) of (?P<tried>\d+) ascents "
+    r"accepted, (?P<raised>\d+) raised, (?P<evals>\d+) likelihood evaluations, "
+    r"(?P<nit>\d+) L-BFGS-B iterations, stopped at (?P<stop>.+)$")
 
 
 def run_summary(caplog):
-    """The fields of the one run_em DEBUG record captured."""
+    """The fields of the one run_em DEBUG record captured, the counts as ints."""
     [match] = [m for m in (RUN_SUMMARY.match(r.getMessage()) for r in caplog.records) if m]
-    iterations, accepted, tried, eta, stop = match.groups()
-    return int(iterations), int(accepted), int(tried), float(eta), stop
+    return {name: value if name == "stop" else int(value)
+            for name, value in match.groupdict().items()}
 
 
 class CountingKernel(GaussianKernel):
@@ -478,17 +480,60 @@ class TestOverRelaxation:
         assert trace.monotone()
 
     def test_tabulated_kernel_stays_monotone(self, caplog):
+        # the ascent's dense, non-product path
         kernel = sampled_gaussian_kernel()
         assert not kernel.is_planar_product()
         grid = BinGrid([0, 0], [1, 1], (20, 20))
         truth = AtomicUniformMeasure([[0.4, 0.45], [0.55, 0.5]])
         img = simulate(kernel, truth, grid, 1e4, seed=22)
         init = AtomicUniformMeasure([[0.42, 0.43], [0.53, 0.52]])
+        config = EmConfig(max_iterations=10)
         with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
-            _, trace = run_em(img, kernel, init, EmConfig(max_iterations=10))
-        assert trace.iterations >= 3 and trace.monotone()
-        _, _, tried, _, _ = run_summary(caplog)
-        assert tried >= 1
+            _, trace = run_em(img, kernel, init, config)
+        _, plain = reference_plain_em(img, kernel, init, config)
+        assert trace.monotone() and trace.status[-1] == "kept"
+        assert run_summary(caplog)["tried"] >= 1
+        assert trace.loglik[-1] >= plain.loglik[-1]
+
+    def test_dense_grid_reaches_the_plain_em_optimum_in_few_m_steps(self):
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        truth = builtin_configuration("grid", 16)
+        img = simulate(kernel, truth, BinGrid([0, 0], [1, 1], (32, 32)), 1e5, seed=1)
+        init = mm_complex(img, kernel, truth.k)
+        config = EmConfig(max_iterations=50, early_stop_w1=0.0)
+        _, trace = run_em(img, kernel, init, config)
+        _, plain = reference_plain_em(img, kernel, init, config)
+        assert trace.status[-1] == plain.status[-1] == "kept"
+        assert trace.iterations <= 4 < plain.iterations
+        assert trace.monotone()
+        assert trace.loglik[-1] >= plain.loglik[-1] - 1e-9 * abs(plain.loglik[-1])
+
+    def test_failing_ascent_keeps_the_m_step(self, small_setup, monkeypatch, caplog):
+        kernel, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=11)
+        init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        config = EmConfig(max_iterations=50, early_stop_w1=0.0)
+        minimize = em.minimize
+
+        def failing_ascent(fun, x0, **kwargs):
+            if fun is _neg_log_likelihood:
+                raise FloatingPointError("ascent diverged")
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(em, "minimize", failing_ascent)
+        with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
+            final, trace = run_em(img, kernel, init, config)
+        summary = run_summary(caplog)
+        plain, plain_trace = reference_plain_em(img, kernel, init, config)
+        # every iterate is M(theta): the run is plain EM
+        assert np.array_equal(final.atoms, plain.atoms)
+        assert vars(trace) == vars(plain_trace)
+        assert trace.status[-1] == "kept" and trace.monotone()
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert all("ascent diverged" in r.getMessage() for r in warnings)
+        # one failed ascent after each m-step but the last, the "kept" one
+        assert (len(warnings), summary["raised"], summary["tried"]) == (trace.iterations - 1,) * 3
+        assert (summary["accepted"], summary["evals"], summary["nit"]) == (0, trace.iterations - 1, 0)
 
     @settings(max_examples=30)
     @given(
@@ -505,22 +550,36 @@ class TestOverRelaxation:
         _, trace = run_em(img, kernel, init, EmConfig(max_iterations=20))
         assert trace.monotone()
 
-    def test_debug_record_summarizes_the_run(self, small_setup, caplog):
+    def test_debug_record_summarizes_the_run(self, small_setup, monkeypatch, caplog):
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=11)
         init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        ascents = []
+
+        def recording_ascent(*args):
+            out, trace = maximize_likelihood(*args)
+            ascents.append(trace)
+            return out, trace
+
+        monkeypatch.setattr(em, "maximize_likelihood", recording_ascent)
         with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
             _, trace = run_em(img, kernel, init, EmConfig(max_iterations=50, early_stop_w1=0.0))
-        iterations, accepted, tried, eta, stop = run_summary(caplog)
-        assert (iterations, stop) == (trace.iterations, "fixed point")
-        assert 0 <= accepted <= tried < iterations and eta >= 1.0
+        summary = run_summary(caplog)
+        assert (summary["iterations"], summary["stop"]) == (trace.iterations, "fixed point")
+        assert summary["tried"] == len(ascents) == trace.iterations - 1 >= 1
+        assert summary["accepted"] == sum(a.status == ["improved"] for a in ascents) >= 1
+        assert summary["raised"] == 0
+        assert summary["evals"] == sum(a.q_evals[0] for a in ascents)
+        assert summary["nit"] == sum(a.inner_nit[0] for a in ascents) >= 1
         caplog.clear()
+        ascents.clear()
         with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
-            run_em(img, kernel, init, EmConfig(max_iterations=2))
-        iterations, accepted, tried, eta, stop = run_summary(caplog)
-        assert (iterations, tried, stop) == (2, 1, "max_iterations")
-        # the first step is plain EM; eta then grows on success or resets to 1
-        assert eta == (1.5**2 if accepted else 1.0)
+            run_em(img, kernel, init, EmConfig(max_iterations=1))
+        # the last iteration the cap allows makes no ascent
+        summary = run_summary(caplog)
+        assert (summary["iterations"], summary["tried"], summary["stop"]) == (
+            1, 0, "max_iterations")
+        assert ascents == []
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="poisson_deconv.em"):
             run_em(img, kernel, init, EmConfig(max_iterations=2))
