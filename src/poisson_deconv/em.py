@@ -156,32 +156,18 @@ def e_step(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure) ->
     return resp, intensity
 
 
-class _QFunction:
-    """-Q(mu, mu_tilde) and its gradient at flat atom coordinates, one evaluation per point.
+class _PointMemory:
+    """A (value, gradient) function of flat atom coordinates, computed once per point.
 
-    Q = sum_ij X_i p_ij ln(t lam_ij) - t sum_ij lam_ij, with lam_ij floored
-    at ``floor`` inside the logarithm only.  An evaluation makes one
-    ``bin_integral_matrix`` and one ``bin_integral_gradient_matrix`` call and
-    works in place in one (m, k) buffer.  The 1/k of lam_ij = L_ij / k and
-    the exposure t stay scalars: with W = X p, ln(t lam) = ln L + ln(t / k)
-    and dQ = sum_i (W / L - t / k) dL, so the (m, k) and (m, k, d) matrices
-    are never rescaled.  Every point's value and (k * d) gradient are
-    remembered, keyed by the coordinates' bytes, so calling again at a point
-    (the optimizer's first point, its final one in the acceptance check, or
-    one L-BFGS-B returns to after a failed line search) computes nothing;
-    the gradient is returned as a copy.  ``computed`` counts the evaluations
-    actually made.
+    Subclasses compute the pair in ``_evaluate(theta)``.  Every point's value
+    and gradient are remembered, keyed by the coordinates' bytes, so calling
+    again at a point (an optimizer's first point after the caller evaluated
+    it, its final one in an acceptance check, or one L-BFGS-B returns to
+    after a failed line search) computes nothing; the gradient is returned
+    as a copy.  ``computed`` counts the evaluations actually made.
     """
 
-    def __init__(self, image: CountImage, kernel: Kernel, resp: np.ndarray, k: int,
-                 floor: float):
-        counts, t = _effective(image)
-        self.weights = counts[:, None] * resp  # X_i * p_ij
-        self.work = np.empty_like(self.weights)
-        self.t_per_atom = t / k
-        # sum_ij W_ij ln(t / k), the part of Q that does not depend on the atoms
-        self.q_offset = self.weights.sum() * np.log(self.t_per_atom)
-        self.grid, self.kernel, self.k, self.floor = image.grid, kernel, k, floor
+    def __init__(self):
         self.memory = {}
 
     @property
@@ -192,12 +178,36 @@ class _QFunction:
         theta = np.asarray(theta_flat, float)
         key = theta.tobytes()
         if key not in self.memory:
-            self.memory[key] = self._evaluate(theta.reshape(self.k, -1))
+            self.memory[key] = self._evaluate(theta)
         value, grad = self.memory[key]
         return value, grad.copy()
 
-    def _evaluate(self, atoms):
-        work = self.work
+
+class _QFunction(_PointMemory):
+    """-Q(mu, mu_tilde) and its gradient at flat atom coordinates, one evaluation per point.
+
+    Q = sum_ij X_i p_ij ln(t lam_ij) - t sum_ij lam_ij, with lam_ij floored
+    at ``floor`` inside the logarithm only.  An evaluation makes one
+    ``bin_integral_matrix`` and one ``bin_integral_gradient_matrix`` call and
+    works in place in one (m, k) buffer.  The 1/k of lam_ij = L_ij / k and
+    the exposure t stay scalars: with W = X p, ln(t lam) = ln L + ln(t / k)
+    and dQ = sum_i (W / L - t / k) dL, so the (m, k) and (m, k, d) matrices
+    are never rescaled.  Points are remembered as in ``_PointMemory``.
+    """
+
+    def __init__(self, image: CountImage, kernel: Kernel, resp: np.ndarray, k: int,
+                 floor: float):
+        super().__init__()
+        counts, t = _effective(image)
+        self.weights = counts[:, None] * resp  # X_i * p_ij
+        self.work = np.empty_like(self.weights)
+        self.t_per_atom = t / k
+        # sum_ij W_ij ln(t / k), the part of Q that does not depend on the atoms
+        self.q_offset = self.weights.sum() * np.log(self.t_per_atom)
+        self.grid, self.kernel, self.k, self.floor = image.grid, kernel, k, floor
+
+    def _evaluate(self, theta):
+        atoms, work = theta.reshape(self.k, -1), self.work
         lam = self.kernel.bin_integral_matrix(self.grid, atoms)  # L_ij = k lam_ij
         total = lam.sum()
         np.maximum(lam, self.k * self.floor, out=lam)
@@ -363,6 +373,17 @@ def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
     return -_log_likelihood(image, intensity.ravel(), floor), -grad.ravel()
 
 
+class _NegLogLikelihood(_PointMemory):
+    """``_neg_log_likelihood(theta, image, kernel, k, floor)``, computed once per point."""
+
+    def __init__(self, image: CountImage, kernel: Kernel, k: int, floor: float):
+        super().__init__()
+        self.args = (image, kernel, k, floor)
+
+    def _evaluate(self, theta):
+        return _neg_log_likelihood(theta, *self.args)
+
+
 def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
                         config: EmConfig = EmConfig()):
     """One L-BFGS-B ascent of the observed-data log-likelihood from ``init``.
@@ -378,19 +399,21 @@ def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMe
     measure and an EmTrace of one row: the final l, the W_1 step from
     ``init``, the status, L-BFGS-B's iteration count (0 when it raised), the
     number of l evaluations computed, and the error as "Type: message" or None.
+    l is evaluated at most once per point, so the optimizer's first point
+    costs nothing when ``init`` lies inside the domain.
     """
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
     k, d = init.k, init.dimension
     lo, hi = _default_domain(image, kernel)
-    args = (image, kernel, k, config.intensity_floor)
+    fun = _NegLogLikelihood(image, kernel, k, config.intensity_floor)
     bounds = [(lo[ax], hi[ax]) for _ in range(k) for ax in range(d)]
-    measure, status, nit, evals, error = init, "kept", 0, 1, None
-    ll = -_neg_log_likelihood(init.atoms, *args)[0]
+    measure, status, nit, error = init, "kept", 0, None
+    ll = -fun(init.atoms.ravel())[0]
     try:
         res = minimize(
-            _neg_log_likelihood, np.clip(init.atoms, lo, hi).ravel(), args=args, jac=True,
-            method="L-BFGS-B", bounds=bounds,
+            fun, np.clip(init.atoms, lo, hi).ravel(), jac=True, method="L-BFGS-B",
+            bounds=bounds,
             options={
                 "maxiter": config.inner_max_iterations,
                 "gtol": config.inner_grad_tol,
@@ -401,10 +424,10 @@ def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMe
         error = f"{type(exc).__name__}: {exc}"
         logger.warning("maximize_likelihood kept its initializer: optimizer raised %s", error)
     else:
-        nit, evals = int(res.nit), 1 + int(res.nfev)
+        nit = int(res.nit)
         if -res.fun > ll:
             measure, status, ll = AtomicUniformMeasure(res.x.reshape(k, d)), "improved", -res.fun
     trace = EmTrace()
-    trace.append(ll, wasserstein_p(measure, init, 1), status, nit, evals, error)
+    trace.append(ll, wasserstein_p(measure, init, 1), status, nit, fun.computed, error)
     trace.collision = k > 1 and bool(pdist(measure.atoms).min() < 1e-12)
     return measure, trace

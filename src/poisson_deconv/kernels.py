@@ -15,10 +15,11 @@ the atom coordinates, with no loop over bins.
   along x with fixed-order Gauss-Legendre; their gradients are the same
   strip masses on the bins' edges.
 - Tabulated kernels integrate their piecewise linear/bilinear interpolant
-  exactly through per-atom hat-function weights.
+  exactly through hat-function weights built for all atoms at once.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -251,7 +252,7 @@ class GaussianKernel(_ProductKernel):
         scale = min(sx, cond_sd / abs(beta))
         span = min(bin_width, 2 * _CLIP_SIGMAS * sx)
         panels = max(1, math.ceil(span / scale))
-        nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+        nodes, weights = _gauss_legendre(_GL_ORDER)
         starts = np.arange(panels)[:, None]
         fractions = ((starts + 0.5 * (nodes + 1.0)) / panels).ravel()
         return fractions, np.tile(weights / (2 * panels), panels)
@@ -264,6 +265,7 @@ class GaussianKernel(_ProductKernel):
         clip = _CLIP_SIGMAS * self._axis_sigma[0]
         fractions, weights = self._x_panels(ex[1] - ex[0])
         out = np.empty((grid.m, atoms.shape[0]))
+        # per atom: batching would multiply the (n_y, n_x, panel nodes) masses by k
         for j, (tx, ty) in enumerate(atoms):
             # x-span of every bin relative to the atom, clipped to +-clip
             lo = np.clip(ex[:-1] - tx, -clip, clip)
@@ -339,6 +341,12 @@ class TabulatedKernel(Kernel):
     that interpolant are computed in closed form.  The kernel is normalized to
     unit mass on load, logging the deviation when it exceeds 1e-3.
 
+    Bin integrals and their gradients are batched over atoms: the hat-function
+    weights of all k atoms on an axis form (k, n_bins, n_nodes) arrays, and
+    one stacked product ``W_y @ samples @ W_x^T`` (``W_x @ samples`` in 1-d)
+    gives every atom's (n_y, n_x) bin integrals, written straight into the
+    C-ordered (m, k) matrix and (m, k, d) gradient.
+
     Parameters
     ----------
     samples : array_like
@@ -408,49 +416,47 @@ class TabulatedKernel(Kernel):
         )
         return interp(x[:, ::-1])
 
-    def _axis_weights(self, edges: np.ndarray, theta: float, axis: int):
-        """One atom's hat-function weights on one axis, each (n_bins, n_nodes).
+    def _axis_weights(self, edges: np.ndarray, thetas: np.ndarray, axis: int):
+        """All k atoms' hat-function weights on one axis, each (k, n_bins, n_nodes).
 
-        ``W[b, n]`` integrates hat_n over bin b shifted by -theta, from the
-        hat's antiderivative at the two shifted edges.  ``dW[b, n]`` is its
-        derivative in theta, hat_n(lo_b - theta) - hat_n(hi_b - theta).  Both
-        keep the half-hats at the first and last node and vanish outside the
-        sampled box, as the interpolant does.
+        ``W[j, b, n]`` integrates hat_n over bin b shifted by -thetas[j], from
+        the hat's antiderivative at the two shifted edges.  ``dW[j, b, n]`` is
+        its derivative in thetas[j], hat_n(lo_b - theta_j) - hat_n(hi_b - theta_j).
+        Both keep the half-hats at the first and last node and vanish outside
+        the sampled box, as the interpolant does.
         """
         nodes = self._node_coords[axis]
-        shifted = edges - theta
-        t = (np.clip(shifted, nodes[0], nodes[-1])[:, None] - nodes[None, :]) / self.spacing
+        shifted = edges[None, :] - thetas[:, None]  # (k, n_edges)
+        t = (np.clip(shifted, nodes[0], nodes[-1])[:, :, None] - nodes) / self.spacing
         a = np.clip(t, -1.0, 1.0)
         antiderivative = self.spacing * (a - 0.5 * a * np.abs(a))
         inside = (shifted >= nodes[0]) & (shifted <= nodes[-1])
-        hat = np.clip(1.0 - np.abs(t), 0.0, None) * inside[:, None]
-        return np.diff(antiderivative, axis=0), hat[:-1] - hat[1:]
+        hat = np.clip(1.0 - np.abs(t), 0.0, None) * inside[:, :, None]
+        return np.diff(antiderivative, axis=1), hat[:, :-1] - hat[:, 1:]
 
     def bin_integral_matrix(self, grid, atoms):
         atoms = np.atleast_2d(atoms)
         out = np.empty((grid.m, atoms.shape[0]))
-        edges = [grid.axis_edges(axis) for axis in range(self.dimension)]
-        for j, atom in enumerate(atoms):
-            wx, _ = self._axis_weights(edges[0], atom[0], 0)
-            if self.dimension == 1:
-                out[:, j] = wx @ self.samples
-            else:
-                wy, _ = self._axis_weights(edges[1], atom[1], 1)
-                out[:, j] = (wy @ self.samples @ wx.T).ravel()
+        wx, _ = self._axis_weights(grid.axis_edges(0), atoms[:, 0], 0)
+        if self.dimension == 1:
+            np.matmul(wx, self.samples, out=out.T)
+        else:
+            wy, _ = self._axis_weights(grid.axis_edges(1), atoms[:, 1], 1)
+            np.matmul(wy @ self.samples, wx.transpose(0, 2, 1), out=_per_atom(out, wy, wx))
         return out
 
     def bin_integral_gradient_matrix(self, grid, atoms):
         atoms = np.atleast_2d(atoms)
         out = np.empty((grid.m, atoms.shape[0], self.dimension))
-        edges = [grid.axis_edges(axis) for axis in range(self.dimension)]
-        for j, atom in enumerate(atoms):
-            wx, dwx = self._axis_weights(edges[0], atom[0], 0)
-            if self.dimension == 1:
-                out[:, j, 0] = dwx @ self.samples
-            else:
-                wy, dwy = self._axis_weights(edges[1], atom[1], 1)
-                out[:, j, 0] = (wy @ self.samples @ dwx.T).ravel()
-                out[:, j, 1] = (dwy @ self.samples @ wx.T).ravel()
+        wx, dwx = self._axis_weights(grid.axis_edges(0), atoms[:, 0], 0)
+        if self.dimension == 1:
+            np.matmul(dwx, self.samples, out=out[:, :, 0].T)
+            return out
+        wy, dwy = self._axis_weights(grid.axis_edges(1), atoms[:, 1], 1)
+        np.matmul(wy @ self.samples, dwx.transpose(0, 2, 1),
+                  out=_per_atom(out[..., 0], wy, wx))
+        np.matmul(dwy @ self.samples, wx.transpose(0, 2, 1),
+                  out=_per_atom(out[..., 1], wy, wx))
         return out
 
     def _moment_weights(self, order: int, axis: int) -> np.ndarray:
@@ -461,7 +467,7 @@ class TabulatedKernel(Kernel):
         degree-(j + 1) integrand on each cell.
         """
         coords = self._node_coords[axis]
-        nodes, weights = np.polynomial.legendre.leggauss((order + 3) // 2)
+        nodes, weights = _gauss_legendre((order + 3) // 2)
         half = 0.5 * self.spacing
         x = (coords[:-1] + half)[:, None] + half * nodes  # (cells, points)
         u = 0.5 * (nodes + 1.0)  # each point's fraction of the way along its cell
@@ -494,6 +500,19 @@ class TabulatedKernel(Kernel):
         if samples.shape[0] == 1:
             return cls(samples[0], float(meta["spacing"]), origin[:1])
         return cls(samples, float(meta["spacing"]), origin)
+
+
+def _per_atom(out: np.ndarray, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """The (m, k) array or slice ``out`` viewed as (k, n_y, n_x), for matmul to fill."""
+    return out.reshape(wy.shape[1], wx.shape[1], -1).transpose(2, 0, 1)
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights of order n on [-1, 1], built once."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _normal_mass(z: np.ndarray) -> np.ndarray:

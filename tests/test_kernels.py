@@ -471,6 +471,87 @@ class TestVectorizedPaths:
         assert mat.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+TABULATED_KERNELS = {
+    "2d": sampled_gaussian(ANISOTROPIC_COV),
+    # dyadic spacing and extent: box edges land exactly on dyadic bin edges
+    "2d-dyadic": sampled_gaussian(ANISOTROPIC_COV, spacing=1 / 16, half_extent=0.25),
+    "1d": sampled_gaussian_1d(),
+    "1d-dyadic": sampled_gaussian_1d(spacing=1 / 16, half_extent=0.25),
+}
+
+
+@st.composite
+def tabulated_problems(draw):
+    """A tabulated kernel, a grid on [0, 1]^d and 1 to 6 atoms.
+
+    Each atom coordinate lies inside the window, outside it, or where one of
+    the kernel's box edges falls on a bin edge.
+    """
+    kernel = TABULATED_KERNELS[draw(st.sampled_from(sorted(TABULATED_KERNELS)))]
+    d = kernel.dimension
+    res = draw(st.tuples(*[st.sampled_from([1, 3, 4, 8, 10])] * d))
+    grid = BinGrid([0.0] * d, [1.0] * d, res)
+    box = kernel.support_box()
+    k = draw(st.integers(1, 6))
+    atoms = np.empty((k, d))
+    for j in range(k):
+        for axis in range(d):
+            edges = grid.axis_edges(axis)
+            place = draw(st.sampled_from(["inside", "outside", "box edge on bin edge"]))
+            if place == "inside":
+                atoms[j, axis] = draw(st.floats(0.0, 1.0))
+            elif place == "outside":
+                atoms[j, axis] = draw(st.floats(-0.5, 0.0) | st.floats(1.0, 1.5))
+            else:
+                edge = edges[draw(st.integers(0, edges.shape[0] - 1))]
+                atoms[j, axis] = edge - box[draw(st.integers(0, 1))][axis]
+    return kernel, grid, atoms
+
+
+class TestBatchedTabulated:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tabulated_problems())
+    def test_batched_columns_equal_single_atom_calls(self, problem):
+        kernel, grid, atoms = problem
+        mat = kernel.bin_integral_matrix(grid, atoms)
+        grad = kernel.bin_integral_gradient_matrix(grid, atoms)
+        assert mat.shape == (grid.m, atoms.shape[0]) and mat.flags.c_contiguous
+        assert grad.shape == (grid.m, atoms.shape[0], kernel.dimension)
+        assert grad.flags.c_contiguous
+        reference = scalar_matrix(kernel, grid, atoms)
+        # entries the antiderivative differences leave near rounding level (a
+        # bin that barely meets the box) are compared to 1e-15 of the unit mass
+        for j in range(atoms.shape[0]):
+            one = atoms[j : j + 1]
+            np.testing.assert_allclose(mat[:, j], kernel.bin_integral_matrix(grid, one)[:, 0],
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(mat[:, j], reference[:, j], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                grad[:, j], kernel.bin_integral_gradient_matrix(grid, one)[:, 0],
+                rtol=1e-12, atol=1e-15 / kernel.spacing)
+
+    @pytest.mark.parametrize("name", ["2d", "1d"])
+    def test_gradient_of_random_atoms_matches_central_differences(self, name):
+        kernel = TABULATED_KERNELS[name]
+        d = kernel.dimension
+        grid = BinGrid([0.0] * d, [1.0] * d, (10,) * d)
+        rng = np.random.default_rng(4)
+
+        def kink_distance(atoms):
+            # distance of every shifted bin edge from the nearest node, where
+            # the hat functions (and the box edges) kink
+            gaps = [(grid.axis_edges(a)[None, :] - atoms[:, a : a + 1] - kernel.origin[a])
+                    / kernel.spacing for a in range(d)]
+            return min(np.abs(g - np.round(g)).min() for g in gaps)
+
+        atoms = rng.uniform(-0.1, 1.1, size=(4, d))
+        while kink_distance(atoms) < 1e-3:
+            atoms = rng.uniform(-0.1, 1.1, size=(4, d))
+        grad = kernel.bin_integral_gradient_matrix(grid, atoms)
+        assert np.abs(grad).max() > 1.0
+        assert np.abs(grad - central_differences(kernel, grid, atoms)).max() < 1e-8
+
+
 class TestTabulatedMoments:
     @pytest.mark.parametrize("kernel, order", [
         (sampled_gaussian_1d(), 9),
