@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 config or usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -18,12 +19,7 @@ import sys
 import numpy as np
 
 from .em import EmConfig, run_em
-from .harness import (
-    ExperimentSpec,
-    builtin_configuration,
-    run_risk_experiment,
-    run_runtime_comparison,
-)
+from .harness import ExperimentSpec, builtin_configuration, run_risk_experiment
 from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel, kernel_moments
 from .measures import (
     AtomicUniformMeasure,
@@ -32,7 +28,7 @@ from .measures import (
     moment_distance,
     wasserstein_p,
 )
-from .mm import compute_psi, estimate_moments, mm_complex, mm_general
+from .mm import compute_psi, estimate_moments, mm_complex
 from .observation import BinGrid, load_image, noiseless, save_image, simulate
 from .pipeline import PartitionConfig, run_pipeline
 
@@ -51,9 +47,20 @@ def _require(config: dict, field: str, context: str = "config"):
     return config[field]
 
 
+@contextlib.contextmanager
+def _invalid(context: str):
+    """Re-raise a ValueError or missing file met building ``context`` as ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, FileNotFoundError) as exc:
+        raise ConfigError(f"invalid {context}: {exc}") from exc
+
+
 def _build_kernel(spec: dict):
     kind = _require(spec, "type", "kernel spec")
-    try:
+    with _invalid("kernel spec"):
         if kind == "gaussian":
             dim = int(spec.get("dim", 2))
             if "sigma" in spec:
@@ -67,25 +74,17 @@ def _build_kernel(spec: dict):
             return TabulatedKernel.load(
                 _require(spec, "csv", "kernel spec"), spec.get("json")
             )
-    except ConfigError:
-        raise
-    except (ValueError, FileNotFoundError) as exc:
-        raise ConfigError(f"invalid kernel spec: {exc}")
     raise ConfigError(f"unknown kernel type '{kind}'")
 
 
 def _build_measure(spec: dict) -> AtomicUniformMeasure:
-    try:
+    with _invalid("measure spec"):
         if "atoms" in spec:
             return AtomicUniformMeasure(np.asarray(spec["atoms"], float))
         if "configuration" in spec:
             return builtin_configuration(
                 spec["configuration"], int(_require(spec, "k", "measure spec"))
             )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid measure spec: {exc}")
     raise ConfigError("measure spec needs 'atoms' or 'configuration'")
 
 
@@ -106,10 +105,11 @@ def _present(spec: dict, casts: dict) -> dict:
 
 
 def _em_config(spec: dict) -> EmConfig:
-    return EmConfig(**_present(spec, {
-        "max_iterations": int, "early_stop_w1": float, "inner_max_iterations": int,
-        "inner_grad_tol": float, "intensity_floor": float,
-    }))
+    with _invalid("em spec"):
+        return EmConfig(**_present(spec, {
+            "max_iterations": int, "early_stop_w1": float, "inner_max_iterations": int,
+            "inner_grad_tol": float, "intensity_floor": float,
+        }))
 
 
 def cmd_simulate(config: dict, out_dir: str) -> int:
@@ -127,23 +127,19 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
 
 
 def cmd_estimate(config: dict, out_dir: str) -> int:
+    estimator = _require(config, "estimator")
+    if estimator == "mm-general":
+        raise ConfigError(
+            "unknown estimator 'mm-general'; use 'em' (mm-complex refined by EM) instead"
+        )
     kernel = _build_kernel(_require(config, "kernel"))
     image = load_image(_require(config, "image"))
-    estimator = _require(config, "estimator")
     k = int(_require(config, "k"))
     os.makedirs(out_dir, exist_ok=True)
     diagnostics = {"estimator": estimator, "flags": []}
     if estimator == "mm-complex":
         est = mm_complex(image, kernel, k)
         objective = None
-    elif estimator == "mm-general":
-        domain = config.get("domain")
-        if domain is None:
-            domain = [image.grid.window_lo.tolist(), image.grid.window_hi.tolist()]
-        est, objective = mm_general(
-            image, kernel, k, domain, seed=int(config["seed"]),
-            **_present(config, {"restarts": int}),
-        )
     elif estimator == "em":
         init = mm_complex(image, kernel, k)
         est, trace = run_em(image, kernel, init, _em_config(config.get("em", {})))
@@ -183,12 +179,13 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
     kernel = _build_kernel(_require(config, "kernel"))
     image = load_image(_require(config, "image"))
     part = _require(config, "partition")
-    pconfig = PartitionConfig(
-        mode_count=int(_require(part, "mode_count", "partition spec")),
-        k=int(_require(part, "k", "partition spec")),
-        em=_em_config(config.get("em", {})),
-        **_present(part, {"mode_half_widths": tuple, "link_threshold": float}),
-    )
+    with _invalid("partition spec"):
+        pconfig = PartitionConfig(
+            mode_count=int(_require(part, "mode_count", "partition spec")),
+            k=int(_require(part, "k", "partition spec")),
+            em=_em_config(config.get("em", {})),
+            **_present(part, {"mode_half_widths": tuple, "link_threshold": float}),
+        )
     result = run_pipeline(image, kernel, pconfig)
     os.makedirs(out_dir, exist_ok=True)
     cells_payload = []
@@ -219,28 +216,31 @@ def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
         raise ConfigError(
             "unknown field 'em_max_iterations'; set em.max_iterations instead"
         )
-    t_values = tuple(
-        np.inf if isinstance(t, str) and t.lower() in ("inf", "infinity") else float(t)
-        for t in _require(config, "t_values")
-    )
-    spec = ExperimentSpec(
-        resolutions=tuple(int(n) for n in _require(config, "resolutions")),
-        t_values=t_values,
-        seed=int(config["seed"]),
-        jobs=jobs,
-        em=_em_config(config.get("em", {})),
-        **_present(config, {
-            "configuration": str, "k": int, "sigma": float, "replicates": int,
-            "estimators": tuple, "atoms": lambda atoms: tuple(map(tuple, atoms)),
-        }),
-    )
     mode = config.get("mode", "risk")
-    if mode == "risk":
-        table = run_risk_experiment(spec)
-    elif mode == "runtime":
-        table = run_runtime_comparison(spec)
-    else:
+    if mode == "runtime":
+        raise ConfigError(
+            "unknown experiment mode 'runtime'; every experiment writes "
+            "timing.csv with mean_time_s per estimator and cell"
+        )
+    if mode != "risk":
         raise ConfigError(f"unknown experiment mode '{mode}'")
+    with _invalid("experiment spec"):
+        t_values = tuple(
+            np.inf if isinstance(t, str) and t.lower() in ("inf", "infinity") else float(t)
+            for t in _require(config, "t_values")
+        )
+        spec = ExperimentSpec(
+            resolutions=tuple(int(n) for n in _require(config, "resolutions")),
+            t_values=t_values,
+            seed=int(config["seed"]),
+            jobs=jobs,
+            em=_em_config(config.get("em", {})),
+            **_present(config, {
+                "configuration": str, "k": int, "sigma": float, "replicates": int,
+                "estimators": tuple, "atoms": lambda atoms: tuple(map(tuple, atoms)),
+            }),
+        )
+    table = run_risk_experiment(spec)
     os.makedirs(out_dir, exist_ok=True)
     table.to_csv(os.path.join(out_dir, "risk.csv"))
     table.timing_to_csv(os.path.join(out_dir, "timing.csv"))

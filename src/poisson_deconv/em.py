@@ -58,7 +58,13 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.intensity_floor <= 0:
+        if not self.early_stop_w1 >= 0:
+            raise ValueError("early_stop_w1 must be >= 0")
+        if self.inner_max_iterations < 1:
+            raise ValueError("inner_max_iterations must be >= 1")
+        if not self.inner_grad_tol > 0:
+            raise ValueError("inner_grad_tol must be positive")
+        if not self.intensity_floor > 0:
             raise ValueError("intensity_floor must be positive")
 
 

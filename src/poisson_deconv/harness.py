@@ -1,4 +1,4 @@
-"""Experiment runners: risk curves and runtime comparisons over replicates.
+"""Experiment runner: risk curves and estimator timings over replicates.
 
 A spec names one of the built-in atom configurations (grid, corners, u-shape)
 or supplies custom atoms, a kernel width, grid resolutions, exposure values
@@ -94,6 +94,10 @@ class ExperimentSpec:
             raise ValueError("custom configuration requires atoms")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+        if not self.resolutions or any(n < 1 for n in self.resolutions):
+            raise ValueError("resolutions must be positive")
         if not self.t_values or any(not t > 0 for t in self.t_values):
             raise ValueError("t values must be positive (inf allowed)")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
@@ -301,24 +305,3 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
         logger.info("cell t=%s m=%d done", t, n_side * n_side)
     return table
 
-
-def run_runtime_comparison(spec: ExperimentSpec) -> RiskTable:
-    """Risk experiment variant whose report focuses on wall-clock times.
-
-    Adds an informational mm_faster_than_em flag per cell; a violation is
-    logged, never raised.
-    """
-    table = run_risk_experiment(spec)
-    by_cell = {}
-    for row in table.rows:
-        by_cell.setdefault((row["t"], row["m"]), {})[row["estimator"]] = row
-    for (t, m), per_est in by_cell.items():
-        if "mm" in per_est and "em" in per_est:
-            faster = per_est["mm"]["mean_time_s"] < per_est["em"]["mean_time_s"]
-            per_est["mm"]["mm_faster_than_em"] = faster
-            per_est["em"]["mm_faster_than_em"] = faster
-            if not faster:
-                logger.info(
-                    "informational: MM slower than EM at t=%s m=%s", t, m
-                )
-    return table

@@ -9,24 +9,20 @@ NumPy arrays: kernel moments m_0..m_k, the unit lower-triangular psi
 coefficient matrix, the moment estimates m_1..m_k (one triangular combination
 of the power sums sum_i gamma_i^j X_i / t, O(k * m) work), then elementary
 symmetric values and polynomial coefficients; k is read from the arrays'
-lengths.  Two variants are exposed: the complex estimator, which projects its
-roots to the real line on 1-d data, and a general moment-matching optimizer
-constrained to a domain box.
+lengths.  The one estimator, mm_complex, serves planar and 1-d images; on 1-d
+data it takes the real parts of the roots.
 """
 from __future__ import annotations
 
 import logging
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
 
 from .kernels import Kernel, kernel_moments
-from .measures import AtomicUniformMeasure, multi_indices
-from .observation import BinGrid, CountImage
+from .measures import AtomicUniformMeasure
+from .observation import CountImage
 
 logger = logging.getLogger(__name__)
 
@@ -293,138 +289,3 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
     m_hat = estimate_moments(image, compute_psi(kernel_moments(kernel, k)))
     return measure_from_moments(m_hat, dimension=image.grid.dimension)
 
-
-# general (box-constrained) moment matching ---------------------------------
-
-@dataclass(frozen=True, eq=False)
-class MultiPsi:
-    """Multivariate psi polynomials over the graded multi-index family.
-
-    ``indices`` lists every alpha with |alpha| <= order as ``multi_indices``
-    orders them, and
-    ``coeffs[a, b]`` is the coefficient of the monomial x^indices[b] in
-    psi_indices[a].
-    """
-
-    indices: tuple
-    coeffs: np.ndarray
-
-    def evaluate_all(self, points: np.ndarray) -> np.ndarray:
-        """Values of every psi_alpha at each point, shape (n, len(indices))."""
-        points = np.atleast_2d(points)
-        mono = np.column_stack(
-            [np.prod(points ** np.asarray(a, float), axis=1) for a in self.indices]
-        )
-        return mono @ self.coeffs.T
-
-
-def compute_psi_multi(kernel: Kernel, order: int) -> MultiPsi:
-    """Multivariate analogue of compute_psi over multi-indices |alpha| <= order."""
-    indices = tuple(multi_indices(order, kernel.dimension))
-    kmom = kernel.multi_moments(order)
-    n = len(indices)
-    pos = {a: i for i, a in enumerate(indices)}
-    M = np.zeros((n, n))
-    for a in indices:
-        for b in indices:
-            if all(bb <= aa for aa, bb in zip(a, b)):
-                gamma = tuple(aa - bb for aa, bb in zip(a, b))
-                coef = kmom[gamma]
-                for aa, bb in zip(a, b):
-                    coef *= math.comb(aa, bb)
-                M[pos[a], pos[b]] = coef
-    A = solve_triangular(M, np.eye(n), lower=True, unit_diagonal=True)
-    return MultiPsi(indices, A)
-
-
-def estimate_moments_multi(image: CountImage, mpsi: MultiPsi) -> dict:
-    """Multi-index moment estimates over 1 <= |alpha| <= order."""
-    weights = image.counts if image.noiseless else image.counts / image.t
-    vals = mpsi.evaluate_all(image.grid.anchors())
-    raw = weights @ vals
-    return {a: float(raw[i]) for i, a in enumerate(mpsi.indices) if sum(a) >= 1}
-
-
-def _moment_objective(m_hat: dict, k: int, dimension: int):
-    """Objective sum_alpha |m_alpha(mu) - m_hat_alpha|^2 with analytic gradient."""
-    alphas = multi_indices(k, dimension)[1:]  # alpha = 0 comes first
-    targets = np.array([m_hat[a] for a in alphas])
-    powers = np.array(alphas, dtype=float)  # (n_alpha, d)
-
-    def fun(theta_flat):
-        atoms = theta_flat.reshape(-1, dimension)
-        k_atoms = atoms.shape[0]
-        mono = np.prod(
-            atoms[None, :, :] ** powers[:, None, :], axis=2
-        )  # (n_alpha, k)
-        moments = mono.mean(axis=1)
-        resid = moments - targets
-        grad = np.zeros_like(atoms)
-        for ax in range(dimension):
-            shifted = powers.copy()
-            shifted[:, ax] -= 1.0
-            mask = powers[:, ax] > 0
-            dm = np.zeros_like(mono)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dm[mask] = (
-                    powers[mask, ax : ax + 1]
-                    * np.prod(atoms[None, :, :] ** shifted[mask][:, None, :], axis=2)
-                    / k_atoms
-                )
-            grad[:, ax] = 2.0 * resid @ dm
-        return float(np.sum(resid**2)), grad.ravel()
-
-    return fun
-
-
-def mm_general(image: CountImage, kernel: Kernel, k: int, domain,
-               restarts: int = 8, seed: int = 0):
-    """Box-constrained method of moments by multi-start gradient descent.
-
-    Minimizes sum over 1 <= |alpha| <= k of |m_alpha(mu) - m_hat_alpha|^2 over
-    atom coordinates inside the domain box, restarting from uniform draws
-    (plus the complex estimate projected into the box on planar data).
-
-    Returns
-    -------
-    (measure, objective) : best local optimum found and its objective value.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in domain)
-    d = image.grid.dimension
-    if lo.shape[0] != d or hi.shape[0] != d or np.any(hi <= lo):
-        raise ValueError("domain must be a non-degenerate box matching the dimension")
-    m_hat = estimate_moments_multi(image, compute_psi_multi(kernel, k))
-    fun = _moment_objective(m_hat, k, d)
-    guard = _degenerate_guard(image, k)
-    if guard is not None:
-        atoms = np.clip(guard.atoms, lo, hi)
-        return AtomicUniformMeasure(atoms), fun(atoms.ravel())[0]
-
-    if k == 1:
-        # quadratic in the single atom: coordinate-wise first moments, clipped
-        first = np.array(
-            [m_hat[tuple(int(i == ax) for i in range(d))] for ax in range(d)]
-        )
-        atom = np.clip(first, lo, hi)
-        return AtomicUniformMeasure(atom[None, :]), fun(atom)[0]
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    starts = [rng.uniform(lo, hi, size=(k, d)) for _ in range(restarts)]
-    if d == 2:
-        try:
-            init = mm_complex(image, kernel, k)
-            starts.append(np.clip(init.atoms, lo, hi))
-        except RootRecoveryError:
-            pass
-    bounds = [(lo[ax], hi[ax]) for _ in range(k) for ax in range(d)]
-    best_val, best_atoms = np.inf, None
-    for start in starts:
-        res = minimize(
-            fun, start.ravel(), jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        if res.fun < best_val:
-            best_val, best_atoms = float(res.fun), res.x.reshape(k, d)
-    return AtomicUniformMeasure(best_atoms), best_val

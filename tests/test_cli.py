@@ -21,16 +21,37 @@ def estimate_config(tmp_path):
             "image": str(tmp_path / "image"), "k": 2, "seed": 1}
 
 
-def test_mm_complex_estimate_writes_planar_atoms(estimate_config, tmp_path):
+def run_estimate(config: dict, tmp_path, estimator: str):
+    """Diagnostics and output directory of one estimate run, its atoms checked."""
     out = tmp_path / "out"
-    assert cmd_estimate({**estimate_config, "estimator": "mm-complex"}, str(out)) == 0
-    with open(out / "estimate.json") as fh:
-        payload = json.load(fh)
+    assert cmd_estimate({**config, "estimator": estimator}, str(out)) == 0
+    payload = json.loads((out / "estimate.json").read_text())
     assert payload["dimension"] == 2
-    assert payload["diagnostics"]["estimator"] == "mm-complex"
+    assert payload["diagnostics"]["estimator"] == estimator
     np.testing.assert_allclose(
         sorted(payload["atoms"]), [[0.35, 0.4], [0.65, 0.6]], atol=1e-3
     )
+    return payload["diagnostics"], out
+
+
+def test_mm_complex_estimate_writes_planar_atoms(estimate_config, tmp_path):
+    diagnostics, out = run_estimate(estimate_config, tmp_path, "mm-complex")
+    assert "em" not in diagnostics and diagnostics["objective"] is None
+    assert not (out / "trace.csv").exists()
+
+
+def test_em_estimate_writes_a_monotone_trace(estimate_config, tmp_path):
+    diagnostics, out = run_estimate(estimate_config, tmp_path, "em")
+    assert diagnostics["em"]["monotone"] is True
+    lines = (out / "trace.csv").read_text().strip().splitlines()
+    assert lines[0] == "iteration,loglik,w1_step,status,inner_nit,q_evals,error"
+    assert len(lines) - 1 == diagnostics["em"]["iterations"]
+    assert diagnostics["objective"] == float(lines[-1].split(",")[1])
+
+
+def test_general_moment_estimator_is_replaced_by_em(estimate_config, tmp_path):
+    with pytest.raises(ConfigError, match="unknown estimator 'mm-general'; use 'em'"):
+        cmd_estimate({**estimate_config, "estimator": "mm-general"}, str(tmp_path / "out"))
 
 
 def test_mm_real_is_not_an_estimator(estimate_config, tmp_path):
@@ -82,6 +103,52 @@ def test_experiment_rejects_em_max_iterations(captured_spec, tmp_path):
     with pytest.raises(ConfigError, match="em.max_iterations"):
         cmd_experiment({**EXPERIMENT, "em_max_iterations": 3}, str(tmp_path), jobs=1)
     assert captured_spec == []
+
+
+def test_runtime_mode_points_to_timing_csv(captured_spec, tmp_path):
+    with pytest.raises(ConfigError, match="'runtime'; every experiment writes timing.csv"):
+        cmd_experiment({**EXPERIMENT, "mode": "runtime"}, str(tmp_path), jobs=1)
+    assert captured_spec == []
+
+
+def run_main(tmp_path, command, config) -> int:
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    return main([command, "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"replicates": 0}, "experiment spec: replicates"),
+    ({"sigma": -0.1}, "experiment spec: sigma"),
+    ({"resolutions": []}, "experiment spec: resolutions"),
+    ({"resolutions": [0]}, "experiment spec: resolutions"),
+    ({"t_values": ["soon"]}, "experiment spec: could not convert"),
+    ({"em": {"early_stop_w1": -1}}, "em spec: early_stop_w1"),
+    ({"em": {"inner_max_iterations": 0}}, "em spec: inner_max_iterations"),
+])
+def test_invalid_experiment_values_exit_2(tmp_path, capsys, override, message):
+    assert run_main(tmp_path, "experiment", {**EXPERIMENT, **override}) == 2
+    assert capsys.readouterr().err.startswith(f"config error: invalid {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("partition, em, message", [
+    ({"mode_count": 0, "k": 2}, {}, "partition spec: mode_count"),
+    ({"mode_count": 2, "k": 2, "link_threshold": -1}, {}, "partition spec: link_threshold"),
+    ({"mode_count": 2, "k": 2}, {"inner_grad_tol": 0}, "em spec: inner_grad_tol"),
+])
+def test_invalid_pipeline_values_exit_2(estimate_config, tmp_path, capsys, partition, em,
+                                        message):
+    config = {"kernel": estimate_config["kernel"], "image": estimate_config["image"],
+              "partition": partition, "em": em}
+    assert run_main(tmp_path, "pipeline", config) == 2
+    assert capsys.readouterr().err.startswith(f"config error: invalid {message}")
+
+
+def test_invalid_em_values_in_estimate_exit_2(estimate_config, tmp_path, capsys):
+    config = {**estimate_config, "estimator": "em", "em": {"early_stop_w1": "nan"}}
+    assert run_main(tmp_path, "estimate", config) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid em spec: early_stop_w1")
 
 
 def test_non_finite_tabulated_kernel_is_a_config_error(tmp_path):

@@ -313,6 +313,25 @@ class TestMStep:
         assert np.allclose(out.atoms[0], centroid, atol=1e-2)
 
 
+class TestEmConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 0),
+        ("early_stop_w1", -1.0),
+        ("early_stop_w1", np.nan),
+        ("inner_max_iterations", 0),
+        ("inner_grad_tol", 0.0),
+        ("inner_grad_tol", -1e-8),
+        ("inner_grad_tol", np.nan),
+        ("intensity_floor", 0.0),
+        ("intensity_floor", np.nan),
+    ])
+    def test_rejects_values_that_break_run_em(self, field, value):
+        # a negative or NaN early_stop_w1 never stops at the fixed point, so
+        # run_em would record "kept" rows until max_iterations
+        with pytest.raises(ValueError, match=field):
+            EmConfig(**{field: value})
+
+
 class TestRunEm:
     def test_fixed_point_at_truth(self, small_setup):
         kernel, mu, grid = small_setup

@@ -10,7 +10,6 @@ from poisson_deconv.harness import (
     RiskTable,
     builtin_configuration,
     run_risk_experiment,
-    run_runtime_comparison,
 )
 
 
@@ -160,16 +159,6 @@ class TestRiskTableOutputs:
         body = open(paths[0]).read().splitlines()
         assert body[0].startswith("#")
         assert len(body) == 3  # header + two t values
-
-
-class TestRuntimeComparison:
-    def test_report_flags(self):
-        spec = small_spec(replicates=2)
-        table = run_runtime_comparison(spec)
-        flags = [r.get("mm_faster_than_em") for r in table.rows]
-        assert all(isinstance(f, bool) for f in flags)
-        for row in table.rows:
-            assert row["mean_time_s"] >= 0
 
 
 class TestSpecValidation:

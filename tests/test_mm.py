@@ -25,12 +25,9 @@ from poisson_deconv.mm import (
     _residual_ok,
     complex_roots,
     compute_psi,
-    compute_psi_multi,
     estimate_moments,
-    estimate_moments_multi,
     measure_from_moments,
     mm_complex,
-    mm_general,
     newton_to_elementary,
     poly_from_elementary,
 )
@@ -475,78 +472,3 @@ class TestMmReal:
         est = mm_complex(noiseless(kernel, mu, grid), kernel, 2)
         assert wasserstein_p(est, mu, np.inf) < 5e-3
 
-
-class TestMmGeneral:
-    def test_plant_and_recover_objective(self):
-        kernel = GaussianKernel(sigma=0.05, dim=2)
-        mu = AtomicUniformMeasure([[0.3, 0.4], [0.7, 0.6]])
-        grid = BinGrid([0, 0], [1, 1], (60, 60))
-        img = noiseless(kernel, mu, grid)
-        est, obj = mm_general(img, kernel, 2, ([0, 0], [1, 1]), restarts=8, seed=1)
-        # the global optimum value is the objective at the (feasible) planted
-        # measure's own moments; discretization keeps it tiny but nonzero
-        mpsi = compute_psi_multi(kernel, 2)
-        m_hat = estimate_moments_multi(img, mpsi)
-        exact = {a: np.mean(np.prod(mu.atoms ** np.asarray(a, float), axis=1)) for a in m_hat}
-        floor = sum((exact[a] - m_hat[a]) ** 2 for a in m_hat)
-        assert obj <= floor + 1e-12
-
-    def test_exact_moments_reach_zero_objective(self):
-        # feed exact moments by constructing a synthetic noiseless "image"
-        # whose estimated moments coincide with the truth: k=2 on a fine grid
-        kernel = GaussianKernel(sigma=0.04, dim=2)
-        mu = AtomicUniformMeasure([[0.35, 0.35], [0.65, 0.7]])
-        grid = BinGrid([0, 0], [1, 1], (80, 80))
-        est, obj = mm_general(
-            noiseless(kernel, mu, grid), kernel, 2, ([0, 0], [1, 1]), restarts=6, seed=3
-        )
-        assert obj < 1e-6
-        assert wasserstein_p(est, mu, 1) < 5e-3
-
-    def test_k1_closed_form(self):
-        kernel = GaussianKernel(sigma=0.05, dim=2)
-        mu = AtomicUniformMeasure([[0.45, 0.55]])
-        grid = BinGrid([0, 0], [1, 1], (40, 40))
-        img = noiseless(kernel, mu, grid)
-        est, obj = mm_general(img, kernel, 1, ([0, 0], [1, 1]))
-        mpsi = compute_psi_multi(kernel, 1)
-        m_hat = estimate_moments_multi(img, mpsi)
-        assert est.atoms[0, 0] == pytest.approx(np.clip(m_hat[(1, 0)], 0, 1), abs=1e-14)
-        assert est.atoms[0, 1] == pytest.approx(np.clip(m_hat[(0, 1)], 0, 1), abs=1e-14)
-
-    def test_objective_nonincreasing_in_restarts(self):
-        kernel = GaussianKernel(sigma=0.06, dim=2)
-        mu = AtomicUniformMeasure([[0.25, 0.3], [0.8, 0.55], [0.5, 0.85]])
-        grid = BinGrid([0, 0], [1, 1], (40, 40))
-        img = simulate(kernel, mu, grid, 1e4, seed=5)
-        vals = []
-        for restarts in (1, 4, 8):
-            _, obj = mm_general(img, kernel, 3, ([0, 0], [1, 1]), restarts, seed=11)
-            vals.append(obj)
-        assert vals[1] <= vals[0] + 1e-15
-        assert vals[2] <= vals[1] + 1e-15
-
-
-class TestMultiPsi:
-    def test_product_gaussian_multi_psi_unbiased(self):
-        # quadrature check in 2-d via tensor Gauss-Hermite on each axis
-        kernel = GaussianKernel(sigma=0.5, dim=2)
-        mpsi = compute_psi_multi(kernel, 3)
-        nodes, weights = np.polynomial.hermite_e.hermegauss(40)
-        nodes = nodes * 0.5  # scale to sigma
-        weights = weights / weights.sum()
-        rng = np.random.default_rng(2)
-        atoms = rng.uniform(-1, 1, size=(2, 2))
-        mu = AtomicUniformMeasure(atoms)
-        xx, yy = np.meshgrid(nodes, nodes)
-        ww = np.outer(weights, weights).ravel()
-        for idx, alpha in enumerate(mpsi.indices):
-            if sum(alpha) == 0:
-                continue
-            total = 0.0
-            for atom in atoms:
-                pts = np.column_stack([xx.ravel() + atom[0], yy.ravel() + atom[1]])
-                vals = mpsi.evaluate_all(pts)[:, idx]
-                total += np.sum(ww * vals) / len(atoms)
-            expected = np.mean(np.prod(atoms ** np.asarray(alpha, float), axis=1))
-            assert total == pytest.approx(expected, abs=1e-8)

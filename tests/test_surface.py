@@ -9,6 +9,8 @@ Likewise a defaulted parameter of a public function or method that no call in
 the package passes is a knob only tests turn, or nobody.  A call passes a
 parameter by keyword, by position, or through ``*``/``**``; callees are
 matched by name, as loaded names are.
+
+And every name a module imports is read in that module.
 """
 import ast
 from pathlib import Path
@@ -25,6 +27,11 @@ ALLOWED_UNUSED = {
     "mu0": "the clustered reference measure of the paper's multiscale loss",
     "local_divergence": "the paper's multiscale loss, not yet reported by experiments",
     "perturb_matching_moments": "builds the paper's moment-matched adversarial pairs",
+}
+
+# Imported names their module never reads, each kept on purpose.
+ALLOWED_UNUSED_IMPORTS = {
+    "pipeline.run_em": "perfbench/test_tracer.py checks that the tracer patches this binding",
 }
 
 # Defaulted parameters no call in the package passes, each kept on purpose.
@@ -164,3 +171,25 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
 
 def test_default_allowlist_names_only_unpassed_parameters():
     assert ALLOWED_DEFAULTS.keys() <= set(unpassed_defaulted_parameters())
+
+
+def unused_imports() -> list:
+    """``module.name`` for each name an import binds that its module never reads."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert sorted(unused_imports()) == sorted(ALLOWED_UNUSED_IMPORTS)
