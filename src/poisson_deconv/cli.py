@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -137,21 +138,27 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
     k = int(_require(config, "k"))
     os.makedirs(out_dir, exist_ok=True)
     diagnostics = {"estimator": estimator, "flags": []}
-    if estimator == "mm-complex":
-        est = mm_complex(image, kernel, k)
-        objective = None
-    elif estimator == "em":
-        init = mm_complex(image, kernel, k)
-        est, trace = run_em(image, kernel, init, _em_config(config.get("em", {})))
-        trace.to_csv(os.path.join(out_dir, "trace.csv"))
-        objective = trace.loglik[-1] if trace.loglik else None
-        diagnostics["em"] = {
-            "iterations": trace.iterations,
-            "monotone": trace.monotone(),
-            "collision": trace.collision,
-        }
-    else:
-        raise ConfigError(f"unknown estimator '{estimator}'")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if estimator == "mm-complex":
+            est = mm_complex(image, kernel, k)
+            objective = None
+        elif estimator == "em":
+            init = mm_complex(image, kernel, k)
+            est, trace = run_em(image, kernel, init, _em_config(config.get("em", {})))
+            trace.to_csv(os.path.join(out_dir, "trace.csv"))
+            objective = trace.loglik[-1] if trace.loglik else None
+            diagnostics["em"] = {
+                "iterations": trace.iterations,
+                "monotone": trace.monotone(),
+                "collision": trace.collision,
+            }
+        else:
+            raise ConfigError(f"unknown estimator '{estimator}'")
+    # Every warning the estimator raised, repeats included, as the harness counts them.
+    diagnostics["flags"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    for flag in diagnostics["flags"]:
+        logger.warning("%s", flag)
     if image.grid.dimension == 2:
         m_hat = estimate_moments(image, compute_psi(kernel_moments(kernel, k)))
         diagnostics["moments_hat"] = [[m.real, m.imag] for m in m_hat.tolist()]

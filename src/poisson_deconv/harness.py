@@ -2,14 +2,18 @@
 
 A spec names one of the built-in atom configurations (grid, corners, u-shape)
 or supplies custom atoms, a kernel width, grid resolutions, exposure values
-(inf for the noiseless regime), and the estimators to run.  Each (t, m) cell
-is replicated with independently derived seeds; per-replicate W_1 errors, wall
-times and the number of warnings each estimator raised aggregate into a
-RiskTable.  risk.csv contains only deterministic columns so identical
+(inf for the noiseless regime), and the estimators to run.  The truth and the
+kernel are built once per sweep, and the scene of each resolution (its bin
+grid and the truth's bin intensities) once per resolution; every t and every
+replicate of that resolution draws its image from that scene.  Each (t, m)
+cell is replicated with independently derived seeds; per-replicate W_1
+errors, wall times and the number of warnings each estimator raised aggregate
+into a RiskTable.  risk.csv contains only deterministic columns so identical
 spec+seed runs are byte-identical; timings are written separately.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -24,7 +28,7 @@ from .em import EmConfig, run_em
 from .kernels import GaussianKernel
 from .measures import AtomicUniformMeasure, wasserstein_p
 from .mm import RootRecoveryError, mm_complex
-from .observation import BinGrid, noiseless, replicate_seed, simulate
+from .observation import BinGrid, CountImage, intensities, poisson_image, replicate_seed
 
 logger = logging.getLogger(__name__)
 
@@ -181,26 +185,21 @@ def _fallback_measure(grid: BinGrid, k: int) -> AtomicUniformMeasure:
     return AtomicUniformMeasure(np.tile(grid.center(), (k, 1)))
 
 
-def _run_replicate(payload: dict) -> dict:
-    """One replicate of one cell: simulate, run the estimators, score.
+def _run_replicate(payload: tuple) -> dict:
+    """One replicate of one cell: draw its image, run the estimators, score.
 
-    Every warning an estimator raises is recorded, repeats included, and
-    counted under its "n_warnings"; none reaches the caller.
+    ``payload`` is (spec, kernel, truth, grid, lam, t, seed): the sweep's
+    truth and kernel, the cell's scene (grid and intensities lam),
+    its exposure, and the replicate's stream.  Every warning an estimator
+    raises is recorded, repeats included, and counted under its
+    "n_warnings"; none reaches the caller.
     """
-    spec: ExperimentSpec = payload["spec"]
-    t, n_side, rep = payload["t"], payload["m_side"], payload["rep"]
-    truth = spec.truth()
+    spec, kernel, truth, grid, lam, t, seed = payload
     k = truth.k
-    kernel = GaussianKernel(sigma=spec.sigma, dim=2)
-    dims = (n_side, n_side)
-    grid = BinGrid([0.0, 0.0], [1.0, 1.0], dims)
     if np.isinf(t):
-        image = noiseless(kernel, truth, grid)
+        image = CountImage(grid, lam, t)
     else:
-        image = simulate(
-            kernel, truth, grid, t,
-            replicate_seed(spec.seed, payload["cell_index"], rep),
-        )
+        image = poisson_image(grid, lam, t, seed)
     out = {}
     mm_est = None
     for name in spec.estimators:
@@ -239,7 +238,7 @@ def _run_replicate(payload: dict) -> dict:
     return out
 
 
-def _aggregate_cell(spec: ExperimentSpec, t: float, n_side: int,
+def _aggregate_cell(spec: ExperimentSpec, k: int, t: float, n_side: int,
                     results: list) -> list:
     rows = []
     for name in spec.estimators:
@@ -257,7 +256,7 @@ def _aggregate_cell(spec: ExperimentSpec, t: float, n_side: int,
         rows.append({
             "estimator": name,
             "configuration": spec.configuration,
-            "k": spec.truth().k,
+            "k": k,
             "sigma": spec.sigma,
             "t": float(t),
             "m": n_side * n_side,
@@ -280,28 +279,34 @@ def _aggregate_cell(spec: ExperimentSpec, t: float, n_side: int,
 def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
     """Sweep every (t, m) cell of the spec and aggregate replicate W_1 errors.
 
-    Replicates run in a process pool when spec.jobs > 1; the reduction always
-    consumes results in replicate order so means are bit-stable.  Noiseless
-    cells (t = inf) are deterministic and computed once.
+    The truth and kernel are built once, and each resolution's scene (bin
+    grid and intensities) once; every cell of that resolution draws
+    from it.  Replicates run in one process pool per sweep when spec.jobs > 1;
+    the reduction always consumes results in replicate order so means are
+    bit-stable.  Noiseless cells (t = inf) are deterministic and computed once.
     """
     table = RiskTable()
+    truth = spec.truth()
+    kernel = GaussianKernel(sigma=spec.sigma, dim=2)
+    scenes = {}
+    for n_side in spec.resolutions:
+        grid = BinGrid([0.0, 0.0], [1.0, 1.0], (n_side, n_side))
+        scenes[n_side] = grid, intensities(kernel, truth, grid)
     cells = [(t, n) for t in spec.t_values for n in spec.resolutions]
     jobs = spec.jobs or os.cpu_count() or 1
-    for cell_index, (t, n_side) in enumerate(cells):
-        reps = 1 if np.isinf(t) else spec.replicates
-        payloads = [
-            {"spec": spec, "t": t, "m_side": n_side, "rep": rep,
-             "cell_index": cell_index}
-            for rep in range(reps)
-        ]
-        if jobs > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run_replicate, payloads))
-        else:
-            results = [_run_replicate(p) for p in payloads]
-        if np.isinf(t) and spec.replicates > 1:
-            results = results * spec.replicates  # deterministic cell, reuse
-        table.rows.extend(_aggregate_cell(spec, t, n_side, results))
-        logger.info("cell t=%s m=%d done", t, n_side * n_side)
+    parallel = jobs > 1 and spec.replicates > 1 and any(np.isfinite(spec.t_values))
+    pool = ProcessPoolExecutor(max_workers=jobs) if parallel else None
+    with pool or contextlib.nullcontext():
+        for cell_index, (t, n_side) in enumerate(cells):
+            reps = 1 if np.isinf(t) else spec.replicates
+            payloads = [
+                (spec, kernel, truth, *scenes[n_side], t,
+                 replicate_seed(spec.seed, cell_index, rep))
+                for rep in range(reps)
+            ]
+            results = list((pool.map if pool else map)(_run_replicate, payloads))
+            if np.isinf(t) and spec.replicates > 1:
+                results = results * spec.replicates  # deterministic cell, reuse
+            table.rows.extend(_aggregate_cell(spec, truth.k, t, n_side, results))
+            logger.info("cell t=%s m=%d done", t, n_side * n_side)
     return table
-

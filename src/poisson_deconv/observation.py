@@ -1,7 +1,8 @@
 """Bin geometry, forward simulation of the binned Poisson model, and image I/O.
 
 Counts are generated as X_i ~ Poi(t * intensity_i) over a regular grid of
-bins partitioning the observation window; the noiseless regime stores the
+bins partitioning the observation window (``poisson_image`` draws them from
+given intensities, ``simulate`` from a measure); the noiseless regime stores the
 intensities themselves with t = inf so every estimator runs unchanged on
 exact data.  Randomness flows through numpy's counter-based Philox generator
 seeded from (seed, spawn_key) so replicates are independently reproducible.
@@ -150,8 +151,12 @@ class CountImage:
 
 
 def intensities(kernel: Kernel, mu: AtomicUniformMeasure, grid: BinGrid) -> np.ndarray:
-    """Exact bin intensities (K * mu)(B_i) for every bin, shape (m,)."""
-    return kernel.bin_integral_matrix(grid, mu.atoms).mean(axis=1)
+    """Exact bin intensities (K * mu)(B_i) for every bin, shape (m,).
+
+    Values are clipped at 0, so rounding in a kernel's far tail never yields
+    a negative intensity.
+    """
+    return np.clip(kernel.bin_integral_matrix(grid, mu.atoms).mean(axis=1), 0.0, None)
 
 
 def _generator(seed) -> np.random.Generator:
@@ -165,21 +170,31 @@ def replicate_seed(seed: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
 
 
-def simulate(kernel: Kernel, mu: AtomicUniformMeasure, grid: BinGrid, t: float,
-             seed) -> CountImage:
-    """Draw X_i ~ Poi(t * intensity_i) independently; deterministic given seed."""
+def poisson_image(grid: BinGrid, intensity: np.ndarray, t: float, seed) -> CountImage:
+    """Draw X_i ~ Poi(t * intensity_i) independently; deterministic given seed.
+
+    ``intensity`` holds the nonnegative bin intensities, shape (m,), so one
+    set of intensities serves any number of draws.
+    """
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite (use noiseless() for t = inf)")
-    lam = np.clip(intensities(kernel, mu, grid), 0.0, None)
-    rng = _generator(seed)
-    counts = rng.poisson(t * lam).astype(float)
+    counts = _generator(seed).poisson(t * intensity).astype(float)
     return CountImage(grid, counts, t)
+
+
+def simulate(kernel: Kernel, mu: AtomicUniformMeasure, grid: BinGrid, t: float,
+             seed) -> CountImage:
+    """Draw X_i ~ Poi(t * intensity_i) from the intensities of ``mu`` on ``grid``.
+
+    The draw is ``poisson_image``'s; call that directly to draw many images
+    from intensities computed once.
+    """
+    return poisson_image(grid, intensities(kernel, mu, grid), t, seed)
 
 
 def noiseless(kernel: Kernel, mu: AtomicUniformMeasure, grid: BinGrid) -> CountImage:
     """Exact intensities as fractional counts with t = inf."""
-    lam = np.clip(intensities(kernel, mu, grid), 0.0, None)
-    return CountImage(grid, lam, np.inf)
+    return CountImage(grid, intensities(kernel, mu, grid), np.inf)
 
 
 # image format: image.csv (row-major counts) + image.json metadata -----------

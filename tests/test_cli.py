@@ -9,7 +9,7 @@ from poisson_deconv.em import EmConfig
 from poisson_deconv.harness import RiskTable
 from poisson_deconv.kernels import GaussianKernel
 from poisson_deconv.measures import AtomicUniformMeasure
-from poisson_deconv.observation import BinGrid, noiseless, save_image
+from poisson_deconv.observation import BinGrid, CountImage, noiseless, save_image
 
 
 @pytest.fixture
@@ -47,6 +47,18 @@ def test_em_estimate_writes_a_monotone_trace(estimate_config, tmp_path):
     assert lines[0] == "iteration,loglik,w1_step,status,inner_nit,q_evals,error"
     assert len(lines) - 1 == diagnostics["em"]["iterations"]
     assert diagnostics["objective"] == float(lines[-1].split(",")[1])
+
+
+def test_estimate_flags_the_warnings_the_estimator_raised(estimate_config, tmp_path):
+    assert run_estimate(estimate_config, tmp_path, "mm-complex")[0]["flags"] == []
+    grid = BinGrid([0.0, 0.0], [1.0, 1.0], (8, 8))
+    save_image(CountImage(grid, np.zeros(grid.m), 1e4), tmp_path / "zeros")
+    config = {**estimate_config, "image": str(tmp_path / "zeros"), "estimator": "mm-complex"}
+    assert cmd_estimate(config, str(tmp_path / "zeros_out")) == 0
+    payload = json.loads((tmp_path / "zeros_out" / "estimate.json").read_text())
+    assert payload["diagnostics"]["flags"] == [
+        "DegenerateDataWarning: all counts are zero; returning window-center atoms"
+    ]
 
 
 def test_general_moment_estimator_is_replaced_by_em(estimate_config, tmp_path):

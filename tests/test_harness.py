@@ -1,16 +1,21 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from poisson_deconv import harness
-from poisson_deconv.em import EmConfig
+from poisson_deconv.em import EmConfig, run_em
 from poisson_deconv.harness import (
     ExperimentSpec,
     RiskTable,
     builtin_configuration,
     run_risk_experiment,
 )
+from poisson_deconv.kernels import GaussianKernel
+from poisson_deconv.measures import wasserstein_p
+from poisson_deconv.mm import mm_complex
+from poisson_deconv.observation import BinGrid, noiseless, replicate_seed, simulate
 
 
 class TestBuiltinConfiguration:
@@ -112,6 +117,53 @@ class TestRunRiskExperiment:
             noiseless_row["mean_w1"]
             <= noisy_row["mean_w1"] + 2 * noisy_row["stderr_w1"]
         )
+
+
+class TestReplicatesMatchDirectCalls:
+    def test_every_sample_is_the_direct_simulate_and_estimate(self):
+        spec = ExperimentSpec(
+            configuration="u-shape", k=12, sigma=0.05, resolutions=(30, 40),
+            t_values=(1e5, np.inf), replicates=2, seed=11, estimators=("mm", "em"),
+            em=EmConfig(max_iterations=3), jobs=1,
+        )
+        table = run_risk_experiment(spec)
+        truth = builtin_configuration("u-shape", 12)
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        cells = [(t, n) for t in spec.t_values for n in spec.resolutions]
+        for cell_index, (t, n_side) in enumerate(cells):
+            grid = BinGrid([0.0, 0.0], [1.0, 1.0], (n_side, n_side))
+            for rep in range(spec.replicates):
+                if np.isinf(t):
+                    image = noiseless(kernel, truth, grid)
+                else:
+                    seed = replicate_seed(spec.seed, cell_index, rep)
+                    image = simulate(kernel, truth, grid, t, seed)
+                mm_est = mm_complex(image, kernel, truth.k)
+                em_est, _ = run_em(image, kernel, mm_est, spec.em)
+                for name, est in (("mm", mm_est), ("em", em_est)):
+                    w1 = wasserstein_p(est, truth, 1)
+                    row = lookup(table, name, t, n_side * n_side)
+                    assert row["w1_samples"][rep] == w1, (name, t, n_side, rep)
+
+
+class TestProcessPool:
+    def test_one_pool_per_sweep_gives_the_serial_bytes(self, monkeypatch, tmp_path):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        spec = small_spec(t_values=(1e3, 1e4), replicates=2)
+        run_risk_experiment(spec).to_csv(tmp_path / "serial.csv")
+        assert pools == []
+        run_risk_experiment(
+            dataclasses.replace(spec, jobs=2)
+        ).to_csv(tmp_path / "pool.csv")
+        assert pools == [2]
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 class TestWarningCounts:

@@ -18,6 +18,7 @@ from poisson_deconv.observation import (
     intensities,
     load_image,
     noiseless,
+    poisson_image,
     replicate_seed,
     save_image,
     simulate,
@@ -129,6 +130,24 @@ class TestSimulate:
             simulate(kernel, mu, grid, np.inf, seed=0)
         with pytest.raises(ValueError):
             simulate(kernel, mu, grid, 0.0, seed=0)
+
+
+class TestPoissonImage:
+    def test_draw_matches_simulate_bit_for_bit(self, setup_2d):
+        kernel, mu, grid = setup_2d
+        lam = np.clip(intensities(kernel, mu, grid), 0.0, None)
+        for seed in (0, 42, replicate_seed(3, 1, 2)):
+            drawn = poisson_image(grid, lam, 1e4, seed)
+            assert drawn.grid is grid and drawn.t == 1e4
+            np.testing.assert_array_equal(
+                drawn.counts, simulate(kernel, mu, grid, 1e4, seed).counts
+            )
+
+    @pytest.mark.parametrize("t", [np.inf, 0.0])
+    def test_t_validation(self, setup_2d, t):
+        kernel, mu, grid = setup_2d
+        with pytest.raises(ValueError):
+            poisson_image(grid, intensities(kernel, mu, grid), t, seed=0)
 
 
 class TestNoiseless:
