@@ -21,7 +21,7 @@ import numpy as np
 
 from .em import EmConfig, run_em
 from .harness import ExperimentSpec, builtin_configuration, run_risk_experiment
-from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel, kernel_moments
+from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
 from .measures import (
     AtomicUniformMeasure,
     exact_moments,
@@ -29,7 +29,7 @@ from .measures import (
     moment_distance,
     wasserstein_p,
 )
-from .mm import compute_psi, estimate_moments, mm_complex
+from .mm import estimate_moments, kernel_psi, mm_complex, validate_k
 from .observation import BinGrid, load_image, noiseless, save_image, simulate
 from .pipeline import PartitionConfig, run_pipeline
 
@@ -133,9 +133,10 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
         raise ConfigError(
             "unknown estimator 'mm-general'; use 'em' (mm-complex refined by EM) instead"
         )
+    with _invalid("estimate spec"):
+        k = validate_k(_require(config, "k"))
     kernel = _build_kernel(_require(config, "kernel"))
     image = load_image(_require(config, "image"))
-    k = int(_require(config, "k"))
     os.makedirs(out_dir, exist_ok=True)
     diagnostics = {"estimator": estimator, "flags": []}
     with warnings.catch_warnings(record=True) as caught:
@@ -160,7 +161,7 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
     for flag in diagnostics["flags"]:
         logger.warning("%s", flag)
     if image.grid.dimension == 2:
-        m_hat = estimate_moments(image, compute_psi(kernel_moments(kernel, k)))
+        m_hat = estimate_moments(image, kernel_psi(kernel, k))
         diagnostics["moments_hat"] = [[m.real, m.imag] for m in m_hat.tolist()]
     diagnostics["objective"] = objective
     payload = est.to_dict()

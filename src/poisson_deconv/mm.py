@@ -11,12 +11,19 @@ of the power sums sum_i gamma_i^j X_i / t, O(k * m) work), then elementary
 symmetric values and polynomial coefficients; k is read from the arrays'
 lengths.  The one estimator, mm_complex, serves planar and 1-d images; on 1-d
 data it takes the real parts of the roots.
+
+What does not depend on the counts is computed once: ``kernel_psi`` keeps
+each kernel's psi array per order for as long as the kernel lives, and the
+root finder evaluates p and p' once per iterate, reusing them for its freeze
+test, its Newton polish and its residual gate.
 """
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import warnings
+import weakref
 
 import numpy as np
 
@@ -60,26 +67,45 @@ def compute_psi(m: np.ndarray) -> np.ndarray:
     return A
 
 
+# kernel -> {order: read-only psi}; an entry goes when its kernel is collected.
+_psi_cache = weakref.WeakKeyDictionary()
+
+
+def kernel_psi(kernel: Kernel, order: int) -> np.ndarray:
+    """``compute_psi(kernel_moments(kernel, order))``, built once per kernel and order.
+
+    The array is read-only and shared by every caller with the same kernel
+    object, which must not be changed after construction.
+    """
+    by_order = _psi_cache.setdefault(kernel, {})
+    psi = by_order.get(order)
+    if psi is None:
+        psi = compute_psi(kernel_moments(kernel, order))
+        psi.flags.writeable = False
+        by_order[order] = psi
+    return psi
+
+
 def estimate_moments(image: CountImage, psi: np.ndarray) -> np.ndarray:
     """Moment estimates m_hat_a = sum_i psi_a(gamma_i) X_i / t for a = 1..order.
 
     ``psi`` is the coefficient array of ``compute_psi``; the result is the
     complex array m_hat_1..m_hat_order.  In noiseless mode (t = inf) the
-    stored intensities stand in for X_i / t.  Planar grids feed the anchors
-    through the x+iy embedding; 1-d grids use them as they are.  The power
-    sums S_j = sum_i gamma_i^j X_i / t, j = 0..order, come from one (m,)
-    array of gamma^j multiplied by gamma in place, and
-    m_hat_a = sum_j psi[a, j] S_j, so a call costs O(order * m).
+    stored intensities stand in for X_i / t.  gamma_i is the centre of bin i:
+    x + iy on planar grids, built by one broadcast of the two axis-centre
+    vectors in row-major order, and x on 1-d grids.  The power sums
+    S_j = sum_i gamma_i^j X_i / t, j = 0..order, come from one (m,) array of
+    gamma^j multiplied by gamma in place and by the weights, cast to complex
+    once, and m_hat_a = sum_j psi[a, j] S_j, so a call costs O(order * m).
     """
     grid = image.grid
-    anchors = grid.anchors()
+    gamma = grid.axis_centres(0)
     if grid.dimension == 2:
-        gamma = anchors[:, 0] + 1j * anchors[:, 1]
-    else:
-        gamma = anchors[:, 0]
+        gamma = (gamma[None, :] + 1j * grid.axis_centres(1)[:, None]).ravel()
     weights = image.counts if image.noiseless else image.counts / image.t
     sums = np.empty(psi.shape[0], dtype=complex)
     sums[0] = weights.sum()
+    weights = weights.astype(complex)
     # gamma^j comes from repeated multiplication and is weighted afterwards,
     # the order in which Horner's rule evaluates a monomial: with identity psi
     # (isotropic kernels) m_hat_a is then bit for bit
@@ -132,20 +158,47 @@ def _polyval_and_deriv(coeffs: np.ndarray, z: np.ndarray):
     return p, dp
 
 
-def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, max_steps: int = 8) -> np.ndarray:
-    roots = roots.astype(complex).copy()
+def _polyval_deriv_and_bound(coeffs: np.ndarray, rounding: np.ndarray, z: np.ndarray):
+    """p(z), p'(z) and sum_j rounding_j |z|^j from one Horner pass.
+
+    Each is bit for bit what ``_polyval_and_deriv`` and
+    ``np.polyval(rounding, |z|)`` return; the bound starts from 0, as
+    np.polyval's accumulator does, so a non-finite |z| gives the same value.
+    """
+    p = np.full_like(z, coeffs[0])
+    dp = np.zeros_like(z)
+    az = np.abs(z)
+    bound = np.zeros_like(az) * az + rounding[0]
+    for c, r in zip(coeffs[1:], rounding[1:]):
+        dp = dp * z + p
+        p = p * z + c
+        bound = bound * az + r
+    return p, dp, bound
+
+
+def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, values=None, max_steps: int = 8):
+    """Newton steps on every root, each kept only where it lowers |p|.
+
+    ``values`` is (p, p') at ``roots`` when the caller has them.  Returns the
+    polished roots and p at them.  p and p' are evaluated once per step, at
+    the trial points; a root whose step is refused keeps the values it had,
+    which are what evaluating it again would give.
+    """
+    roots = roots.astype(complex)
+    p, dp = _polyval_and_deriv(coeffs, roots) if values is None else values
     for _ in range(max_steps):
-        p, dp = _polyval_and_deriv(coeffs, roots)
         ok = np.abs(dp) > 0
         step = np.zeros_like(roots)
         step[ok] = p[ok] / dp[ok]
         nxt = roots - step
-        p_new, _ = _polyval_and_deriv(coeffs, nxt)
+        p_new, dp_new = _polyval_and_deriv(coeffs, nxt)
         improved = np.abs(p_new) < np.abs(p)
-        roots[improved] = nxt[improved]
         if not improved.any():
             break
-    return roots
+        roots[improved] = nxt[improved]
+        p[improved] = p_new[improved]
+        dp[improved] = dp_new[improved]
+    return roots, p
 
 
 def _aberth(coeffs: np.ndarray, max_iter: int = 200):
@@ -156,9 +209,12 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200):
     to the roots (Bini 1996); when c is itself a root the Cauchy radius
     1 + max|a_j| is used instead.  Root i freezes once
     |p(z_i)| <= 4 eps sum_j |a_j| |z_i|^j, i.e. once its backward error is at
-    rounding level; only the active roots move, each corrected against all k
-    current points.  Returns the roots and the number of iterations taken,
-    at most ``max_iter``.
+    rounding level; p, p' and that bound come from one Horner pass per
+    iteration over the active roots.  Only the active roots move, each
+    corrected against all k current points.  Returns the roots and the number
+    of iterations taken, at most ``max_iter``, and (p, p') at the returned
+    roots, each root's from the iteration that froze it, or None when the cap
+    stopped the iteration.
     """
     k = coeffs.shape[0] - 1
     centre = -coeffs[1] / k
@@ -169,13 +225,15 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200):
     z = centre + radius * np.exp(1j * angles)
     rounding = 4.0 * np.finfo(float).eps * np.abs(coeffs)
     active = np.arange(k)
+    p_all, dp_all = np.empty_like(z), np.empty_like(z)
     for iteration in range(max_iter):
         za = z[active]
-        p, dp = _polyval_and_deriv(coeffs, za)
-        moving = np.abs(p) > np.polyval(rounding, np.abs(za))
+        p, dp, bound = _polyval_deriv_and_bound(coeffs, rounding, za)
+        p_all[active], dp_all[active] = p, dp
+        moving = np.abs(p) > bound
         active, za, p, dp = active[moving], za[moving], p[moving], dp[moving]
         if active.size == 0:
-            return z, iteration
+            return z, iteration, (p_all, dp_all)
         pair = za[:, None] - z[None, :]
         pair[np.arange(active.size), active] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -184,33 +242,40 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200):
             denom = 1.0 - w * sums
             step = np.where(np.abs(denom) > 0, w / denom, w)
         z[active] = za - np.where(np.isfinite(step), step, 0.0)
-    return z, max_iter
+    return z, max_iter, None
 
 
-def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray) -> float:
-    """Largest |p(root)| / (1e-10 * max|coeff| * (1+|root|)^k) over the roots."""
-    p, _ = _polyval_and_deriv(coeffs, roots)
+def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray, p=None) -> float:
+    """Largest |p(root)| / (1e-10 * max|coeff| * (1+|root|)^k) over the roots.
+
+    ``p`` holds p(roots) when the caller has it; otherwise it is evaluated.
+    """
+    if p is None:
+        p, _ = _polyval_and_deriv(coeffs, roots)
     scale = np.max(np.abs(coeffs))
     k = coeffs.shape[0] - 1
     bound = 1e-10 * scale * (1.0 + np.abs(roots)) ** k
     return float(np.max(np.abs(p) / bound))
 
 
-def _residual_ok(coeffs: np.ndarray, roots: np.ndarray) -> bool:
-    return _residual_ratio(coeffs, roots) <= 1.0
-
-
 def _find_roots(coeffs: np.ndarray):
-    """(roots, path, Aberth iterations) for monic descending coefficients."""
+    """(roots, path, Aberth iterations, residual ratio) for monic descending coefficients.
+
+    A polished candidate set is accepted when its ``_residual_ratio`` is at
+    most 1.
+    """
     if coeffs.shape[0] == 2:
-        return np.array([-coeffs[1]]), "linear", 0
-    roots, iterations = _aberth(coeffs)
-    roots = _newton_polish(coeffs, roots)
-    if _residual_ok(coeffs, roots):
-        return roots, "aberth", iterations
-    fallback = _newton_polish(coeffs, np.roots(coeffs).astype(complex))
-    if _residual_ok(coeffs, fallback):
-        return fallback, "companion", iterations
+        roots = np.array([-coeffs[1]])
+        return roots, "linear", 0, _residual_ratio(coeffs, roots)
+    roots, iterations, values = _aberth(coeffs)
+    roots, p = _newton_polish(coeffs, roots, values)
+    ratio = _residual_ratio(coeffs, roots, p)
+    if ratio <= 1.0:
+        return roots, "aberth", iterations, ratio
+    roots, p = _newton_polish(coeffs, np.roots(coeffs).astype(complex))
+    ratio = _residual_ratio(coeffs, roots, p)
+    if ratio <= 1.0:
+        return roots, "companion", iterations, ratio
     raise RootRecoveryError(
         "root finding failed: Aberth iteration and companion-matrix fallback "
         "both exceeded the residual bound"
@@ -234,13 +299,11 @@ def complex_roots(coeffs) -> np.ndarray:
     if coeffs.shape[0] < 2:
         raise ValueError("polynomial degree must be >= 1")
     coeffs = coeffs / coeffs[0]
-    roots, path, iterations = _find_roots(coeffs)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "complex_roots degree %d: path %s, %d Aberth iterations, "
-            "worst residual/bound %.3g", coeffs.shape[0] - 1, path, iterations,
-            _residual_ratio(coeffs, roots),
-        )
+    roots, path, iterations, ratio = _find_roots(coeffs)
+    logger.debug(
+        "complex_roots degree %d: path %s, %d Aberth iterations, "
+        "worst residual/bound %.3g", coeffs.shape[0] - 1, path, iterations, ratio,
+    )
     return roots
 
 
@@ -269,6 +332,13 @@ def _degenerate_guard(image: CountImage, k: int) -> AtomicUniformMeasure | None:
     return AtomicUniformMeasure(np.tile(center, (k, 1)))
 
 
+def validate_k(k) -> int:
+    """``k`` as an int; ValueError naming k unless it is an integer >= 1."""
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return int(k)
+
+
 def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasure:
     """Complex method-of-moments estimator for planar and 1-d images.
 
@@ -276,8 +346,10 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
     Vieta's formula; the atoms are the roots of the resulting polynomial, with
     their real parts taken on 1-d data.  Atoms may land outside the
     observation window; no projection onto it is applied.  Raises ValueError
-    when the kernel's dimension differs from the image's.
+    when k is not an integer >= 1 (checked first) or when the kernel's
+    dimension differs from the image's.
     """
+    k = validate_k(k)
     if kernel.dimension != image.grid.dimension:
         raise ValueError(
             f"a {kernel.dimension}-d kernel cannot deconvolve a "
@@ -286,6 +358,6 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
     guard = _degenerate_guard(image, k)
     if guard is not None:
         return guard
-    m_hat = estimate_moments(image, compute_psi(kernel_moments(kernel, k)))
+    m_hat = estimate_moments(image, kernel_psi(kernel, k))
     return measure_from_moments(m_hat, dimension=image.grid.dimension)
 

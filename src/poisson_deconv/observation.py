@@ -94,12 +94,14 @@ class BinGrid:
     def axis_edges(self, axis: int) -> np.ndarray:
         return self._edges[axis]
 
+    def axis_centres(self, axis: int) -> np.ndarray:
+        """Centres of the bins along ``axis``, shape (n_axis,)."""
+        return (self.window_lo[axis]
+                + (np.arange(self.resolution[axis]) + 0.5) * self.bin_widths[axis])
+
     def anchors(self) -> np.ndarray:
-        """Bin centres, the points gamma_i the moment estimators use; (m, d), row-major."""
-        axes = [
-            self.window_lo[a] + (np.arange(self.resolution[a]) + 0.5) * self.bin_widths[a]
-            for a in range(self.dimension)
-        ]
+        """Bin centres as points, (m, d), row-major."""
+        axes = [self.axis_centres(a) for a in range(self.dimension)]
         if self.dimension == 1:
             return axes[0][:, None]
         xx, yy = np.meshgrid(axes[0], axes[1])  # row-major: y varies slowest

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from poisson_deconv import cli
+from poisson_deconv import cli, mm
 from poisson_deconv.cli import ConfigError, cmd_estimate, cmd_experiment, cmd_pipeline, main
 from poisson_deconv.em import EmConfig
 from poisson_deconv.harness import RiskTable
@@ -38,6 +38,16 @@ def test_mm_complex_estimate_writes_planar_atoms(estimate_config, tmp_path):
     diagnostics, out = run_estimate(estimate_config, tmp_path, "mm-complex")
     assert "em" not in diagnostics and diagnostics["objective"] is None
     assert not (out / "trace.csv").exists()
+
+
+def test_estimate_and_its_moment_diagnostic_share_one_psi(estimate_config, tmp_path,
+                                                          monkeypatch):
+    built = []
+    compute_psi = mm.compute_psi
+    monkeypatch.setattr(mm, "compute_psi", lambda m: built.append(m.shape) or compute_psi(m))
+    diagnostics, _ = run_estimate(estimate_config, tmp_path, "mm-complex")
+    assert built == [(3,)]  # k = 2: one psi, built by the estimator, read again for moments_hat
+    assert len(diagnostics["moments_hat"]) == 2
 
 
 def test_em_estimate_writes_a_monotone_trace(estimate_config, tmp_path):
@@ -161,6 +171,16 @@ def test_invalid_em_values_in_estimate_exit_2(estimate_config, tmp_path, capsys)
     config = {**estimate_config, "estimator": "em", "em": {"early_stop_w1": "nan"}}
     assert run_main(tmp_path, "estimate", config) == 2
     assert capsys.readouterr().err.startswith("config error: invalid em spec: early_stop_w1")
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5])
+def test_invalid_k_in_estimate_exits_2(estimate_config, tmp_path, capsys, k):
+    config = {**estimate_config, "estimator": "mm-complex", "k": k}
+    assert run_main(tmp_path, "estimate", config) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: invalid estimate spec: k must be an integer >= 1, got {k!r}"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_tabulated_kernel_is_a_config_error(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from poisson_deconv import mm
 from poisson_deconv.harness import builtin_configuration
 from poisson_deconv.kernels import (
     GaussianKernel,
+    TabulatedKernel,
     UniformBoxKernel,
     kernel_moments,
 )
@@ -22,10 +25,15 @@ from poisson_deconv.measures import (
 )
 from poisson_deconv.mm import (
     DegenerateDataWarning,
-    _residual_ok,
+    RootRecoveryError,
+    _find_roots,
+    _polyval_and_deriv,
+    _polyval_deriv_and_bound,
+    _residual_ratio,
     complex_roots,
     compute_psi,
     estimate_moments,
+    kernel_psi,
     measure_from_moments,
     mm_complex,
     newton_to_elementary,
@@ -241,7 +249,161 @@ class TestRootFinderConvergence:
         coeffs = np.poly(targets)
         roots = complex_roots(coeffs)
         assert roots.shape == (len(targets),)
-        assert _residual_ok(coeffs, roots)
+        assert _residual_ratio(coeffs, roots) <= 1.0
+
+
+# Reference root finder (oracle): two Horner passes per Newton step, a
+# separate np.polyval for the freeze bound, and a residual gate that evaluates
+# p again.  mm reuses p and p' between these stages and must match it bit for
+# bit.
+def oracle_polyval_and_deriv(coeffs: np.ndarray, z: np.ndarray):
+    """Horner evaluation of p and p' for descending coefficients."""
+    p = np.full_like(z, coeffs[0])
+    dp = np.zeros_like(z)
+    for c in coeffs[1:]:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def oracle_newton_polish(coeffs: np.ndarray, roots: np.ndarray, max_steps: int = 8) -> np.ndarray:
+    roots = roots.astype(complex).copy()
+    for _ in range(max_steps):
+        p, dp = oracle_polyval_and_deriv(coeffs, roots)
+        ok = np.abs(dp) > 0
+        step = np.zeros_like(roots)
+        step[ok] = p[ok] / dp[ok]
+        nxt = roots - step
+        p_new, _ = oracle_polyval_and_deriv(coeffs, nxt)
+        improved = np.abs(p_new) < np.abs(p)
+        roots[improved] = nxt[improved]
+        if not improved.any():
+            break
+    return roots
+
+
+def oracle_aberth(coeffs: np.ndarray, max_iter: int = 200):
+    k = coeffs.shape[0] - 1
+    centre = -coeffs[1] / k
+    radius = abs(np.polyval(coeffs, centre)) ** (1.0 / k)
+    if not 0.0 < radius < np.inf:
+        radius = 1.0 + np.max(np.abs(coeffs[1:]))  # Cauchy bound
+    angles = 2 * np.pi * (np.arange(k) + 0.5) / k + 0.4
+    z = centre + radius * np.exp(1j * angles)
+    rounding = 4.0 * np.finfo(float).eps * np.abs(coeffs)
+    active = np.arange(k)
+    for iteration in range(max_iter):
+        za = z[active]
+        p, dp = oracle_polyval_and_deriv(coeffs, za)
+        moving = np.abs(p) > np.polyval(rounding, np.abs(za))
+        active, za, p, dp = active[moving], za[moving], p[moving], dp[moving]
+        if active.size == 0:
+            return z, iteration
+        pair = za[:, None] - z[None, :]
+        pair[np.arange(active.size), active] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums = np.sum(1.0 / pair, axis=1)
+            w = np.where(np.abs(dp) > 0, p / dp, p)
+            denom = 1.0 - w * sums
+            step = np.where(np.abs(denom) > 0, w / denom, w)
+        z[active] = za - np.where(np.isfinite(step), step, 0.0)
+    return z, max_iter
+
+
+def oracle_residual_ratio(coeffs: np.ndarray, roots: np.ndarray) -> float:
+    p, _ = oracle_polyval_and_deriv(coeffs, roots)
+    scale = np.max(np.abs(coeffs))
+    k = coeffs.shape[0] - 1
+    bound = 1e-10 * scale * (1.0 + np.abs(roots)) ** k
+    return float(np.max(np.abs(p) / bound))
+
+
+def oracle_residual_ok(coeffs: np.ndarray, roots: np.ndarray) -> bool:
+    return oracle_residual_ratio(coeffs, roots) <= 1.0
+
+
+def oracle_find_roots(coeffs: np.ndarray):
+    if coeffs.shape[0] == 2:
+        return np.array([-coeffs[1]]), "linear", 0
+    roots, iterations = oracle_aberth(coeffs)
+    roots = oracle_newton_polish(coeffs, roots)
+    if oracle_residual_ok(coeffs, roots):
+        return roots, "aberth", iterations
+    fallback = oracle_newton_polish(coeffs, np.roots(coeffs).astype(complex))
+    if oracle_residual_ok(coeffs, fallback):
+        return fallback, "companion", iterations
+    raise RootRecoveryError("oracle: both paths exceeded the residual bound")
+
+
+complex_values = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+
+
+@st.composite
+def monic_polynomials(draw):
+    """Monic descending coefficients of degree 2..16: drawn directly, or from
+    roots that may repeat or cluster."""
+    degree = draw(st.integers(2, 16))
+    if draw(st.booleans()):
+        return np.concatenate([[1.0], draw(st.lists(complex_values, min_size=degree,
+                                                     max_size=degree))]).astype(complex)
+    distinct = draw(st.lists(complex_values, min_size=1, max_size=degree))
+    spread = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    roots = [distinct[i % len(distinct)] * (1 + spread * i) for i in range(degree)]
+    return np.poly(roots).astype(complex)
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRootFinderMatchesOracle:
+    @settings(max_examples=150)
+    @given(monic_polynomials())
+    def test_roots_path_and_ratio_match_bit_for_bit(self, coeffs):
+        try:
+            expected = oracle_find_roots(coeffs)
+        except RootRecoveryError:
+            with pytest.raises(RootRecoveryError):
+                _find_roots(coeffs)
+            return
+        roots, path, iterations, ratio = _find_roots(coeffs)
+        assert same_bits(roots, expected[0])
+        assert (path, iterations) == expected[1:]
+        assert ratio == oracle_residual_ratio(coeffs, expected[0])
+        assert same_bits(complex_roots(coeffs), expected[0])
+
+    @given(
+        st.lists(complex_values, min_size=1, max_size=16),
+        st.lists(st.one_of(
+            st.builds(complex, st.floats(allow_nan=True, allow_infinity=True),
+                      st.floats(allow_nan=True, allow_infinity=True)),
+            complex_values,
+        ), min_size=1, max_size=12),
+    )
+    def test_one_pass_horner_matches_separate_passes(self, tail, points):
+        # non-finite and overflowing points included: the bound starts from 0
+        # as np.polyval's accumulator does
+        coeffs = np.array([1.0] + tail, dtype=complex)
+        rounding = 4.0 * np.finfo(float).eps * np.abs(coeffs)
+        z = np.array(points, dtype=complex)
+        with np.errstate(all="ignore"):
+            p, dp = oracle_polyval_and_deriv(coeffs, z)
+            bound = np.polyval(rounding, np.abs(z))
+            one_pass = _polyval_deriv_and_bound(coeffs, rounding, z)
+            two_values = _polyval_and_deriv(coeffs, z)
+        for got, want in zip(one_pass + two_values, (p, dp, bound, p, dp)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("coeffs", [
+        np.poly(np.arange(1, 9) / 10.0),
+        [1.0, -0.25 - 0.5j],
+    ], ids=["aberth", "linear"])
+    def test_debug_record_reports_the_accepted_ratio(self, caplog, coeffs):
+        with caplog.at_level(logging.DEBUG, logger="poisson_deconv.mm"):
+            roots = complex_roots(coeffs)
+        [record] = [r for r in caplog.records if r.name == "poisson_deconv.mm"]
+        monic = np.asarray(coeffs, dtype=complex)
+        assert record.args[3] == _residual_ratio(monic / monic[0], roots) <= 1.0
 
 
 def spaced_atoms(min_gap):
@@ -439,6 +601,24 @@ class TestMmComplex:
         with pytest.raises(ValueError, match="finite"):
             measure_from_moments([0.5 + 0.5j, bad])
 
+    @pytest.mark.parametrize("counts", ["poisson", "zeros"])
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_rejects_a_k_that_is_not_a_positive_integer(self, monkeypatch, counts, k):
+        # checked before the all-zero guard warns and before psi is looked up
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        grid = BinGrid([0, 0], [1, 1], (10, 10))
+        values = np.zeros(grid.m) if counts == "zeros" else np.arange(grid.m) % 3
+        img = CountImage(grid, values, 5.0)
+
+        def no_lookup(*args):
+            raise AssertionError("psi looked up for an invalid k")
+
+        monkeypatch.setattr(mm, "kernel_psi", no_lookup)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateDataWarning)
+            with pytest.raises(ValueError, match=rf"k must be an integer >= 1, got {k!r}"):
+                mm_complex(img, kernel, k)
+
     def test_degenerate_counts_warn(self):
         kernel = GaussianKernel(sigma=0.05, dim=2)
         grid = BinGrid([0, 0], [1, 1], (10, 10))
@@ -446,6 +626,38 @@ class TestMmComplex:
         with pytest.warns(DegenerateDataWarning):
             est = mm_complex(img, kernel, 3)
         assert np.allclose(est.atoms, 0.5)
+
+
+class TestPsiCache:
+    def test_built_once_per_kernel_and_order(self, monkeypatch):
+        samples = np.exp(-0.5 * np.add.outer(*[np.linspace(-0.2, 0.2, 21) ** 2] * 2) / 0.06**2)
+        kernel = TabulatedKernel(samples, 0.02, [-0.2, -0.2])
+        mu = AtomicUniformMeasure([[0.4, 0.45], [0.55, 0.5], [0.5, 0.6]])
+        grid = BinGrid([0, 0], [1, 1], (20, 20))
+        img = simulate(kernel, mu, grid, 1e4, seed=5)
+        calls = {"psi": 0, "tables": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mm, "compute_psi", counted("psi", mm.compute_psi))
+        monkeypatch.setattr(TabulatedKernel, "_moment_weights",
+                            counted("tables", TabulatedKernel._moment_weights))
+        first = [mm_complex(img, kernel, k).atoms for k in (3, 2, 3, 2, 3)]
+        # one psi and one table per axis for each of the two orders
+        assert calls == {"psi": 2, "tables": 4}
+        np.testing.assert_array_equal(first[0], first[2])
+        # an equal kernel that is another object gets its own entry
+        kernel_psi(TabulatedKernel(samples, 0.02, [-0.2, -0.2]), 3)
+        assert calls == {"psi": 3, "tables": 6}
+        for order in (2, 3):
+            psi = kernel_psi(kernel, order)
+            assert not psi.flags.writeable
+            fresh = compute_psi(kernel_moments(kernel, order))
+            assert psi.dtype == fresh.dtype and psi.tobytes() == fresh.tobytes()
 
 
 class TestMmReal:
