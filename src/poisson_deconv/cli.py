@@ -91,10 +91,16 @@ def _build_measure(spec: dict) -> AtomicUniformMeasure:
 
 def _build_grid(spec: dict) -> BinGrid:
     res = _require(spec, "resolution", "grid spec")
-    if isinstance(res, (int, float)):
-        res = [int(res), int(res)]
-    window = spec.get("window", [[0.0, 0.0], [1.0, 1.0]])
-    return BinGrid(window[0], window[1], tuple(int(n) for n in res))
+    with _invalid("grid spec"):
+        if isinstance(res, (int, float)):
+            res = [int(res), int(res)]
+        window = spec.get("window", [[0.0, 0.0], [1.0, 1.0]])
+        return BinGrid(window[0], window[1], tuple(int(n) for n in res))
+
+
+def _exposure(t) -> float:
+    """An exposure value from a config: a number, or "inf" for the noiseless limit."""
+    return np.inf if isinstance(t, str) and t.lower() in ("inf", "infinity") else float(t)
 
 
 def _present(spec: dict, casts: dict) -> dict:
@@ -117,11 +123,14 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
     kernel = _build_kernel(_require(config, "kernel"))
     mu = _build_measure(_require(config, "measure"))
     grid = _build_grid(_require(config, "grid"))
-    t = config.get("t", "inf")
-    if isinstance(t, str) and t.lower() in ("inf", "infinity"):
+    with _invalid("t"):
+        t = _exposure(config.get("t", "inf"))
+        if not t > 0:
+            raise ValueError(f"must be positive (inf for noiseless), got {t!r}")
+    if np.isinf(t):
         image = noiseless(kernel, mu, grid)
     else:
-        image = simulate(kernel, mu, grid, float(t), int(config["seed"]))
+        image = simulate(kernel, mu, grid, t, int(config["seed"]))
     csv_path, json_path = save_image(image, out_dir)
     logger.info("wrote %s and %s", csv_path, json_path)
     return 0
@@ -233,13 +242,9 @@ def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
     if mode != "risk":
         raise ConfigError(f"unknown experiment mode '{mode}'")
     with _invalid("experiment spec"):
-        t_values = tuple(
-            np.inf if isinstance(t, str) and t.lower() in ("inf", "infinity") else float(t)
-            for t in _require(config, "t_values")
-        )
         spec = ExperimentSpec(
             resolutions=tuple(int(n) for n in _require(config, "resolutions")),
-            t_values=t_values,
+            t_values=tuple(map(_exposure, _require(config, "t_values"))),
             seed=int(config["seed"]),
             jobs=jobs,
             em=_em_config(config.get("em", {})),

@@ -107,6 +107,9 @@ class ExperimentSpec:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be >= 1 (or None for every core)")
+        self.truth()  # raises for a k its configuration cannot lay out
 
     def truth(self) -> AtomicUniformMeasure:
         if self.configuration == "custom":

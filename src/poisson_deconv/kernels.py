@@ -16,6 +16,13 @@ the atom coordinates, with no loop over bins.
   strip masses on the bins' edges.
 - Tabulated kernels integrate their piecewise linear/bilinear interpolant
   exactly through hat-function weights built for all atoms at once.
+
+The MM chain needs only the moments m_j = E[z^j] of the kernel, with z = x
+on the line and z = x + iy in the plane, and each kernel returns m_0..m_order
+as one array (``kernel_moments``).  Gaussians use Wick's theorem in closed
+form: E[z^(2l)] = (2l - 1)!! c^l with c = E[z^2], and odd moments vanish.
+Box and tabulated kernels build the real table E[x^a y^b] and fold it into
+complex moments by the binomial expansion of (x + iy)^j.
 """
 from __future__ import annotations
 
@@ -26,8 +33,6 @@ import math
 
 import numpy as np
 from scipy.special import ndtr
-
-from .measures import multi_indices
 
 logger = logging.getLogger(__name__)
 
@@ -50,9 +55,6 @@ class Kernel:
         """Characteristic half-width (sigma for Gaussians, support radius otherwise)."""
         raise NotImplementedError
 
-    def is_rotationally_symmetric(self) -> bool:
-        return False
-
     def is_planar_product(self) -> bool:
         """True for a planar kernel whose bin integrals are dy[iy, j] * dx[ix, j].
 
@@ -61,12 +63,8 @@ class Kernel:
         """
         return False
 
-    def axis_moments(self, order: int, axis: int = 0) -> np.ndarray:
-        """1-d marginal-factor moments; only defined for product kernels."""
-        raise NotImplementedError
-
-    def multi_moments(self, order: int) -> dict:
-        """Moments m_alpha^K for all multi-indices with |alpha| <= order."""
+    def moments(self, order: int) -> np.ndarray:
+        """Moments m_0..m_order, as ``kernel_moments`` describes them."""
         raise NotImplementedError
 
     def bin_integral_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
@@ -132,13 +130,6 @@ class _ProductKernel(Kernel):
         np.multiply(gy[:, None, :], dx[None, :, :], out=blocks[..., 1])
         return out
 
-    def multi_moments(self, order: int) -> dict:
-        axis_mom = [self.axis_moments(order, axis) for axis in range(self.dimension)]
-        return {
-            alpha: float(math.prod(axis_mom[axis][a] for axis, a in enumerate(alpha)))
-            for alpha in multi_indices(order, self.dimension)
-        }
-
 
 class GaussianKernel(_ProductKernel):
     """Centered Gaussian density with covariance sigma^2 I, diag(v), or full Sigma.
@@ -171,17 +162,12 @@ class GaussianKernel(_ProductKernel):
             if np.any(np.linalg.eigvalsh(cov) <= 0):
                 raise ValueError("cov must be positive definite")
             self.cov = cov
-        # exact tests: a kernel only nearly diagonal or isotropic has complex
-        # moments the symmetric shortcuts would set to zero
+        # exact test: any correlation, however small, takes the anisotropic path
         self._diagonal = bool(np.array_equal(self.cov, np.diag(np.diag(self.cov))))
         self._axis_sigma = np.sqrt(np.diag(self.cov))
 
     def is_planar_product(self) -> bool:
         return self._diagonal and super().is_planar_product()
-
-    def is_rotationally_symmetric(self) -> bool:
-        return (self.dimension == 2 and self._diagonal
-                and bool(np.all(self._axis_sigma == self._axis_sigma[0])))
 
     def spread(self) -> float:
         return float(self._axis_sigma.max())
@@ -193,20 +179,17 @@ class GaussianKernel(_ProductKernel):
         quad = np.einsum("ni,ij,nj->n", x, prec, x)
         return norm * np.exp(-0.5 * quad)
 
-    def axis_moments(self, order: int, axis: int = 0) -> np.ndarray:
-        if not self._diagonal:
-            raise ValueError("axis moments require a diagonal covariance")
-        s = self._axis_sigma[axis]
-        vals = np.zeros(order + 1)
-        vals[0] = 1.0
-        for j in range(2, order + 1, 2):
-            vals[j] = s**j * _double_factorial(j - 1)
+    def moments(self, order: int) -> np.ndarray:
+        # c = E[z^2] is exactly 0 for an isotropic planar kernel, so every
+        # moment past m_0 is exactly 0 too
+        if self.dimension == 1:
+            c = float(self.cov[0, 0])
+        else:
+            c = complex(self.cov[0, 0] - self.cov[1, 1], 2 * self.cov[0, 1])
+        vals = np.zeros(order + 1, dtype=type(c))
+        for j in range(0, order + 1, 2):
+            vals[j] = math.prod(range(j - 1, 0, -2)) * c ** (j // 2)
         return vals
-
-    def multi_moments(self, order: int) -> dict:
-        if self._diagonal:
-            return super().multi_moments(order)
-        return _gaussian_multi_moments(self.cov, order)
 
     # product CDF path (diagonal covariance only)
     def _standardized(self, edges, coords, axis):
@@ -310,12 +293,14 @@ class UniformBoxKernel(_ProductKernel):
         inside = np.all(np.abs(x) <= self.half_widths[None, :], axis=1)
         return inside / np.prod(2 * self.half_widths)
 
-    def axis_moments(self, order: int, axis: int = 0) -> np.ndarray:
-        h = self.half_widths[axis]
-        vals = np.zeros(order + 1)
-        for j in range(0, order + 1, 2):
-            vals[j] = h**j / (j + 1)
-        return vals
+    def moments(self, order: int) -> np.ndarray:
+        axes = np.zeros((self.dimension, order + 1))
+        for axis, h in enumerate(self.half_widths):
+            for j in range(0, order + 1, 2):
+                axes[axis, j] = h**j / (j + 1)
+        if self.dimension == 1:
+            return axes[0]
+        return _planar_moments(np.outer(*axes))
 
     def axis_cdf_diff(self, edges, coords, axis):
         h = self.half_widths[axis]
@@ -477,13 +462,11 @@ class TabulatedKernel(Kernel):
         table[:, 1:] += powers @ (half * weights * u)
         return table
 
-    def multi_moments(self, order: int) -> dict:
+    def moments(self, order: int) -> np.ndarray:
         wx = self._moment_weights(order, 0)
         if self.dimension == 1:
-            moments = wx @ self.samples
-            return {(j,): float(moments[j]) for j in range(order + 1)}
-        moments = wx @ self.samples.T @ self._moment_weights(order, 1).T  # [a, b]
-        return {(a, b): float(moments[a, b]) for a, b in multi_indices(order, 2)}
+            return wx @ self.samples
+        return _planar_moments(wx @ self.samples.T @ self._moment_weights(order, 1).T)
 
     @classmethod
     def load(cls, csv_path, json_path=None) -> "TabulatedKernel":
@@ -529,58 +512,20 @@ def _normal_mass(z: np.ndarray) -> np.ndarray:
     return np.where(za >= 0, ta - tb, np.where(zb <= 0, tb - ta, 1.0 - ta - tb))
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _gaussian_multi_moments(cov: np.ndarray, order: int) -> dict:
-    """Centered Gaussian monomial moments via the Stein recurrence.
-
-    m_{a,b} = (a-1) * Sxx * m_{a-2,b} + b * Sxy * m_{a-1,b-1}, seeded by
-    m_{0,0} = 1; the reduction on the first index suffices because moments are
-    symmetric in the coordinates.
-    """
-    sxx, sxy, syy = cov[0, 0], cov[0, 1], cov[1, 1]
-    memo = {}
-
-    def mom(a, b):
-        if a < 0 or b < 0:
-            return 0.0
-        if (a, b) in memo:
-            return memo[(a, b)]
-        if a == 0 and b == 0:
-            val = 1.0
-        elif a == 0:
-            val = (b - 1) * syy * mom(0, b - 2) if b >= 2 else 0.0
-        else:
-            val = (a - 1) * sxx * mom(a - 2, b) + b * sxy * mom(a - 1, b - 1)
-        memo[(a, b)] = val
-        return val
-
-    return {alpha: float(mom(*alpha)) for alpha in multi_indices(order, 2)}
+def _planar_moments(table: np.ndarray) -> np.ndarray:
+    """Complex moments E[(x + iy)^j], j = 0..order, from table[a, b] = E[x^a y^b]."""
+    vals = np.empty(table.shape[0], dtype=complex)
+    for j in range(table.shape[0]):
+        vals[j] = sum(math.comb(j, l) * 1j**l * table[j - l, l] for l in range(j + 1))
+    return vals
 
 
 def kernel_moments(kernel: Kernel, order: int) -> np.ndarray:
     """Kernel moments m_0..m_order as one array, the first link of the MM chain.
 
     Entry j is int y^j K(y) dy: a float array for kernels on the line, and a
-    complex array of the moments of z = x + iy for planar kernels (identically
-    zero beyond order 0 for rotationally symmetric kernels).  m_0 is 1.
+    complex array of the moments of z = x + iy for planar kernels.  m_0 is 1.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if kernel.dimension == 1:
-        moments = kernel.multi_moments(order)
-        return np.array([moments[(j,)] for j in range(order + 1)])
-    vals = np.zeros(order + 1, dtype=complex)
-    vals[0] = 1.0
-    if not kernel.is_rotationally_symmetric():
-        moments = kernel.multi_moments(order)
-        for j in range(order + 1):
-            vals[j] = sum(math.comb(j, l) * 1j**l * moments[(j - l, l)]
-                          for l in range(j + 1))
-    return vals
+    return kernel.moments(order)

@@ -3,13 +3,13 @@
 The estimation target throughout the library is a uniform distribution on k
 points of R^d (d = 1 or 2): every atom carries mass 1/k, and uniformity is
 structural (weights are never stored).  This module provides the measure type,
-the package's one enumerator of multi-indices, exact complex moments m_1..m_k
-as a plain array (the array the MM chain estimates), the moment distance M_k
-between two such arrays, exact p-Wasserstein distances between equal-size
-uniform measures, the Hausdorff distance between supports, Voronoi-cell
-conditional measures relative to a clustered reference, the cluster-weighted
-local Wasserstein divergence, and a moment-matched perturbation that produces
-adversarial pairs sharing their first k-1 moments.
+exact complex moments m_1..m_k as a plain array (the array the MM chain
+estimates), the moment distance M_k between two such arrays, exact
+p-Wasserstein distances between equal-size uniform measures, the Hausdorff
+distance between supports, Voronoi-cell conditional measures relative to a
+clustered reference, the cluster-weighted local Wasserstein divergence, and a
+moment-matched perturbation that produces adversarial pairs sharing their
+first k-1 moments.
 """
 from __future__ import annotations
 
@@ -22,18 +22,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial.distance import cdist
-
-
-def multi_indices(order: int, dimension: int) -> list:
-    """Every alpha in N^dimension with |alpha| <= order, by degree, then by alpha_1.
-
-    Within one degree the indices are in lexicographic order, so (0, 0) comes
-    first and, in the plane, (a, j - a) precedes (a + 1, j - a - 1).
-    """
-    indices = [()]
-    for _ in range(dimension):
-        indices = [alpha + (a,) for alpha in indices for a in range(order + 1 - sum(alpha))]
-    return sorted(indices, key=lambda alpha: (sum(alpha), alpha))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ from poisson_deconv.em import EmConfig
 from poisson_deconv.harness import RiskTable
 from poisson_deconv.kernels import GaussianKernel
 from poisson_deconv.measures import AtomicUniformMeasure
-from poisson_deconv.observation import BinGrid, CountImage, noiseless, save_image
+from poisson_deconv.observation import BinGrid, CountImage, load_image, noiseless, save_image
 
 
 @pytest.fixture
@@ -147,6 +147,9 @@ def run_main(tmp_path, command, config) -> int:
     ({"t_values": ["soon"]}, "experiment spec: could not convert"),
     ({"em": {"early_stop_w1": -1}}, "em spec: early_stop_w1"),
     ({"em": {"inner_max_iterations": 0}}, "em spec: inner_max_iterations"),
+    ({"k": 5}, "experiment spec: grid configuration requires a perfect-square k"),
+    ({"configuration": "corners", "k": 6}, "experiment spec: corners configuration"),
+    ({"configuration": "u-shape", "k": 1}, "experiment spec: u-shape configuration"),
 ])
 def test_invalid_experiment_values_exit_2(tmp_path, capsys, override, message):
     assert run_main(tmp_path, "experiment", {**EXPERIMENT, **override}) == 2
@@ -191,3 +194,34 @@ def test_non_finite_tabulated_kernel_is_a_config_error(tmp_path):
     (tmp_path / "run.json").write_text(json.dumps(config))
     assert main(["simulate", "--config", str(tmp_path / "run.json"),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def test_experiment_jobs_below_one_exits_2(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps(EXPERIMENT))
+    assert main(["experiment", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out"), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: invalid experiment spec: jobs must be >= 1")
+    assert not (tmp_path / "out").exists()
+
+
+SIMULATE = {"kernel": {"type": "gaussian", "sigma": 0.05}, "measure": {"atoms": [[0.5, 0.5]]},
+            "grid": {"resolution": 8}, "t": 1e3}
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"grid": {"resolution": 0}}, "grid spec: resolution must give >= 1 bins"),
+    ({"t": -5}, "t: must be positive"),
+    ({"t": "abc"}, "t: could not convert"),
+])
+def test_invalid_simulate_values_exit_2(tmp_path, capsys, override, message):
+    assert run_main(tmp_path, "simulate", {**SIMULATE, **override}) == 2
+    assert capsys.readouterr().err.startswith(f"config error: invalid {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t", [1e3, "inf"])
+def test_simulate_writes_an_image(tmp_path, t):
+    assert run_main(tmp_path, "simulate", {**SIMULATE, "t": t}) == 0
+    image = load_image(tmp_path / "out")
+    assert image.grid.resolution == (8, 8) and image.t == float(t)

@@ -231,3 +231,17 @@ class TestSpecValidation:
             configuration="custom", atoms=((0.3, 0.3), (0.7, 0.7)), k=2
         )
         assert spec.truth().k == 2
+
+    @pytest.mark.parametrize("configuration, k, message", [
+        ("grid", 5, "perfect-square"),
+        ("corners", 6, "divisible by 4"),
+        ("u-shape", 1, "k >= 2"),
+    ])
+    def test_truth_the_configuration_cannot_lay_out(self, configuration, k, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(configuration=configuration, k=k)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            small_spec(jobs=jobs)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from poisson_deconv.kernels import (
     UniformBoxKernel,
     kernel_moments,
 )
-from poisson_deconv.measures import AtomicUniformMeasure, multi_indices
+from poisson_deconv.measures import AtomicUniformMeasure
 from poisson_deconv.observation import BinGrid
 
 
@@ -148,6 +151,14 @@ class TestKernelMoments:
         assert abs(c) > 1e-9
         assert m[2] == pytest.approx(c, rel=1e-9, abs=0)
 
+    def test_near_isotropic_moments_do_not_cancel(self):
+        # a binomial fold of the axis moments cancels to -8.3e-24 here
+        cov = np.diag([0.05**2, (0.05 * 1.000005) ** 2])
+        m = kernel_moments(GaussianKernel(cov=cov), 8)
+        exact = float(105 * (Fraction(cov[0, 0]) - Fraction(cov[1, 1])) ** 4)
+        assert m[8].imag == 0.0
+        assert abs(m[8].real - exact) <= 1e-12 * exact
+
     def test_anisotropic_complex_moments_wick(self):
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
         m = kernel_moments(GaussianKernel(cov=cov), 4)
@@ -177,6 +188,125 @@ class TestKernelMoments:
         m = kernel_moments(k, 4)
         assert m[2] == pytest.approx(s**2, rel=1e-4)
         assert m[4] == pytest.approx(3 * s**4, rel=1e-3)
+
+
+def exact_wick_moments(cov, order):
+    """E[z^j], j = 0..order, of a centered Gaussian with covariance ``cov`` as Fractions.
+
+    The pair (re, im) of each moment is exact for the floats in ``cov``: Wick's
+    theorem gives (2l - 1)!! c^l at j = 2l with c = E[z^2], and 0 at odd j.
+    """
+    if cov.shape == (1, 1):
+        c = (Fraction(cov[0, 0]), Fraction(0))
+    else:
+        c = (Fraction(cov[0, 0]) - Fraction(cov[1, 1]), 2 * Fraction(cov[0, 1]))
+    moments, power = [], (Fraction(1), Fraction(0))
+    for j in range(order + 1):
+        if j % 2:
+            moments.append((Fraction(0), Fraction(0)))
+            continue
+        if j:
+            power = (power[0] * c[0] - power[1] * c[1], power[0] * c[1] + power[1] * c[0])
+        double_factorial = math.prod(range(j - 1, 0, -2))
+        moments.append((double_factorial * power[0], double_factorial * power[1]))
+    return moments
+
+
+@st.composite
+def gaussian_covariances(draw):
+    """1-d variances and 2-d diagonal, near-isotropic and full SPD covariances."""
+    sd = st.floats(0.01, 1.0)
+    kind = draw(st.sampled_from(["1d", "diagonal", "near-isotropic", "full"]))
+    if kind == "1d":
+        return np.array([[draw(sd) ** 2]])
+    if kind == "diagonal":
+        return np.diag([draw(sd) ** 2, draw(sd) ** 2])
+    if kind == "near-isotropic":
+        s = draw(sd)
+        return np.diag([s**2, (s * (1 + 10.0 ** draw(st.floats(-8, -1)))) ** 2])
+    # |l21| >= 1e-6 keeps c^8 clear of the subnormal range, where no relative bound holds
+    l21 = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6)))
+    l11, l22 = draw(sd), draw(sd)
+    return np.array([[l11 * l11, l11 * l21], [l21 * l11, l21 * l21 + l22 * l22]])
+
+
+@given(cov=gaussian_covariances(), order=st.integers(1, 16))
+@settings(max_examples=200, deadline=None)
+def test_gaussian_moments_match_exact_wick(cov, order):
+    m = kernel_moments(GaussianKernel(cov=cov, dim=cov.shape[0]), order)
+    assert m.shape == (order + 1,)
+    assert m.dtype == (float if cov.shape == (1, 1) else complex)
+    for value, (re, im) in zip(m.tolist(), exact_wick_moments(cov, order)):
+        exact = complex(float(re), float(im))
+        assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+# The multi-index moment path box and tabulated kernels took before they
+# returned their moment arrays directly, kept verbatim as their oracle.
+
+def oracle_multi_indices(order: int, dimension: int) -> list:
+    indices = [()]
+    for _ in range(dimension):
+        indices = [alpha + (a,) for alpha in indices for a in range(order + 1 - sum(alpha))]
+    return sorted(indices, key=lambda alpha: (sum(alpha), alpha))
+
+
+def oracle_box_axis_moments(kernel, order, axis):
+    h = kernel.half_widths[axis]
+    vals = np.zeros(order + 1)
+    for j in range(0, order + 1, 2):
+        vals[j] = h**j / (j + 1)
+    return vals
+
+
+def oracle_multi_moments(kernel, order):
+    if isinstance(kernel, UniformBoxKernel):
+        axis_mom = [oracle_box_axis_moments(kernel, order, axis)
+                    for axis in range(kernel.dimension)]
+        return {
+            alpha: float(math.prod(axis_mom[axis][a] for axis, a in enumerate(alpha)))
+            for alpha in oracle_multi_indices(order, kernel.dimension)
+        }
+    wx = kernel._moment_weights(order, 0)
+    if kernel.dimension == 1:
+        moments = wx @ kernel.samples
+        return {(j,): float(moments[j]) for j in range(order + 1)}
+    moments = wx @ kernel.samples.T @ kernel._moment_weights(order, 1).T  # [a, b]
+    return {(a, b): float(moments[a, b]) for a, b in oracle_multi_indices(order, 2)}
+
+
+def oracle_kernel_moments(kernel, order):
+    if kernel.dimension == 1:
+        moments = oracle_multi_moments(kernel, order)
+        return np.array([moments[(j,)] for j in range(order + 1)])
+    vals = np.zeros(order + 1, dtype=complex)
+    vals[0] = 1.0
+    moments = oracle_multi_moments(kernel, order)
+    for j in range(order + 1):
+        vals[j] = sum(math.comb(j, l) * 1j**l * moments[(j - l, l)]
+                      for l in range(j + 1))
+    return vals
+
+
+@st.composite
+def box_and_tabulated_kernels(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        return UniformBoxKernel(draw(st.lists(st.floats(0.01, 2.0), min_size=dim,
+                                              max_size=dim)))
+    shape = draw(st.lists(st.integers(2, 8), min_size=dim, max_size=dim))
+    samples = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=math.prod(shape),
+                                     max_size=math.prod(shape))))
+    samples[0] = 1.0  # positive mass
+    origin = draw(st.lists(st.floats(-0.5, 0.1), min_size=dim, max_size=dim))
+    return TabulatedKernel(samples.reshape(shape), draw(st.floats(0.01, 0.2)), origin)
+
+
+@given(kernel=box_and_tabulated_kernels(), order=st.integers(1, 16))
+@settings(max_examples=200, deadline=None)
+def test_box_and_tabulated_moments_match_the_multi_index_oracle(kernel, order):
+    m, oracle = kernel_moments(kernel, order), oracle_kernel_moments(kernel, order)
+    assert m.dtype == oracle.dtype and m.tobytes() == oracle.tobytes()
 
 
 class TestBinIntensity:
@@ -557,18 +687,19 @@ class TestTabulatedMoments:
         (sampled_gaussian_1d(), 9),
         (sampled_gaussian(ANISOTROPIC_COV), 8),
     ], ids=["1d", "anisotropic"])
-    def test_multi_moments_match_per_cell_quadrature(self, kernel, order):
+    def test_complex_moments_match_per_cell_quadrature(self, kernel, order):
         lo, hi = kernel.support_box()
-        moments = kernel.multi_moments(order)
-        assert list(moments) == multi_indices(order, kernel.dimension)
-        for alpha, value in moments.items():
-            w = [segment_integrals(kernel, lo[a], hi[a], a, alpha[a])
-                 for a in range(kernel.dimension)]
+        w = [[segment_integrals(kernel, lo[a], hi[a], a, degree) for degree in range(order + 1)]
+             for a in range(kernel.dimension)]
+        moments = kernel_moments(kernel, order)
+        for j, value in enumerate(moments):
             if kernel.dimension == 1:
-                reference = w[0] @ kernel.samples
+                reference = w[0][j] @ kernel.samples
             else:
-                reference = w[1] @ kernel.samples @ w[0]
-            assert abs(value - reference) <= 1e-12 * kernel.spread() ** sum(alpha)
+                # E[(x + iy)^j] from the real moments E[x^(j-l) y^l]
+                reference = sum(math.comb(j, l) * 1j**l * (w[1][l] @ kernel.samples @ w[0][j - l])
+                                for l in range(j + 1))
+            assert abs(value - reference) <= 1e-12 * (2 * kernel.spread()) ** j
 
 
 class TestTabulatedLoading:

@@ -12,7 +12,6 @@ from poisson_deconv.measures import (
     hausdorff,
     local_divergence,
     moment_distance,
-    multi_indices,
     perturb_matching_moments,
     voronoi_assign,
     wasserstein_p,
@@ -83,13 +82,6 @@ class TestExactMoments:
         assert m[0] == pytest.approx(2.0)
         assert m[1] == pytest.approx(14.0 / 3.0)
         assert m[2] == pytest.approx(12.0)
-
-    def test_multi_indices_by_degree_then_first_index(self):
-        assert multi_indices(2, 1) == [(0,), (1,), (2,)]
-        assert multi_indices(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-        family = multi_indices(3, 3)
-        assert len(family) == 20  # C(3 + 3, 3)
-        assert family[:4] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 class TestMomentDistance:
