@@ -50,12 +50,16 @@ def _require(config: dict, field: str, context: str = "config"):
 
 @contextlib.contextmanager
 def _invalid(context: str):
-    """Re-raise a ValueError or missing file met building ``context`` as ConfigError."""
+    """Re-raise a ValueError, TypeError or missing file met building ``context`` as ConfigError.
+
+    A TypeError there comes from a config value of the wrong JSON type,
+    such as an object where a number or a list belongs.
+    """
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, TypeError, FileNotFoundError) as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
@@ -94,8 +98,11 @@ def _build_grid(spec: dict) -> BinGrid:
     with _invalid("grid spec"):
         if isinstance(res, (int, float)):
             res = [int(res), int(res)]
-        window = spec.get("window", [[0.0, 0.0], [1.0, 1.0]])
-        return BinGrid(window[0], window[1], tuple(int(n) for n in res))
+        res = tuple(int(n) for n in res)
+        window = np.asarray(spec.get("window", [[0.0, 0.0], [1.0, 1.0]]), float)
+        if window.shape != (2, len(res)) or not np.all(np.isfinite(window)):
+            raise ValueError(f"window must be two points of {len(res)} finite coordinates")
+        return BinGrid(window[0], window[1], res)
 
 
 def _exposure(t) -> float:

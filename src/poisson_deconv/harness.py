@@ -188,16 +188,34 @@ def _fallback_measure(grid: BinGrid, k: int) -> AtomicUniformMeasure:
     return AtomicUniformMeasure(np.tile(grid.center(), (k, 1)))
 
 
-def _run_replicate(payload: tuple) -> dict:
+# The sweep a pool worker serves, set once per worker by _start_worker, so a
+# task carries only (n_side, t, seed) and the worker keeps one kernel object,
+# whose psi mm.kernel_psi then builds once.
+_worker_sweep = None
+
+
+def _start_worker(sweep: tuple) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _run_in_worker(payload: tuple) -> dict:
+    return _run_replicate(_worker_sweep, payload)
+
+
+def _run_replicate(sweep: tuple, payload: tuple) -> dict:
     """One replicate of one cell: draw its image, run the estimators, score.
 
-    ``payload`` is (spec, kernel, truth, grid, lam, t, seed): the sweep's
-    truth and kernel, the cell's scene (grid and intensities lam),
-    its exposure, and the replicate's stream.  Every warning an estimator
-    raises is recorded, repeats included, and counted under its
+    ``sweep`` is (spec, kernel, truth, scenes), what every replicate of the
+    sweep shares, with each resolution's scene a (grid, intensities) pair
+    keyed by n_side.  ``payload`` is (n_side, t, seed): the cell's
+    resolution, its exposure, and the replicate's stream.  Every warning an
+    estimator raises is recorded, repeats included, and counted under its
     "n_warnings"; none reaches the caller.
     """
-    spec, kernel, truth, grid, lam, t, seed = payload
+    spec, kernel, truth, scenes = sweep
+    n_side, t, seed = payload
+    grid, lam = scenes[n_side]
     k = truth.k
     if np.isinf(t):
         image = CountImage(grid, lam, t)
@@ -284,7 +302,8 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
 
     The truth and kernel are built once, and each resolution's scene (bin
     grid and intensities) once; every cell of that resolution draws
-    from it.  Replicates run in one process pool per sweep when spec.jobs > 1;
+    from it.  Replicates run in one process pool per sweep when spec.jobs > 1,
+    whose workers each receive the sweep's kernel, truth and scenes once;
     the reduction always consumes results in replicate order so means are
     bit-stable.  Noiseless cells (t = inf) are deterministic and computed once.
     """
@@ -295,19 +314,21 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
     for n_side in spec.resolutions:
         grid = BinGrid([0.0, 0.0], [1.0, 1.0], (n_side, n_side))
         scenes[n_side] = grid, intensities(kernel, truth, grid)
+    sweep = (spec, kernel, truth, scenes)
     cells = [(t, n) for t in spec.t_values for n in spec.resolutions]
     jobs = spec.jobs or os.cpu_count() or 1
     parallel = jobs > 1 and spec.replicates > 1 and any(np.isfinite(spec.t_values))
-    pool = ProcessPoolExecutor(max_workers=jobs) if parallel else None
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                               initargs=(sweep,)) if parallel else None
     with pool or contextlib.nullcontext():
         for cell_index, (t, n_side) in enumerate(cells):
             reps = 1 if np.isinf(t) else spec.replicates
-            payloads = [
-                (spec, kernel, truth, *scenes[n_side], t,
-                 replicate_seed(spec.seed, cell_index, rep))
-                for rep in range(reps)
-            ]
-            results = list((pool.map if pool else map)(_run_replicate, payloads))
+            payloads = [(n_side, t, replicate_seed(spec.seed, cell_index, rep))
+                        for rep in range(reps)]
+            if pool:
+                results = list(pool.map(_run_in_worker, payloads))
+            else:
+                results = [_run_replicate(sweep, payload) for payload in payloads]
             if np.isinf(t) and spec.replicates > 1:
                 results = results * spec.replicates  # deterministic cell, reuse
             table.rows.extend(_aggregate_cell(spec, truth.k, t, n_side, results))

@@ -10,7 +10,10 @@ the atom coordinates, with no loop over bins.
 - Product kernels (Gaussians with diagonal covariance, uniform boxes)
   multiply per-axis CDF differences.  Each axis factor is built from that
   axis's n + 1 edges, so a CDF tail or density value is computed once per
-  edge and shared by the two bins that meet there.
+  edge and shared by the two bins that meet there.  ``axis_factors`` gives an
+  axis's masses and their derivatives from one pass over its edges: the
+  edges relative to the atoms (standardized, for a Gaussian) are formed
+  once and feed both, so the gradient costs no second pass.
 - Anisotropic Gaussians integrate the bivariate density's strip masses
   along x with fixed-order Gauss-Legendre; their gradients are the same
   strip masses on the bins' edges.
@@ -58,8 +61,9 @@ class Kernel:
     def is_planar_product(self) -> bool:
         """True for a planar kernel whose bin integrals are dy[iy, j] * dx[ix, j].
 
-        dx and dy are the kernel's axis factors (``axis_cdf_diff``) on the
-        grid's x and y edges, and their derivatives ``axis_cdf_diff_grad``.
+        dx and dy are the kernel's axis factors on the grid's x and y edges:
+        ``axis_cdf_diff`` gives them, and ``axis_factors`` them together with
+        their derivatives.
         """
         return False
 
@@ -97,8 +101,8 @@ class _ProductKernel(Kernel):
         """
         raise NotImplementedError
 
-    def axis_cdf_diff_grad(self, edges, coords, axis):
-        """Derivatives of axis_cdf_diff in theta_j, shape (n, k)."""
+    def axis_factors(self, edges: np.ndarray, coords: np.ndarray, axis: int) -> tuple:
+        """``axis_cdf_diff`` and its derivatives in theta_j from one pass, each (n, k)."""
         raise NotImplementedError
 
     def is_planar_product(self) -> bool:
@@ -117,14 +121,11 @@ class _ProductKernel(Kernel):
         atoms = np.atleast_2d(atoms)
         k = atoms.shape[0]
         out = np.empty((grid.m, k, self.dimension))
+        dx, gx = self.axis_factors(grid.axis_edges(0), atoms[:, 0], 0)
         if self.dimension == 1:
-            out[:, :, 0] = self.axis_cdf_diff_grad(grid.axis_edges(0), atoms[:, 0], 0)
+            out[:, :, 0] = gx
             return out
-        ex, ey = grid.axis_edges(0), grid.axis_edges(1)
-        dx = self.axis_cdf_diff(ex, atoms[:, 0], 0)
-        dy = self.axis_cdf_diff(ey, atoms[:, 1], 1)
-        gx = self.axis_cdf_diff_grad(ex, atoms[:, 0], 0)
-        gy = self.axis_cdf_diff_grad(ey, atoms[:, 1], 1)
+        dy, gy = self.axis_factors(grid.axis_edges(1), atoms[:, 1], 1)
         blocks = out.reshape(dy.shape[0], dx.shape[0], k, 2)
         np.multiply(dy[:, None, :], gx[None, :, :], out=blocks[..., 0])
         np.multiply(gy[:, None, :], dx[None, :, :], out=blocks[..., 1])
@@ -200,10 +201,10 @@ class GaussianKernel(_ProductKernel):
     def axis_cdf_diff(self, edges, coords, axis):
         return _normal_mass(self._standardized(edges, coords, axis))
 
-    def axis_cdf_diff_grad(self, edges, coords, axis):
+    def axis_factors(self, edges, coords, axis):
         z = self._standardized(edges, coords, axis)
         phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
-        return (phi[:-1] - phi[1:]) / self._axis_sigma[axis]
+        return _normal_mass(z), (phi[:-1] - phi[1:]) / self._axis_sigma[axis]
 
     # anisotropic path: strip masses of the bivariate density ------------------
     def _strip_masses(self, offsets, edges, axis):
@@ -309,13 +310,13 @@ class UniformBoxKernel(_ProductKernel):
         overlap = np.clip(np.minimum(b, h) - np.maximum(a, -h), 0.0, None)
         return overlap / (2 * h)
 
-    def axis_cdf_diff_grad(self, edges, coords, axis):
+    def axis_factors(self, edges, coords, axis):
         h = self.half_widths[axis]
         e = edges[:, None] - coords[None, :]
         a, b = e[:-1], e[1:]
         overlap = np.minimum(b, h) - np.maximum(a, -h)
         slope = ((a > -h).astype(float) - (b < h)) / (2 * h)
-        return np.where(overlap > 0, slope, 0.0)
+        return np.clip(overlap, 0.0, None) / (2 * h), np.where(overlap > 0, slope, 0.0)
 
 
 class TabulatedKernel(Kernel):

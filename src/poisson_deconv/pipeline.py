@@ -147,11 +147,9 @@ def partition(modes: np.ndarray, grid: BinGrid, link_threshold: float) -> list:
     dist = cdist(modes, modes)
     adjacency = csr_matrix((dist < link_threshold).astype(np.int8))
     n_comp, labels = connected_components(adjacency, directed=False)
-    masks = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        masks.append(np.isin(owner, members))
-    return masks
+    # each bin's component, through the mode that owns it
+    bin_component = labels[owner]
+    return [bin_component == comp for comp in range(n_comp)]
 
 
 def denoise_and_crop(image: CountImage, residual: CountImage,
@@ -235,14 +233,11 @@ def run_pipeline(image: CountImage, kernel: Kernel,
         den = np.round(den)
     denoised_full = CountImage(image.grid, den, image.t)
     k_per_cell = allocate_components(masks, denoised_full, config.k)
+    total = denoised_full.counts.sum()
     cells = []
     atoms = []
     for cid, (mask, k_p) in enumerate(zip(masks, k_per_cell)):
-        mass_ratio = (
-            float(denoised_full.counts[mask].sum()) / denoised_full.counts.sum()
-            if denoised_full.counts.sum() > 0
-            else 0.0
-        )
+        mass_ratio = float(denoised_full.counts[mask].sum()) / total if total > 0 else 0.0
         result = CellResult(cid, mask, k_p, None, mass_ratio)
         if k_p == 0:
             result.flags.append("no_components")

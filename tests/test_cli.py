@@ -213,6 +213,10 @@ SIMULATE = {"kernel": {"type": "gaussian", "sigma": 0.05}, "measure": {"atoms": 
     ({"grid": {"resolution": 0}}, "grid spec: resolution must give >= 1 bins"),
     ({"t": -5}, "t: must be positive"),
     ({"t": "abc"}, "t: could not convert"),
+    ({"grid": {"resolution": 8, "window": [[0, 0]]}}, "grid spec: window must be two points"),
+    ({"grid": {"resolution": 8, "window": 5}}, "grid spec: window must be two points"),
+    ({"grid": {"resolution": 8, "window": {"lo": 0}}}, "grid spec: float() argument"),
+    ({"kernel": {"type": "gaussian", "sigma": [0.05]}}, "kernel spec: float() argument"),
 ])
 def test_invalid_simulate_values_exit_2(tmp_path, capsys, override, message):
     assert run_main(tmp_path, "simulate", {**SIMULATE, **override}) == 2

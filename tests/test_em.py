@@ -1,5 +1,6 @@
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -628,6 +629,28 @@ class TestMaximizeLikelihood:
             ref_value, ref_grad = _neg_log_likelihood(x, img, kernel, 3, 1e-30)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
             assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["diagonal", "box"]),
+        shape=st.tuples(st.integers(2, 14), st.integers(2, 14)).filter(lambda s: s[0] != s[1]),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_planar_product_path_matches_dense_on_any_grid(self, kind, shape, k, seed):
+        # n_x != n_y, so contracting the axis factors in a swapped layout fails
+        kernel = {"diagonal": GaussianKernel(cov=np.diag([0.012, 0.005])),
+                  "box": UniformBoxKernel([0.2, 0.15])}[kind]
+        rng = np.random.default_rng(seed)
+        grid = BinGrid([0, 0], [1, 1.2], shape)
+        truth = AtomicUniformMeasure(rng.uniform([0.2, 0.2], [0.8, 1.0], size=(k, 2)))
+        img = simulate(kernel, truth, grid, 1e5, seed=seed)
+        x = (truth.atoms + rng.uniform(-0.05, 0.05, size=(k, 2))).ravel()
+        value, grad = _neg_log_likelihood(x, img, kernel, k, 1e-30)
+        with mock.patch.object(kernel, "is_planar_product", lambda: False):
+            ref_value, ref_grad = _neg_log_likelihood(x, img, kernel, k, 1e-30)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
 
     @pytest.mark.parametrize("kernel", [
         GaussianKernel(sigma=0.1, dim=2),

@@ -1,10 +1,11 @@
 import dataclasses
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from poisson_deconv import harness
+from poisson_deconv import harness, mm
 from poisson_deconv.em import EmConfig, run_em
 from poisson_deconv.harness import (
     ExperimentSpec,
@@ -151,9 +152,9 @@ class TestProcessPool:
         pools = []
 
         class CountingPool(harness.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         spec = small_spec(t_values=(1e3, 1e4), replicates=2)
@@ -163,6 +164,25 @@ class TestProcessPool:
             dataclasses.replace(spec, jobs=2)
         ).to_csv(tmp_path / "pool.csv")
         assert pools == [2]
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_each_worker_builds_psi_once(self, monkeypatch, tmp_path):
+        # forked workers inherit the patch; each appends its pid to one file
+        log = tmp_path / "psi_builds.txt"
+        real = mm.compute_psi
+
+        def logged(moments):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(moments)
+
+        monkeypatch.setattr(mm, "compute_psi", logged)
+        spec = ExperimentSpec(configuration="u-shape", k=12, resolutions=(30,),
+                              t_values=(1e5,), replicates=8, seed=3, estimators=("mm",))
+        run_risk_experiment(dataclasses.replace(spec, jobs=2)).to_csv(tmp_path / "pool.csv")
+        builds = log.read_text().split()
+        assert 1 <= len(builds) <= 2 and len(set(builds)) == len(builds)
+        run_risk_experiment(dataclasses.replace(spec, jobs=1)).to_csv(tmp_path / "serial.csv")
         assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 

@@ -574,12 +574,12 @@ class TestVectorizedPaths:
         for axis, scale in enumerate(scales):
             edges = np.sort(np.concatenate([0.5 + scale * offsets, np.linspace(0, 1, 11)]))
             lo, hi = edges[:-1], edges[1:]
+            mass = per_bin_cdf_diff(kernel, lo, hi, coords, axis)
+            np.testing.assert_array_equal(kernel.axis_cdf_diff(edges, coords, axis), mass)
+            factors = kernel.axis_factors(edges, coords, axis)
+            np.testing.assert_array_equal(factors[0], mass)
             np.testing.assert_array_equal(
-                kernel.axis_cdf_diff(edges, coords, axis),
-                per_bin_cdf_diff(kernel, lo, hi, coords, axis))
-            np.testing.assert_array_equal(
-                kernel.axis_cdf_diff_grad(edges, coords, axis),
-                per_bin_cdf_diff_grad(kernel, lo, hi, coords, axis))
+                factors[1], per_bin_cdf_diff_grad(kernel, lo, hi, coords, axis))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 from poisson_deconv.em import EmConfig, log_likelihood
 from poisson_deconv.kernels import GaussianKernel, UniformBoxKernel
@@ -89,6 +92,23 @@ class TestPartition:
         masks = partition(modes, grid10, 0.25)
         stack = np.stack(masks)
         assert np.all(stack.sum(axis=0) == 1)
+
+    def test_masks_equal_each_components_owned_bins(self):
+        # reference: a bin is in a component's mask when the mode owning it
+        # is one of the component's members
+        grid = BinGrid([0, 0], [1, 1.5], (13, 17))
+        rng = np.random.default_rng(5)
+        for n_modes in (1, 3, 6, 12):
+            modes = rng.uniform([0, 0], [1, 1.5], size=(n_modes, 2))
+            owner = np.argmin(cdist(grid.anchors(), modes), axis=1)
+            n_comp, labels = connected_components(
+                csr_matrix(cdist(modes, modes) < 0.4), directed=False)
+            expected = [np.isin(owner, np.flatnonzero(labels == comp))
+                        for comp in range(n_comp)]
+            masks = partition(modes, grid, 0.4)
+            assert len(masks) == n_comp
+            for mask, want in zip(masks, expected):
+                np.testing.assert_array_equal(mask, want)
 
 
 class TestEvenRoundAllocation:
