@@ -9,7 +9,9 @@ coordinates inside the observation window inflated by 3 kernel spreads,
 accepting a point only if Q rose by more than a rounding-level 1e-13 of |Q|,
 which keeps the observed-data log-likelihood non-decreasing along the run.
 maximize_likelihood climbs the observed-data log-likelihood itself with one
-L-BFGS-B run, which converges in far fewer steps than EM when atoms overlap.
+L-BFGS-B run, which converges in far fewer steps than EM when atoms overlap;
+its forward model is the kernel's ``intensity_and_vjp``, while Q and the
+e-step read the kernel's dense (m, k) bin-integral matrices.
 run_em alternates the two (Redner & Walker, SIAM Review 26, 1984; Jamshidian
 & Jennrich, JRSS-B 59, 1997): after every m-step that moves, it ascends the
 log-likelihood from the m-step's point, still with one m-step per iteration.
@@ -62,10 +64,10 @@ class EmConfig:
             raise ValueError("early_stop_w1 must be >= 0")
         if self.inner_max_iterations < 1:
             raise ValueError("inner_max_iterations must be >= 1")
-        if not self.inner_grad_tol > 0:
-            raise ValueError("inner_grad_tol must be positive")
-        if not self.intensity_floor > 0:
-            raise ValueError("intensity_floor must be positive")
+        if not 0 < self.inner_grad_tol < np.inf:
+            raise ValueError("inner_grad_tol must be positive and finite")
+        if not 0 < self.intensity_floor < np.inf:
+            raise ValueError("intensity_floor must be positive and finite")
 
 
 @dataclass
@@ -232,6 +234,21 @@ def _default_domain(image: CountImage, kernel: Kernel) -> tuple:
     return image.grid.window_lo - pad, image.grid.window_hi + pad
 
 
+def _ascend(fun, x0, image: CountImage, kernel: Kernel, config: EmConfig):
+    """L-BFGS-B minimization of ``fun`` (value, gradient) from the flat point ``x0``.
+
+    Every atom is bounded to the window inflated by 3 kernel spreads, and the
+    solver runs with ``config``'s inner_max_iterations and inner_grad_tol and
+    ftol 1e-14.  Exceptions from the solver propagate.
+    """
+    lo, hi = _default_domain(image, kernel)
+    return minimize(
+        fun, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)) * (x0.size // lo.size),
+        options={"maxiter": config.inner_max_iterations, "gtol": config.inner_grad_tol,
+                 "ftol": 1e-14},
+    )
+
+
 def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
            mu_tilde: AtomicUniformMeasure, config: EmConfig = EmConfig()):
     """Ascend Q over atom coordinates inside the window inflated by 3 kernel spreads.
@@ -254,16 +271,8 @@ def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
     fun = _QFunction(image, kernel, resp, k, config.intensity_floor)
     x0 = np.clip(mu_tilde.atoms, lo, hi).ravel()
     q0 = -fun(x0)[0]
-    bounds = [(lo[ax], hi[ax]) for _ in range(k) for ax in range(d)]
     try:
-        res = minimize(
-            fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={
-                "maxiter": config.inner_max_iterations,
-                "gtol": config.inner_grad_tol,
-                "ftol": 1e-14,
-            },
-        )
+        res = _ascend(fun, x0, image, kernel, config)
         candidate = res.x
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -347,46 +356,20 @@ def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
 
     l = sum_i X_i log(t max(lam_i, floor)) - t lam_i, the observed-data
     log-likelihood, has the gradient sum_i W_i grad lam_i with
-    W_i = X_i / max(lam_i, floor) - t.  The floored intensities are formed
-    once and then overwritten with W.
-
-    On a planar product kernel, lam and the gradient are contractions of
-    the axis factors, which ``axis_factors`` gives with their derivatives
-    from one pass per axis, so no (m, k) or (m, k, d) array is built.  The
-    factors are laid out as contiguous (k, n) rows, [dy; gy] and [gx; dx],
-    because einsum contracts rows of contiguous memory about 1.5 times as
-    fast as (n, k) columns (80 x 80 bins, k = 16).  One einsum of W with
-    [gx; dx] serves both coordinates of the gradient.  No BLAS routine is
-    called (no matmul, dot, tensordot or optimized einsum): the first one in
-    a process pages in its code, which added 0.39 MiB resident memory on the
-    em_dense benchmark and 0.45 MiB on pipeline_clusters.  Other kernels
-    contract the dense (m, k) and (m, k, d) bin-integral matrices.
+    W_i = X_i / max(lam_i, floor) - t.  The kernel's ``intensity_and_vjp``
+    gives k lam_i and contracts W with the gradient of k lam, so this
+    function does not know how a kernel lays out its bins.  The floored
+    intensities are formed once and then overwritten with W.
     """
     counts, t = _effective(image)
-    grid, atoms = image.grid, np.reshape(theta_flat, (k, -1))
-    planar = kernel.is_planar_product()
-    if planar:
-        dx, gx = kernel.axis_factors(grid.axis_edges(0), atoms[:, 0], 0)
-        dy, gy = kernel.axis_factors(grid.axis_edges(1), atoms[:, 1], 1)
-        y_factors = np.concatenate([dy.T, gy.T])  # (2k, n_y)
-        x_factors = np.concatenate([gx.T, dx.T])  # (2k, n_x)
-        intensity = np.einsum("jy,jx->yx", y_factors[:k], x_factors[k:]).ravel()
-        intensity /= k
-    else:
-        intensity = kernel.bin_integral_matrix(grid, atoms).sum(axis=1) / k
+    lam, vjp = kernel.intensity_and_vjp(image.grid, np.reshape(theta_flat, (k, -1)))
+    intensity = lam / k
     w = np.maximum(intensity, floor)
     # _log_likelihood's expression, on the floored intensities already formed
     ll = float(np.sum(counts * np.log(t * w) - t * intensity))
     np.divide(counts, w, out=w)
     w -= t
-    if planar:
-        # rows j < k hold (W gx)^T and rows j >= k (W dx)^T; each meets its
-        # partner in [dy; gy] and sums over y
-        rows = np.einsum("yx,jx->jy", w.reshape(dy.shape[0], -1), x_factors)
-        grad = np.einsum("jy,jy->j", rows, y_factors).reshape(2, k).T / k
-    else:
-        grad = np.einsum("i,ijd->jd", w, kernel.bin_integral_gradient_matrix(grid, atoms)) / k
-    return -ll, -grad.ravel()
+    return -ll, -(vjp(w) / k).ravel()
 
 
 class _NegLogLikelihood(_PointMemory):
@@ -423,19 +406,10 @@ def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMe
     k, d = init.k, init.dimension
     lo, hi = _default_domain(image, kernel)
     fun = _NegLogLikelihood(image, kernel, k, config.intensity_floor)
-    bounds = [(lo[ax], hi[ax]) for _ in range(k) for ax in range(d)]
     measure, status, nit, error = init, "kept", 0, None
     ll = -fun(init.atoms.ravel())[0]
     try:
-        res = minimize(
-            fun, np.clip(init.atoms, lo, hi).ravel(), jac=True, method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxiter": config.inner_max_iterations,
-                "gtol": config.inner_grad_tol,
-                "ftol": 1e-14,
-            },
-        )
+        res = _ascend(fun, np.clip(init.atoms, lo, hi).ravel(), image, kernel, config)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         logger.warning("maximize_likelihood kept its initializer: optimizer raised %s", error)

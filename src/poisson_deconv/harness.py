@@ -98,8 +98,8 @@ class ExperimentSpec:
             raise ValueError("custom configuration requires atoms")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         if not self.resolutions or any(n < 1 for n in self.resolutions):
             raise ValueError("resolutions must be positive")
         if not self.t_values or any(not t > 0 for t in self.t_values):

@@ -70,6 +70,8 @@ class BinGrid:
         res = tuple(int(n) for n in np.atleast_1d(self.resolution))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.shape[0] not in (1, 2):
             raise ValueError("window must be 1- or 2-dimensional")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+            raise ValueError("window corners must be finite")
         if np.any(hi <= lo):
             raise ValueError("window_hi must exceed window_lo")
         if len(res) != lo.shape[0] or any(n < 1 for n in res):
@@ -265,10 +267,16 @@ def load_image(path) -> CountImage:
         height = int(meta["height_px"])
         pixel = float(meta["pixel_size"])
         pixel_y = float(meta.get("pixel_size_y", pixel))
+    except (TypeError, ValueError, OverflowError):
+        raise MetadataError("width_px/height_px/pixel_size must be finite numbers")
+    if width < 1 or height < 1 or not (0 < pixel < np.inf and 0 < pixel_y < np.inf):
+        raise MetadataError("image dimensions and pixel sizes must be positive and finite")
+    try:
+        origin = np.asarray(meta.get("origin", [0.0, 0.0]), float)
     except (TypeError, ValueError):
-        raise MetadataError("width_px/height_px/pixel_size must be numeric")
-    if width < 1 or height < 1 or pixel <= 0 or pixel_y <= 0:
-        raise MetadataError("image dimensions and pixel size must be positive")
+        origin = None
+    if origin is None or origin.shape != (2,) or not np.all(np.isfinite(origin)):
+        raise MetadataError(f"origin must be two finite numbers, got {meta['origin']!r}")
 
     rows = []
     with open(path) as fh:
@@ -310,8 +318,6 @@ def load_image(path) -> CountImage:
             t = float(t_raw)
         except (TypeError, ValueError):
             raise MetadataError("exposure 't' must be numeric or 'inf'")
-    origin = np.asarray(meta.get("origin", [0.0, 0.0]), float)
-    lo = origin
     hi = origin + np.array([width * pixel, height * pixel_y])
-    grid = BinGrid(lo, hi, (width, height))
+    grid = BinGrid(origin, hi, (width, height))
     return CountImage(grid, counts.ravel(), t)

@@ -57,8 +57,8 @@ class PartitionConfig:
             raise ValueError("mode_count must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.link_threshold <= 0:
-            raise ValueError("link_threshold must be positive")
+        if not 0 < self.link_threshold < np.inf:
+            raise ValueError("link_threshold must be positive and finite")
 
 
 @dataclass

@@ -217,11 +217,29 @@ SIMULATE = {"kernel": {"type": "gaussian", "sigma": 0.05}, "measure": {"atoms": 
     ({"grid": {"resolution": 8, "window": 5}}, "grid spec: window must be two points"),
     ({"grid": {"resolution": 8, "window": {"lo": 0}}}, "grid spec: float() argument"),
     ({"kernel": {"type": "gaussian", "sigma": [0.05]}}, "kernel spec: float() argument"),
+    ({"kernel": {"type": "gaussian", "sigma": float("nan")}},
+     "kernel spec: sigma must be positive and finite"),
+    ({"kernel": {"type": "uniform-box", "half_widths": [float("inf"), 0.1]}},
+     "kernel spec: half widths must be positive and finite"),
 ])
 def test_invalid_simulate_values_exit_2(tmp_path, capsys, override, message):
     assert run_main(tmp_path, "simulate", {**SIMULATE, **override}) == 2
     assert capsys.readouterr().err.startswith(f"config error: invalid {message}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"origin": {"x": 1}}, "origin must be two finite numbers"),
+    ({"origin": [0, 0, 0]}, "origin must be two finite numbers"),
+    ({"pixel_size": float("nan")}, "image dimensions and pixel sizes must be positive and finite"),
+])
+def test_malformed_image_geometry_is_an_error_without_traceback(estimate_config, tmp_path,
+                                                                capsys, override, message):
+    meta_path = tmp_path / "image" / "image.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **override}))
+    assert run_main(tmp_path, "estimate", {**estimate_config, "estimator": "mm-complex"}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("t", [1e3, "inf"])

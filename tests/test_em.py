@@ -1,5 +1,8 @@
+import functools
+import gc
 import logging
 import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,7 @@ from poisson_deconv.em import (
     _QFunction,
 )
 from poisson_deconv.harness import builtin_configuration
-from poisson_deconv.kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
+from poisson_deconv.kernels import GaussianKernel, Kernel, TabulatedKernel, UniformBoxKernel
 from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
 from poisson_deconv.mm import mm_complex
 from poisson_deconv.observation import BinGrid, CountImage, noiseless, simulate
@@ -323,8 +326,10 @@ class TestEmConfig:
         ("inner_grad_tol", 0.0),
         ("inner_grad_tol", -1e-8),
         ("inner_grad_tol", np.nan),
+        ("inner_grad_tol", np.inf),
         ("intensity_floor", 0.0),
         ("intensity_floor", np.nan),
+        ("intensity_floor", np.inf),
     ])
     def test_rejects_values_that_break_run_em(self, field, value):
         # a negative or NaN early_stop_w1 never stops at the fixed point, so
@@ -502,7 +507,6 @@ class TestOverRelaxation:
     def test_tabulated_kernel_stays_monotone(self, caplog):
         # the ascent's dense, non-product path
         kernel = sampled_gaussian_kernel()
-        assert not kernel.is_planar_product()
         grid = BinGrid([0, 0], [1, 1], (20, 20))
         truth = AtomicUniformMeasure([[0.4, 0.45], [0.55, 0.5]])
         img = simulate(kernel, truth, grid, 1e4, seed=22)
@@ -621,10 +625,10 @@ class TestMaximizeLikelihood:
         assert np.any((kernel.bin_integral_matrix(grid, corner).sum(axis=1) < 3e-30)
                       & (img.counts > 0))
         points = [(truth.atoms + 0.01).ravel(), corner.ravel()]
-        assert kernel.is_planar_product()
         product = [_neg_log_likelihood(x, img, kernel, 3, 1e-30) for x in points]
         # l on the dense matrices
-        monkeypatch.setattr(kernel, "is_planar_product", lambda: False)
+        monkeypatch.setattr(kernel, "intensity_and_vjp",
+                            functools.partial(Kernel.intensity_and_vjp, kernel))
         for x, (value, grad) in zip(points, product):
             ref_value, ref_grad = _neg_log_likelihood(x, img, kernel, 3, 1e-30)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
@@ -647,7 +651,8 @@ class TestMaximizeLikelihood:
         img = simulate(kernel, truth, grid, 1e5, seed=seed)
         x = (truth.atoms + rng.uniform(-0.05, 0.05, size=(k, 2))).ravel()
         value, grad = _neg_log_likelihood(x, img, kernel, k, 1e-30)
-        with mock.patch.object(kernel, "is_planar_product", lambda: False):
+        with mock.patch.object(kernel, "intensity_and_vjp",
+                               functools.partial(Kernel.intensity_and_vjp, kernel)):
             ref_value, ref_grad = _neg_log_likelihood(x, img, kernel, k, 1e-30)
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
         assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
@@ -723,6 +728,35 @@ class TestMaximizeLikelihood:
         lam = kernel.bin_integral_matrix(grid, out.atoms).mean(axis=1)
         expected = np.sum(img.counts * np.log(np.maximum(lam, 1e-30)) - lam)
         assert trace.loglik[0] == pytest.approx(expected, rel=1e-12)
+
+
+class TestPointMemoryLifetime:
+    @pytest.mark.parametrize("kernel", [GaussianKernel(sigma=0.08, dim=2),
+                                        sampled_gaussian_kernel()], ids=["product", "dense"])
+    def test_no_point_memory_outlives_its_solve_without_the_cycle_collector(
+            self, kernel, small_setup, monkeypatch):
+        # A _PointMemory in a reference cycle, such as a bound method stored
+        # on itself, keeps its (m, k) buffers alive until the cycle collector
+        # runs, which multiplies a solve's resident memory.
+        _, mu, grid = small_setup
+        img = simulate(kernel, mu, grid, 1e4, seed=4)
+        init = AtomicUniformMeasure(mu.atoms + 0.03)
+        refs = []
+        point_memory_init = em._PointMemory.__init__
+
+        def tracking_init(self, *args):
+            point_memory_init(self, *args)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(em._PointMemory, "__init__", tracking_init)
+        gc.disable()
+        try:
+            run_em(img, kernel, init, EmConfig(max_iterations=5))
+            maximize_likelihood(img, kernel, init)
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+        assert len(refs) >= 3 and alive == 0
 
 
 class TestEmTrace:

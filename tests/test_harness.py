@@ -261,6 +261,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             small_spec(configuration=configuration, k=k)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            small_spec(sigma=sigma)
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):

@@ -11,6 +11,7 @@ from scipy.stats import norm
 
 from poisson_deconv.kernels import (
     GaussianKernel,
+    Kernel,
     TabulatedKernel,
     UniformBoxKernel,
     kernel_moments,
@@ -82,9 +83,9 @@ def reference_bin_integral(kernel, lo, hi, atom):
         return float(val)
     val = 1.0
     for axis in range(kernel.dimension):
-        val *= kernel.axis_cdf_diff(
+        val *= kernel.axis_factors(
             np.array([lo[axis], hi[axis]]), atom[axis : axis + 1], axis
-        )[0, 0]
+        )[0][0, 0]
     return float(val)
 
 
@@ -575,7 +576,6 @@ class TestVectorizedPaths:
             edges = np.sort(np.concatenate([0.5 + scale * offsets, np.linspace(0, 1, 11)]))
             lo, hi = edges[:-1], edges[1:]
             mass = per_bin_cdf_diff(kernel, lo, hi, coords, axis)
-            np.testing.assert_array_equal(kernel.axis_cdf_diff(edges, coords, axis), mass)
             factors = kernel.axis_factors(edges, coords, axis)
             np.testing.assert_array_equal(factors[0], mass)
             np.testing.assert_array_equal(
@@ -636,6 +636,38 @@ def tabulated_problems(draw):
                 edge = edges[draw(st.integers(0, edges.shape[0] - 1))]
                 atoms[j, axis] = edge - box[draw(st.integers(0, 1))][axis]
     return kernel, grid, atoms
+
+
+class TestIntensityAndVjp:
+    KERNELS = {
+        ("diagonal", 2): GaussianKernel(cov=np.diag([0.012, 0.005])),
+        ("box", 2): UniformBoxKernel([0.2, 0.15]),
+        ("diagonal", 1): GaussianKernel(cov=[[0.012]], dim=1),
+        ("box", 1): UniformBoxKernel([0.2]),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["diagonal", "box"]),
+        dim=st.sampled_from([1, 2]),
+        shape=st.tuples(st.integers(2, 14), st.integers(2, 14)).filter(lambda s: s[0] != s[1]),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_product_kernels_match_the_dense_default(self, kind, dim, shape, k, seed):
+        # n_x != n_y on the plane, so a swapped axis layout cannot pass
+        kernel = self.KERNELS[kind, dim]
+        rng = np.random.default_rng(seed)
+        grid = BinGrid([0.0, 0.0][:dim], [1.0, 1.2][:dim], shape[:dim])
+        atoms = rng.uniform(-0.1, 1.1, size=(k, dim))
+        lam, vjp = kernel.intensity_and_vjp(grid, atoms)
+        dense_lam, dense_vjp = Kernel.intensity_and_vjp(kernel, grid, atoms)
+        assert lam.shape == (grid.m,)
+        np.testing.assert_allclose(lam, dense_lam, rtol=1e-12, atol=0)
+        w = rng.normal(size=grid.m)
+        grad, dense_grad = vjp(w), dense_vjp(w)
+        assert grad.shape == (k, dim)
+        assert np.abs(grad - dense_grad).max() <= 1e-10 * np.abs(dense_grad).max()
 
 
 class TestBatchedTabulated:
@@ -747,3 +779,23 @@ class TestValidation:
     def test_box_bad_args(self):
         with pytest.raises(ValueError):
             UniformBoxKernel([0.0])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma": np.nan}, {"sigma": np.inf}, {"cov": [[np.inf, 0.0], [0.0, 1.0]]},
+        {"cov": [[1.0, np.nan], [np.nan, 1.0]]},
+    ])
+    def test_gaussian_rejects_non_finite_parameters(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianKernel(**kwargs)
+
+    @pytest.mark.parametrize("half_widths", [[np.nan, 1.0], [np.inf, 1.0], [np.inf]])
+    def test_box_rejects_non_finite_half_widths(self, half_widths):
+        with pytest.raises(ValueError, match="finite"):
+            UniformBoxKernel(half_widths)
+
+    @pytest.mark.parametrize("spacing, origin", [
+        (np.nan, [0.0, 0.0]), (np.inf, [0.0, 0.0]), (0.1, [np.nan, 0.0]), (0.1, [0.0, -np.inf]),
+    ])
+    def test_tabulated_rejects_non_finite_geometry(self, spacing, origin):
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedKernel(np.ones((3, 3)), spacing, origin)

@@ -1,3 +1,4 @@
+import json
 import tempfile
 
 import numpy as np
@@ -77,6 +78,14 @@ class TestBinGrid:
                 edges[0] = 0.0
             assert not np.shares_memory(edges, lo) and not np.shares_memory(edges, hi)
         assert grid.m == 91
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0]), ([-np.inf, 0.0], [1.0, 1.0]),
+        ([0.0], [np.nan]),
+    ])
+    def test_non_finite_window_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            BinGrid(lo, hi, (2, 2)[:len(lo)])
 
     def test_diameter_bound(self):
         # regular grid satisfies diam(B_i) <= C m^{-1/d} by construction
@@ -261,6 +270,19 @@ class TestImageIO:
         (tmp_path / "image.csv").write_text("0,1\n2,3\n")
         (tmp_path / "image.json").write_text('{"width_px": 2}')
         with pytest.raises(MetadataError, match="height_px"):
+            load_image(tmp_path)
+
+    @pytest.mark.parametrize("override", [
+        {"origin": {"x": 1}}, {"origin": [0]}, {"origin": [0, 0, 0]}, {"origin": "ab"},
+        {"origin": [[0, 0]]}, {"origin": [np.nan, 0]}, {"origin": [0, np.inf]},
+        {"pixel_size": np.nan}, {"pixel_size": np.inf}, {"pixel_size_y": np.nan},
+        {"pixel_size_y": np.inf}, {"width_px": np.inf},
+    ])
+    def test_malformed_geometry_is_a_metadata_error(self, tmp_path, override):
+        (tmp_path / "image.csv").write_text("0,1\n2,3\n")
+        meta = {"width_px": 2, "height_px": 2, "pixel_size": 1.0, "t": 10, **override}
+        (tmp_path / "image.json").write_text(json.dumps(meta))
+        with pytest.raises(MetadataError):
             load_image(tmp_path)
 
     def test_missing_t_defaults_to_total(self, tmp_path, caplog):

@@ -36,6 +36,13 @@ def grid10():
     return BinGrid([0, 0], [1, 1], (10, 10))
 
 
+class TestPartitionConfig:
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_rejects_non_finite_link_threshold(self, threshold):
+        with pytest.raises(ValueError, match="link_threshold must be positive and finite"):
+            PartitionConfig(mode_count=2, k=2, link_threshold=threshold)
+
+
 class TestModeSelection:
     def test_single_spike_exact_subtraction(self, grid10):
         img = spike_image(grid10, {55: 40.0})

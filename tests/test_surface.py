@@ -191,5 +191,13 @@ def unused_imports() -> list:
     return unused
 
 
+def test_only_kernels_reads_the_axis_factors():
+    # product kernels contract their axis factors inside Kernel.intensity_and_vjp;
+    # no other module knows how a kernel lays out its bins
+    readers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "kernels"
+               and "axis_factors" in loaded_names(ast.parse(path.read_text()))]
+    assert readers == []
+
+
 def test_every_import_is_used():
     assert sorted(unused_imports()) == sorted(ALLOWED_UNUSED_IMPORTS)
