@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import logging
+import numbers
 import os
 import sys
 import warnings
@@ -67,7 +68,7 @@ def _build_kernel(spec: dict):
     kind = _require(spec, "type", "kernel spec")
     with _invalid("kernel spec"):
         if kind == "gaussian":
-            dim = int(spec.get("dim", 2))
+            dim = _integer(spec.get("dim", 2), "dim")
             if "sigma" in spec:
                 return GaussianKernel(sigma=float(spec["sigma"]), dim=dim)
             if "cov" in spec:
@@ -88,7 +89,7 @@ def _build_measure(spec: dict) -> AtomicUniformMeasure:
             return AtomicUniformMeasure(np.asarray(spec["atoms"], float))
         if "configuration" in spec:
             return builtin_configuration(
-                spec["configuration"], int(_require(spec, "k", "measure spec"))
+                spec["configuration"], _integer(_require(spec, "k", "measure spec"), "k")
             )
     raise ConfigError("measure spec needs 'atoms' or 'configuration'")
 
@@ -97,8 +98,8 @@ def _build_grid(spec: dict) -> BinGrid:
     res = _require(spec, "resolution", "grid spec")
     with _invalid("grid spec"):
         if isinstance(res, (int, float)):
-            res = [int(res), int(res)]
-        res = tuple(int(n) for n in res)
+            res = [res, res]
+        res = tuple(_integer(n, "resolution") for n in res)
         window = np.asarray(spec.get("window", [[0.0, 0.0], [1.0, 1.0]]), float)
         if window.shape != (2, len(res)) or not np.all(np.isfinite(window)):
             raise ValueError(f"window must be two points of {len(res)} finite coordinates")
@@ -110,20 +111,35 @@ def _exposure(t) -> float:
     return np.inf if isinstance(t, str) and t.lower() in ("inf", "infinity") else float(t)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is an integer; ValueError naming ``name`` for 2.5, true or "3"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _present(spec: dict, casts: dict) -> dict:
     """The keys of ``casts`` that ``spec`` sets, each value passed through its cast.
 
     Keys left out take the defaults of the dataclass or function they feed.
+    An ``int`` cast takes integers only, through ``_integer``.
     """
-    return {key: cast(spec[key]) for key, cast in casts.items() if key in spec}
+    return {key: _integer(spec[key], key) if cast is int else cast(spec[key])
+            for key, cast in casts.items() if key in spec}
+
+
+def _fields(spec: dict, casts: dict) -> dict:
+    """``_present``, but a key ``casts`` lacks raises ValueError: a typo must not go unseen."""
+    unknown = [key for key in spec if key not in casts]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}; expected one of {', '.join(casts)}")
+    return _present(spec, casts)
 
 
 def _em_config(spec: dict) -> EmConfig:
     with _invalid("em spec"):
-        return EmConfig(**_present(spec, {
-            "max_iterations": int, "early_stop_w1": float, "inner_max_iterations": int,
-            "inner_grad_tol": float, "intensity_floor": float,
-        }))
+        return EmConfig(**_fields(spec, {
+            "max_iterations": int, "early_stop_w1": float, "inner_max_iterations": int}))
 
 
 def cmd_simulate(config: dict, out_dir: str) -> int:
@@ -204,12 +220,10 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
     image = load_image(_require(config, "image"))
     part = _require(config, "partition")
     with _invalid("partition spec"):
-        pconfig = PartitionConfig(
-            mode_count=int(_require(part, "mode_count", "partition spec")),
-            k=int(_require(part, "k", "partition spec")),
-            em=_em_config(config.get("em", {})),
-            **_present(part, {"mode_half_widths": tuple, "link_threshold": float}),
-        )
+        for key in ("mode_count", "k"):
+            _require(part, key, "partition spec")
+        pconfig = PartitionConfig(em=_em_config(config.get("em", {})), **_fields(part, {
+            "mode_count": int, "k": int, "mode_half_widths": tuple, "link_threshold": float}))
     result = run_pipeline(image, kernel, pconfig)
     os.makedirs(out_dir, exist_ok=True)
     cells_payload = []
@@ -250,7 +264,7 @@ def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
         raise ConfigError(f"unknown experiment mode '{mode}'")
     with _invalid("experiment spec"):
         spec = ExperimentSpec(
-            resolutions=tuple(int(n) for n in _require(config, "resolutions")),
+            resolutions=tuple(_integer(n, "resolutions") for n in _require(config, "resolutions")),
             t_values=tuple(map(_exposure, _require(config, "t_values"))),
             seed=int(config["seed"]),
             jobs=jobs,
@@ -342,6 +356,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         config.setdefault("seed", DEFAULT_SEED)
+        with _invalid("config"):
+            config["seed"] = _integer(config["seed"], "seed")
         if args.command == "simulate":
             return cmd_simulate(config, args.out)
         if args.command == "estimate":

@@ -8,10 +8,11 @@ Q(mu, mu_tilde) = sum_ij (X_i p_ij ln(t lam_ij) - t lam_ij) over atom
 coordinates inside the observation window inflated by 3 kernel spreads,
 accepting a point only if Q rose by more than a rounding-level 1e-13 of |Q|,
 which keeps the observed-data log-likelihood non-decreasing along the run.
-maximize_likelihood climbs the observed-data log-likelihood itself with one
-L-BFGS-B run, which converges in far fewer steps than EM when atoms overlap;
-its forward model is the kernel's ``intensity_and_vjp``, while Q and the
-e-step read the kernel's dense (m, k) bin-integral matrices.
+maximize_likelihood climbs the observed-data log-likelihood itself, which
+converges in far fewer steps than EM when atoms overlap; its forward model is
+the kernel's ``intensity_and_vjp``, while Q and the e-step read the kernel's
+dense (m, k) bin-integral matrices.  Both climbs are one L-BFGS-B run,
+``_climb``, that keeps its start unless the objective improved.
 run_em alternates the two (Redner & Walker, SIAM Review 26, 1984; Jamshidian
 & Jennrich, JRSS-B 59, 1997): after every m-step that moves, it ascends the
 log-likelihood from the m-step's point, still with one m-step per iteration.
@@ -38,6 +39,11 @@ logger = logging.getLogger(__name__)
 # m_step accepts a point only if Q rose by more than this fraction of |Q|; a
 # smaller rise is rounding noise, not progress.
 _Q_RISE_RTOL = 1e-13
+# L-BFGS-B's projected-gradient and relative-decrease tolerances in every climb.
+_GRAD_TOL = 1e-8
+_FTOL = 1e-14
+# Every intensity inside a logarithm is floored here (see log_likelihood).
+_INTENSITY_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,14 @@ class EmConfig:
 
     max_iterations caps the outer loop; early_stop_w1 halts once consecutive
     iterates move no more than that in W_1, so 0 halts only at a fixed point
-    (an m-step that keeps its input).  inner_max_iterations and
-    inner_grad_tol drive L-BFGS-B both in each m-step and in each ascent of
-    the log-likelihood.
+    (an m-step that keeps its input).  inner_max_iterations caps L-BFGS-B's
+    iterations both in each m-step and in each ascent of the log-likelihood;
+    its tolerances are this module's _GRAD_TOL and _FTOL.
     """
 
     max_iterations: int = 50
     early_stop_w1: float = 1e-9
     inner_max_iterations: int = 100
-    inner_grad_tol: float = 1e-8
-    intensity_floor: float = 1e-30
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -64,10 +68,6 @@ class EmConfig:
             raise ValueError("early_stop_w1 must be >= 0")
         if self.inner_max_iterations < 1:
             raise ValueError("inner_max_iterations must be >= 1")
-        if not 0 < self.inner_grad_tol < np.inf:
-            raise ValueError("inner_grad_tol must be positive and finite")
-        if not 0 < self.intensity_floor < np.inf:
-            raise ValueError("intensity_floor must be positive and finite")
 
 
 @dataclass
@@ -131,15 +131,16 @@ def _effective(image: CountImage) -> tuple:
     return image.counts, image.t
 
 
-def _log_likelihood(image: CountImage, intensity: np.ndarray, floor: float) -> float:
+def _log_likelihood(image: CountImage, intensity: np.ndarray) -> float:
     counts, t = _effective(image)
-    return float(np.sum(counts * np.log(t * np.maximum(intensity, floor)) - t * intensity))
+    return float(np.sum(counts * np.log(t * np.maximum(intensity, _INTENSITY_FLOOR))
+                        - t * intensity))
 
 
 def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) -> float:
     """Poisson log-likelihood sum_i [X_i log(t lam_i) - t lam_i], constants dropped.
 
-    Intensities are floored at ``EmConfig.intensity_floor`` inside the
+    Intensities are floored at ``_INTENSITY_FLOOR`` inside the
     logarithm so bins with positive counts but vanishing model intensity
     contribute a large negative value instead of NaN.  Requires a finite
     exposure; noiseless images are handled by run_em.
@@ -147,7 +148,7 @@ def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) 
     if image.noiseless:
         raise ValueError("log_likelihood requires finite t; see run_em for t = inf")
     _, intensity = e_step(image, kernel, mu)
-    return _log_likelihood(image, intensity, EmConfig.intensity_floor)
+    return _log_likelihood(image, intensity)
 
 
 def e_step(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure) -> tuple:
@@ -195,7 +196,7 @@ class _QFunction(_PointMemory):
     """-Q(mu, mu_tilde) and its gradient at flat atom coordinates, one evaluation per point.
 
     Q = sum_ij X_i p_ij ln(t lam_ij) - t sum_ij lam_ij, with lam_ij floored
-    at ``floor`` inside the logarithm only.  An evaluation makes one
+    at ``_INTENSITY_FLOOR`` inside the logarithm only.  An evaluation makes one
     ``bin_integral_matrix`` and one ``bin_integral_gradient_matrix`` call and
     works in place in one (m, k) buffer.  The 1/k of lam_ij = L_ij / k and
     the exposure t stay scalars: with W = X p, ln(t lam) = ln L + ln(t / k)
@@ -203,8 +204,7 @@ class _QFunction(_PointMemory):
     are never rescaled.  Points are remembered as in ``_PointMemory``.
     """
 
-    def __init__(self, image: CountImage, kernel: Kernel, resp: np.ndarray, k: int,
-                 floor: float):
+    def __init__(self, image: CountImage, kernel: Kernel, resp: np.ndarray, k: int):
         super().__init__()
         counts, t = _effective(image)
         self.weights = counts[:, None] * resp  # X_i * p_ij
@@ -212,13 +212,13 @@ class _QFunction(_PointMemory):
         self.t_per_atom = t / k
         # sum_ij W_ij ln(t / k), the part of Q that does not depend on the atoms
         self.q_offset = self.weights.sum() * np.log(self.t_per_atom)
-        self.grid, self.kernel, self.k, self.floor = image.grid, kernel, k, floor
+        self.grid, self.kernel, self.k = image.grid, kernel, k
 
     def _evaluate(self, theta):
         atoms, work = theta.reshape(self.k, -1), self.work
         lam = self.kernel.bin_integral_matrix(self.grid, atoms)  # L_ij = k lam_ij
         total = lam.sum()
-        np.maximum(lam, self.k * self.floor, out=lam)
+        np.maximum(lam, self.k * _INTENSITY_FLOOR, out=lam)
         np.log(lam, out=work)
         work *= self.weights
         q = work.sum() + self.q_offset - self.t_per_atom * total
@@ -234,65 +234,55 @@ def _default_domain(image: CountImage, kernel: Kernel) -> tuple:
     return image.grid.window_lo - pad, image.grid.window_hi + pad
 
 
-def _ascend(fun, x0, image: CountImage, kernel: Kernel, config: EmConfig):
-    """L-BFGS-B minimization of ``fun`` (value, gradient) from the flat point ``x0``.
+def _climb(fun, start: AtomicUniformMeasure, image: CountImage, kernel: Kernel,
+           config: EmConfig, rise_rtol: float) -> tuple:
+    """L-BFGS-B minimization of ``fun`` (value, flat gradient) from ``start``, kept if no gain.
 
-    Every atom is bounded to the window inflated by 3 kernel spreads, and the
-    solver runs with ``config``'s inner_max_iterations and inner_grad_tol and
-    ftol 1e-14.  Exceptions from the solver propagate.
+    The solver starts from ``start`` clipped to ``_default_domain`` and stays
+    there.  Its point is accepted ("improved") only if ``fun`` there is below
+    ``fun`` at the unclipped ``start`` by more than ``rise_rtol`` of the
+    latter's magnitude; otherwise, or when the solver raised (logged at
+    WARNING), ``start`` itself is returned ("kept").  Returns (measure,
+    ``fun`` at it, status, L-BFGS-B iterations or 0, "Type: message" or None).
     """
     lo, hi = _default_domain(image, kernel)
-    return minimize(
-        fun, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)) * (x0.size // lo.size),
-        options={"maxiter": config.inner_max_iterations, "gtol": config.inner_grad_tol,
-                 "ftol": 1e-14},
-    )
+    value = fun(start.atoms.ravel())[0]
+    try:
+        res = minimize(
+            fun, np.clip(start.atoms, lo, hi).ravel(), jac=True, method="L-BFGS-B",
+            bounds=list(zip(lo, hi)) * start.k,
+            options={"maxiter": config.inner_max_iterations, "gtol": _GRAD_TOL, "ftol": _FTOL},
+        )
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        logger.warning("climb kept its start: optimizer raised %s", error)
+        return start, value, "kept", 0, error
+    candidate = fun(res.x)[0]  # remembered by the optimizer's evaluation there
+    if candidate < value - rise_rtol * abs(value):
+        measure = AtomicUniformMeasure(res.x.reshape(start.k, start.dimension))
+        return measure, candidate, "improved", int(res.nit), None
+    return start, value, "kept", int(res.nit), None
 
 
 def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
            mu_tilde: AtomicUniformMeasure, config: EmConfig = EmConfig()):
     """Ascend Q over atom coordinates inside the window inflated by 3 kernel spreads.
 
-    Returns (measure, status, nit, q_evals, error).  A point is accepted only
-    if it raised Q by more than 1e-13 |Q(mu_tilde)|; a smaller rise is
-    rounding noise.  status is "improved" when the optimizer's candidate is
-    accepted.  Only when the candidate lowered Q are steps halved toward it,
-    and "line_search" means a halved step was accepted.  Otherwise the input
-    measure is returned unchanged as "kept", at once when the candidate
-    neither lowered nor raised Q.  An exception from the inner optimizer is
-    logged at WARNING, returned as error = "Type: message" (None otherwise),
-    and also yields "kept".  nit is L-BFGS-B's iteration count (0 when it
-    raised) and q_evals the number of Q evaluations computed; Q is
-    evaluated at most once per point, so the optimizer's repeat of the
-    starting point and the acceptance check at its final point cost nothing.
+    Returns (measure, status, nit, q_evals, error).  The optimizer's point is
+    accepted ("improved") only if it raised Q by more than
+    _Q_RISE_RTOL |Q(mu_tilde)|; a smaller rise is rounding noise.  Otherwise
+    mu_tilde itself is returned as "kept"; no shorter step toward a rejected
+    point is tried, since L-BFGS-B's line search already accepts only points
+    that raise Q.  An exception from the inner optimizer is logged at
+    WARNING, returned as error = "Type: message" (None otherwise), and also
+    yields "kept".  nit is L-BFGS-B's iteration count (0 when it raised) and
+    q_evals the number of Q evaluations computed; Q is evaluated at most once
+    per point, so the optimizer's repeat of the starting point and the
+    acceptance check at its final point cost nothing.
     """
-    k, d = mu_tilde.k, mu_tilde.dimension
-    lo, hi = _default_domain(image, kernel)
-    fun = _QFunction(image, kernel, resp, k, config.intensity_floor)
-    x0 = np.clip(mu_tilde.atoms, lo, hi).ravel()
-    q0 = -fun(x0)[0]
-    try:
-        res = _ascend(fun, x0, image, kernel, config)
-        candidate = res.x
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        logger.warning("m_step kept the current measure: inner optimizer raised %s", error)
-        return mu_tilde, "kept", 0, fun.computed, error
-    threshold = q0 + _Q_RISE_RTOL * abs(q0)
-    measure, status = mu_tilde, "kept"
-    q_candidate = -fun(candidate)[0]
-    if q_candidate > threshold:
-        measure, status = AtomicUniformMeasure(candidate.reshape(k, d)), "improved"
-    elif q_candidate < q0:
-        # the candidate overshot: halve toward it until Q improves
-        direction = candidate - x0
-        for _ in range(20):
-            direction = 0.5 * direction
-            trial = x0 + direction
-            if -fun(trial)[0] > threshold:
-                measure, status = AtomicUniformMeasure(trial.reshape(k, d)), "line_search"
-                break
-    return measure, status, int(res.nit), fun.computed, None
+    fun = _QFunction(image, kernel, resp, mu_tilde.k)
+    measure, _, status, nit, error = _climb(fun, mu_tilde, image, kernel, config, _Q_RISE_RTOL)
+    return measure, status, nit, fun.computed, error
 
 
 def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
@@ -331,7 +321,7 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
             ascents.append(ascent)
         step = wasserstein_p(nxt, current, 1)
         resp, intensity = e_step(image, kernel, nxt)
-        ll = _log_likelihood(image, intensity, config.intensity_floor)
+        ll = _log_likelihood(image, intensity)
         trace.append(ll, step, status, nit, q_evals, error)
         current = nxt
         if current.k > 1 and pdist(current.atoms).min() < 1e-12:
@@ -350,21 +340,21 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     return current, trace
 
 
-def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
-                        floor: float) -> tuple:
+def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int) -> tuple:
     """-l(theta) and its gradient at flat atom coordinates.
 
     l = sum_i X_i log(t max(lam_i, floor)) - t lam_i, the observed-data
-    log-likelihood, has the gradient sum_i W_i grad lam_i with
-    W_i = X_i / max(lam_i, floor) - t.  The kernel's ``intensity_and_vjp``
-    gives k lam_i and contracts W with the gradient of k lam, so this
-    function does not know how a kernel lays out its bins.  The floored
-    intensities are formed once and then overwritten with W.
+    log-likelihood with floor = _INTENSITY_FLOOR, has the gradient
+    sum_i W_i grad lam_i with W_i = X_i / max(lam_i, floor) - t.  The
+    kernel's ``intensity_and_vjp`` gives k lam_i and contracts W with the
+    gradient of k lam, so this function does not know how a kernel lays out
+    its bins.  The floored intensities are formed once and then overwritten
+    with W.
     """
     counts, t = _effective(image)
     lam, vjp = kernel.intensity_and_vjp(image.grid, np.reshape(theta_flat, (k, -1)))
     intensity = lam / k
-    w = np.maximum(intensity, floor)
+    w = np.maximum(intensity, _INTENSITY_FLOOR)
     # _log_likelihood's expression, on the floored intensities already formed
     ll = float(np.sum(counts * np.log(t * w) - t * intensity))
     np.divide(counts, w, out=w)
@@ -373,11 +363,11 @@ def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int,
 
 
 class _NegLogLikelihood(_PointMemory):
-    """``_neg_log_likelihood(theta, image, kernel, k, floor)``, computed once per point."""
+    """``_neg_log_likelihood(theta, image, kernel, k)``, computed once per point."""
 
-    def __init__(self, image: CountImage, kernel: Kernel, k: int, floor: float):
+    def __init__(self, image: CountImage, kernel: Kernel, k: int):
         super().__init__()
-        self.args = (image, kernel, k, floor)
+        self.args = (image, kernel, k)
 
     def _evaluate(self, theta):
         return _neg_log_likelihood(theta, *self.args)
@@ -388,36 +378,23 @@ def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMe
     """One L-BFGS-B ascent of the observed-data log-likelihood from ``init``.
 
     l(theta) = sum_i X_i log(t lam_i) - t lam_i is climbed directly over atom
-    coordinates inside the window inflated by 3 kernel spreads, with
-    ``config``'s inner solver settings (``inner_max_iterations``,
-    ``inner_grad_tol``), ftol 1e-14 as in ``m_step``, and intensities floored
-    at ``intensity_floor`` inside the logarithm; noiseless images run at t = 1.
-    The optimizer's point is accepted ("improved") only if it raised l above
-    l(init); otherwise ``init`` is returned ("kept").  An exception from the
-    optimizer is logged at WARNING and also keeps ``init``.  Returns the
-    measure and an EmTrace of one row: the final l, the W_1 step from
-    ``init``, the status, L-BFGS-B's iteration count (0 when it raised), the
-    number of l evaluations computed, and the error as "Type: message" or None.
-    l is evaluated at most once per point, so the optimizer's first point
-    costs nothing when ``init`` lies inside the domain.
+    coordinates inside the window inflated by 3 kernel spreads, by the same
+    L-BFGS-B climb as ``m_step`` (``config.inner_max_iterations``, _GRAD_TOL,
+    _FTOL); noiseless images run at t = 1.  The optimizer's point is accepted
+    ("improved") only if it raised l above l(init); otherwise ``init`` is
+    returned ("kept").  An exception from the optimizer is logged at WARNING
+    and also keeps ``init``.  Returns the measure and an EmTrace of one row:
+    the final l, the W_1 step from ``init``, the status, L-BFGS-B's iteration
+    count (0 when it raised), the number of l evaluations computed, and the
+    error as "Type: message" or None.  l is evaluated at most once per point,
+    so the optimizer's first point costs nothing when ``init`` lies inside the
+    domain.
     """
     if init.k < 1:
         raise ValueError("initializer must have at least one atom")
-    k, d = init.k, init.dimension
-    lo, hi = _default_domain(image, kernel)
-    fun = _NegLogLikelihood(image, kernel, k, config.intensity_floor)
-    measure, status, nit, error = init, "kept", 0, None
-    ll = -fun(init.atoms.ravel())[0]
-    try:
-        res = _ascend(fun, np.clip(init.atoms, lo, hi).ravel(), image, kernel, config)
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        logger.warning("maximize_likelihood kept its initializer: optimizer raised %s", error)
-    else:
-        nit = int(res.nit)
-        if -res.fun > ll:
-            measure, status, ll = AtomicUniformMeasure(res.x.reshape(k, d)), "improved", -res.fun
+    fun = _NegLogLikelihood(image, kernel, init.k)
+    measure, value, status, nit, error = _climb(fun, init, image, kernel, config, 0.0)
     trace = EmTrace()
-    trace.append(ll, wasserstein_p(measure, init, 1), status, nit, fun.computed, error)
-    trace.collision = k > 1 and bool(pdist(measure.atoms).min() < 1e-12)
+    trace.append(-value, wasserstein_p(measure, init, 1), status, nit, fun.computed, error)
+    trace.collision = init.k > 1 and bool(pdist(measure.atoms).min() < 1e-12)
     return measure, trace

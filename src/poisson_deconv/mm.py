@@ -333,8 +333,8 @@ def _degenerate_guard(image: CountImage, k: int) -> AtomicUniformMeasure | None:
 
 
 def validate_k(k) -> int:
-    """``k`` as an int; ValueError naming k unless it is an integer >= 1."""
-    if not isinstance(k, numbers.Integral) or k < 1:
+    """``k`` as an int; ValueError naming k unless it is an integer >= 1 (not a bool)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return int(k)
 

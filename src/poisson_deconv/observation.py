@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -262,13 +263,14 @@ def load_image(path) -> CountImage:
     for key in _REQUIRED_META:
         if key not in meta:
             raise MetadataError(f"metadata missing required key '{key}'")
+    width, height = meta["width_px"], meta["height_px"]
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (width, height)):
+        raise MetadataError(f"width_px and height_px must be integers, got {width!r}, {height!r}")
     try:
-        width = int(meta["width_px"])
-        height = int(meta["height_px"])
         pixel = float(meta["pixel_size"])
         pixel_y = float(meta.get("pixel_size_y", pixel))
     except (TypeError, ValueError, OverflowError):
-        raise MetadataError("width_px/height_px/pixel_size must be finite numbers")
+        raise MetadataError("pixel_size and pixel_size_y must be numbers")
     if width < 1 or height < 1 or not (0 < pixel < np.inf and 0 < pixel_y < np.inf):
         raise MetadataError("image dimensions and pixel sizes must be positive and finite")
     try:

@@ -38,12 +38,11 @@ class PartitionConfig:
     """Settings for the partition-and-estimate workflow.
 
     mode_count is the number of greedy mode-selection iterations; the mode
-    kernel is a uniform box with the given half widths; modes closer than
-    link_threshold merge into one cell; k is the total component budget
-    distributed over cells by mass.  The full-image refinement reads ``em``'s
-    inner solver settings (``inner_max_iterations``, ``inner_grad_tol``) and
-    ``intensity_floor``; ``max_iterations`` and ``early_stop_w1`` do not apply
-    to it.
+    kernel is a uniform box with the given half widths, two positive, finite
+    numbers; modes closer than link_threshold merge into one cell; k is the
+    total component budget distributed over cells by mass.  The full-image
+    refinement reads ``em.inner_max_iterations``; ``max_iterations`` and
+    ``early_stop_w1`` do not apply to it.
     """
 
     mode_count: int
@@ -57,6 +56,9 @@ class PartitionConfig:
             raise ValueError("mode_count must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        widths = np.asarray(self.mode_half_widths, float)
+        if widths.shape != (2,) or not np.all((widths > 0) & (widths < np.inf)):
+            raise ValueError("mode_half_widths must be two positive, finite numbers")
         if not 0 < self.link_threshold < np.inf:
             raise ValueError("link_threshold must be positive and finite")
 

@@ -150,6 +150,12 @@ def run_main(tmp_path, command, config) -> int:
     ({"k": 5}, "experiment spec: grid configuration requires a perfect-square k"),
     ({"configuration": "corners", "k": 6}, "experiment spec: corners configuration"),
     ({"configuration": "u-shape", "k": 1}, "experiment spec: u-shape configuration"),
+    ({"replicates": 2.5}, "experiment spec: replicates must be an integer, got 2.5"),
+    ({"k": True}, "experiment spec: k must be an integer, got True"),
+    ({"resolutions": [10, 12.5]}, "experiment spec: resolutions must be an integer, got 12.5"),
+    ({"resolutions": ["10"]}, "experiment spec: resolutions must be an integer, got '10'"),
+    ({"em": {"max_iterations": 2.5}}, "em spec: max_iterations must be an integer, got 2.5"),
+    ({"em": {"inner_grad_tol": 1e-8}}, "em spec: unknown field 'inner_grad_tol'"),
 ])
 def test_invalid_experiment_values_exit_2(tmp_path, capsys, override, message):
     assert run_main(tmp_path, "experiment", {**EXPERIMENT, **override}) == 2
@@ -160,7 +166,19 @@ def test_invalid_experiment_values_exit_2(tmp_path, capsys, override, message):
 @pytest.mark.parametrize("partition, em, message", [
     ({"mode_count": 0, "k": 2}, {}, "partition spec: mode_count"),
     ({"mode_count": 2, "k": 2, "link_threshold": -1}, {}, "partition spec: link_threshold"),
-    ({"mode_count": 2, "k": 2}, {"inner_grad_tol": 0}, "em spec: inner_grad_tol"),
+    ({"mode_count": 2, "k": 2}, {"inner_max_iterations": 0}, "em spec: inner_max_iterations"),
+    ({"mode_count": 2, "k": 2}, {"max_iteration": 1, "intensity_flor": 5},
+     "em spec: unknown field 'max_iteration'"),
+    ({"mode_count": 2, "k": 2}, {"intensity_floor": 1e-30},
+     "em spec: unknown field 'intensity_floor'"),
+    ({"mode_count": 2, "k": 2, "mode_half_width": [0.08, 0.08]}, {},
+     "partition spec: unknown field 'mode_half_width'"),
+    ({"mode_count": 2.5, "k": 2}, {}, "partition spec: mode_count must be an integer, got 2.5"),
+    ({"mode_count": 2, "k": True}, {}, "partition spec: k must be an integer, got True"),
+    ({"mode_count": 2, "k": 2}, {"inner_max_iterations": "3"},
+     "em spec: inner_max_iterations must be an integer, got '3'"),
+    ({"mode_count": 2, "k": 2, "mode_half_widths": [-1, 0.1]}, {},
+     "partition spec: mode_half_widths must be two positive, finite numbers"),
 ])
 def test_invalid_pipeline_values_exit_2(estimate_config, tmp_path, capsys, partition, em,
                                         message):
@@ -176,7 +194,7 @@ def test_invalid_em_values_in_estimate_exit_2(estimate_config, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("config error: invalid em spec: early_stop_w1")
 
 
-@pytest.mark.parametrize("k", [0, -1, 1.5])
+@pytest.mark.parametrize("k", [0, -1, 1.5, True])
 def test_invalid_k_in_estimate_exits_2(estimate_config, tmp_path, capsys, k):
     config = {**estimate_config, "estimator": "mm-complex", "k": k}
     assert run_main(tmp_path, "estimate", config) == 2
@@ -221,6 +239,13 @@ SIMULATE = {"kernel": {"type": "gaussian", "sigma": 0.05}, "measure": {"atoms": 
      "kernel spec: sigma must be positive and finite"),
     ({"kernel": {"type": "uniform-box", "half_widths": [float("inf"), 0.1]}},
      "kernel spec: half widths must be positive and finite"),
+    ({"grid": {"resolution": 8.5}}, "grid spec: resolution must be an integer, got 8.5"),
+    ({"seed": 2.5}, "config: seed must be an integer, got 2.5"),
+    ({"grid": {"resolution": [8, "8"]}}, "grid spec: resolution must be an integer, got '8'"),
+    ({"kernel": {"type": "gaussian", "sigma": 0.05, "dim": 2.0}},
+     "kernel spec: dim must be an integer, got 2.0"),
+    ({"measure": {"configuration": "grid", "k": True}},
+     "measure spec: k must be an integer, got True"),
 ])
 def test_invalid_simulate_values_exit_2(tmp_path, capsys, override, message):
     assert run_main(tmp_path, "simulate", {**SIMULATE, **override}) == 2

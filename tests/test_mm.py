@@ -602,7 +602,7 @@ class TestMmComplex:
             measure_from_moments([0.5 + 0.5j, bad])
 
     @pytest.mark.parametrize("counts", ["poisson", "zeros"])
-    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True])
     def test_rejects_a_k_that_is_not_a_positive_integer(self, monkeypatch, counts, k):
         # checked before the all-zero guard warns and before psi is looked up
         kernel = GaussianKernel(sigma=0.05, dim=2)

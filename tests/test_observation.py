@@ -276,7 +276,8 @@ class TestImageIO:
         {"origin": {"x": 1}}, {"origin": [0]}, {"origin": [0, 0, 0]}, {"origin": "ab"},
         {"origin": [[0, 0]]}, {"origin": [np.nan, 0]}, {"origin": [0, np.inf]},
         {"pixel_size": np.nan}, {"pixel_size": np.inf}, {"pixel_size_y": np.nan},
-        {"pixel_size_y": np.inf}, {"width_px": np.inf},
+        {"pixel_size_y": np.inf}, {"width_px": np.inf}, {"width_px": 3.9}, {"width_px": 2.0},
+        {"height_px": True}, {"height_px": "2"},
     ])
     def test_malformed_geometry_is_a_metadata_error(self, tmp_path, override):
         (tmp_path / "image.csv").write_text("0,1\n2,3\n")

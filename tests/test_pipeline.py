@@ -42,6 +42,12 @@ class TestPartitionConfig:
         with pytest.raises(ValueError, match="link_threshold must be positive and finite"):
             PartitionConfig(mode_count=2, k=2, link_threshold=threshold)
 
+    @pytest.mark.parametrize("widths", [(-1, 0.1), (0.1, 0.0), (0.1, np.nan), (np.inf, 0.1),
+                                        (0.1,), (0.1, 0.1, 0.1)])
+    def test_rejects_mode_half_widths_other_than_two_positive_finite(self, widths):
+        with pytest.raises(ValueError, match="mode_half_widths must be two positive, finite"):
+            PartitionConfig(mode_count=2, k=2, mode_half_widths=widths)
+
 
 class TestModeSelection:
     def test_single_spike_exact_subtraction(self, grid10):
