@@ -118,22 +118,18 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _present(spec: dict, casts: dict) -> dict:
+def _fields(spec: dict, casts: dict) -> dict:
     """The keys of ``casts`` that ``spec`` sets, each value passed through its cast.
 
+    A key that ``casts`` lacks raises ValueError: a typo must not go unseen.
     Keys left out take the defaults of the dataclass or function they feed.
     An ``int`` cast takes integers only, through ``_integer``.
     """
-    return {key: _integer(spec[key], key) if cast is int else cast(spec[key])
-            for key, cast in casts.items() if key in spec}
-
-
-def _fields(spec: dict, casts: dict) -> dict:
-    """``_present``, but a key ``casts`` lacks raises ValueError: a typo must not go unseen."""
     unknown = [key for key in spec if key not in casts]
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r}; expected one of {', '.join(casts)}")
-    return _present(spec, casts)
+    return {key: _integer(spec[key], key) if cast is int else cast(spec[key])
+            for key, cast in casts.items() if key in spec}
 
 
 def _em_config(spec: dict) -> EmConfig:
@@ -262,18 +258,18 @@ def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
         )
     if mode != "risk":
         raise ConfigError(f"unknown experiment mode '{mode}'")
+    _require(config, "resolutions")
+    _require(config, "t_values")
     with _invalid("experiment spec"):
-        spec = ExperimentSpec(
-            resolutions=tuple(_integer(n, "resolutions") for n in _require(config, "resolutions")),
-            t_values=tuple(map(_exposure, _require(config, "t_values"))),
-            seed=int(config["seed"]),
-            jobs=jobs,
-            em=_em_config(config.get("em", {})),
-            **_present(config, {
-                "configuration": str, "k": int, "sigma": float, "replicates": int,
-                "estimators": tuple, "atoms": lambda atoms: tuple(map(tuple, atoms)),
-            }),
-        )
+        fields = _fields(config, {
+            "resolutions": lambda ns: tuple(_integer(n, "resolutions") for n in ns),
+            "t_values": lambda ts: tuple(map(_exposure, ts)),
+            "seed": int, "mode": str, "em": _em_config,
+            "configuration": str, "k": int, "sigma": float, "replicates": int,
+            "estimators": tuple, "atoms": lambda atoms: tuple(map(tuple, atoms)),
+        })
+        fields.pop("mode", None)
+        spec = ExperimentSpec(jobs=jobs, **fields)
     table = run_risk_experiment(spec)
     os.makedirs(out_dir, exist_ok=True)
     table.to_csv(os.path.join(out_dir, "risk.csv"))

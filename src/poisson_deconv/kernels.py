@@ -22,6 +22,8 @@ bin weights with their gradient, which a kernel may form without either matrix.
   strip masses on the bins' edges.
 - Tabulated kernels integrate their piecewise linear/bilinear interpolant
   exactly through hat-function weights built for all atoms at once.
+  ``bin_integral_matrix`` builds the weights only; the gradient also builds
+  their slopes, from the same clipped hat coordinates.
 
 The MM chain needs only the moments m_j = E[z^j] of the kernel, with z = x
 on the line and z = x + iy in the plane, and each kernel returns m_0..m_order
@@ -277,8 +279,8 @@ class GaussianKernel(_ProductKernel):
         # per atom: batching would multiply the (n_y, n_x, panel nodes) masses by k
         for j, (tx, ty) in enumerate(atoms):
             # x-span of every bin relative to the atom, clipped to +-clip
-            lo = np.clip(ex[:-1] - tx, -clip, clip)
-            width = np.clip(ex[1:] - tx, -clip, clip) - lo
+            lo = np.minimum(np.maximum(ex[:-1] - tx, -clip), clip)
+            width = np.minimum(np.maximum(ex[1:] - tx, -clip), clip) - lo
             offsets = lo[:, None] + width[:, None] * fractions[None, :]
             masses = self._strip_masses(offsets.ravel(), ey - ty, 0)
             masses = masses.reshape(ey.shape[0] - 1, ex.shape[0] - 1, fractions.shape[0])
@@ -349,6 +351,14 @@ class TabulatedKernel(Kernel):
     bilinear (2-d) interpolant vanishing outside the sampled box; integrals of
     that interpolant are computed in closed form.  The kernel is normalized to
     unit mass on load, logging the deviation when it exceeds 1e-3.
+
+    The interpolant is cut off at the sampled box: it drops from the
+    outermost samples to 0 there.  A counted bin that the box edge barely
+    meets, or touches where it falls on a bin edge, then reads a bin integral
+    of 0 or nearly so, while its derivative, set by the edge samples, is not
+    small.  The likelihood floors that intensity and its gradient explodes:
+    with edge samples still about 0.4% of the peak, ``run_em`` stopped at a
+    false fixed point.  Sample a measured PSF out to where it is negligible.
 
     Bin integrals and their gradients are batched over atoms: the hat-function
     weights of all k atoms on an axis form (k, n_bins, n_nodes) arrays, and
@@ -425,43 +435,64 @@ class TabulatedKernel(Kernel):
         )
         return interp(x[:, ::-1])
 
-    def _axis_weights(self, edges: np.ndarray, thetas: np.ndarray, axis: int):
-        """All k atoms' hat-function weights on one axis, each (k, n_bins, n_nodes).
+    def _hat_coordinates(self, edges: np.ndarray, thetas: np.ndarray, axis: int) -> tuple:
+        """One axis's shifted edges, (k, n_edges), and hat coordinates, (k, n_edges, n_nodes).
 
-        ``W[j, b, n]`` integrates hat_n over bin b shifted by -thetas[j], from
-        the hat's antiderivative at the two shifted edges.  ``dW[j, b, n]`` is
-        its derivative in thetas[j], hat_n(lo_b - theta_j) - hat_n(hi_b - theta_j).
-        Both keep the half-hats at the first and last node and vanish outside
-        the sampled box, as the interpolant does.
+        ``shifted[j, e]`` is edge e relative to thetas[j].  ``a[j, e, n]`` is
+        that edge clipped to the sampled box, measured from node n in units of
+        the spacing and clipped to the hat's support [-1, 1].  ``np.minimum``
+        and ``np.maximum`` stand in for ``np.clip``, whose dispatch costs more
+        than its arithmetic on arrays this small; the values are the same.
         """
         nodes = self._node_coords[axis]
-        shifted = edges[None, :] - thetas[:, None]  # (k, n_edges)
-        t = (np.clip(shifted, nodes[0], nodes[-1])[:, :, None] - nodes) / self.spacing
-        a = np.clip(t, -1.0, 1.0)
+        shifted = edges[None, :] - thetas[:, None]
+        a = np.minimum(np.maximum(shifted, nodes[0]), nodes[-1])[:, :, None] - nodes
+        a /= self.spacing
+        return shifted, np.minimum(np.maximum(a, -1.0, out=a), 1.0, out=a)
+
+    def _hat_masses(self, a: np.ndarray) -> np.ndarray:
+        """``W[j, b, n]``, hat_n integrated over bin b shifted by -thetas[j].
+
+        Differences of the hat's antiderivative at the clipped edges: they
+        keep the half-hats at the first and last node and vanish outside the
+        sampled box, as the interpolant does.
+        """
         antiderivative = self.spacing * (a - 0.5 * a * np.abs(a))
+        return antiderivative[:, 1:] - antiderivative[:, :-1]
+
+    def _hat_slopes(self, shifted: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+        """``dW[j, b, n]`` = hat_n(lo_b - theta_j) - hat_n(hi_b - theta_j), W's derivative.
+
+        An edge outside the sampled box contributes 0.
+        """
+        nodes = self._node_coords[axis]
         inside = (shifted >= nodes[0]) & (shifted <= nodes[-1])
-        hat = np.clip(1.0 - np.abs(t), 0.0, None) * inside[:, :, None]
-        return np.diff(antiderivative, axis=1), hat[:, :-1] - hat[:, 1:]
+        hat = (1.0 - np.abs(a)) * inside[:, :, None]
+        return hat[:, :-1] - hat[:, 1:]
 
     def bin_integral_matrix(self, grid, atoms):
         atoms = np.atleast_2d(atoms)
         out = np.empty((grid.m, atoms.shape[0]))
-        wx, _ = self._axis_weights(grid.axis_edges(0), atoms[:, 0], 0)
+        _, ax = self._hat_coordinates(grid.axis_edges(0), atoms[:, 0], 0)
+        wx = self._hat_masses(ax)
         if self.dimension == 1:
             np.matmul(wx, self.samples, out=out.T)
         else:
-            wy, _ = self._axis_weights(grid.axis_edges(1), atoms[:, 1], 1)
+            _, ay = self._hat_coordinates(grid.axis_edges(1), atoms[:, 1], 1)
+            wy = self._hat_masses(ay)
             np.matmul(wy @ self.samples, wx.transpose(0, 2, 1), out=_per_atom(out, wy, wx))
         return out
 
     def bin_integral_gradient_matrix(self, grid, atoms):
         atoms = np.atleast_2d(atoms)
         out = np.empty((grid.m, atoms.shape[0], self.dimension))
-        wx, dwx = self._axis_weights(grid.axis_edges(0), atoms[:, 0], 0)
+        sx, ax = self._hat_coordinates(grid.axis_edges(0), atoms[:, 0], 0)
+        dwx = self._hat_slopes(sx, ax, 0)
         if self.dimension == 1:
             np.matmul(dwx, self.samples, out=out[:, :, 0].T)
             return out
-        wy, dwy = self._axis_weights(grid.axis_edges(1), atoms[:, 1], 1)
+        sy, ay = self._hat_coordinates(grid.axis_edges(1), atoms[:, 1], 1)
+        wx, wy, dwy = self._hat_masses(ax), self._hat_masses(ay), self._hat_slopes(sy, ay, 1)
         np.matmul(wy @ self.samples, dwx.transpose(0, 2, 1),
                   out=_per_atom(out[..., 0], wy, wx))
         np.matmul(dwy @ self.samples, wx.transpose(0, 2, 1),

@@ -156,6 +156,8 @@ def run_main(tmp_path, command, config) -> int:
     ({"resolutions": ["10"]}, "experiment spec: resolutions must be an integer, got '10'"),
     ({"em": {"max_iterations": 2.5}}, "em spec: max_iterations must be an integer, got 2.5"),
     ({"em": {"inner_grad_tol": 1e-8}}, "em spec: unknown field 'inner_grad_tol'"),
+    ({"replicate": 8}, "experiment spec: unknown field 'replicate'"),
+    ({"sigma ": 0.2}, "experiment spec: unknown field 'sigma '"),
 ])
 def test_invalid_experiment_values_exit_2(tmp_path, capsys, override, message):
     assert run_main(tmp_path, "experiment", {**EXPERIMENT, **override}) == 2

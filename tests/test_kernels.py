@@ -14,6 +14,7 @@ from poisson_deconv.kernels import (
     Kernel,
     TabulatedKernel,
     UniformBoxKernel,
+    _per_atom,
     kernel_moments,
 )
 from poisson_deconv.measures import AtomicUniformMeasure
@@ -712,6 +713,101 @@ class TestBatchedTabulated:
         grad = kernel.bin_integral_gradient_matrix(grid, atoms)
         assert np.abs(grad).max() > 1.0
         assert np.abs(grad - central_differences(kernel, grid, atoms)).max() < 1e-8
+
+
+def oracle_axis_weights(kernel, edges, thetas, axis):
+    """All k atoms' hat-function weights on one axis, each (k, n_bins, n_nodes).
+
+    The one-step form that built W and dW together, kept verbatim (with
+    ``self`` renamed) as the bit-level reference for the tabulated kernel.
+    ``W[j, b, n]`` integrates hat_n over bin b shifted by -thetas[j], from
+    the hat's antiderivative at the two shifted edges.  ``dW[j, b, n]`` is
+    its derivative in thetas[j], hat_n(lo_b - theta_j) - hat_n(hi_b - theta_j).
+    Both keep the half-hats at the first and last node and vanish outside
+    the sampled box, as the interpolant does.
+    """
+    nodes = kernel._node_coords[axis]
+    shifted = edges[None, :] - thetas[:, None]  # (k, n_edges)
+    t = (np.clip(shifted, nodes[0], nodes[-1])[:, :, None] - nodes) / kernel.spacing
+    a = np.clip(t, -1.0, 1.0)
+    antiderivative = kernel.spacing * (a - 0.5 * a * np.abs(a))
+    inside = (shifted >= nodes[0]) & (shifted <= nodes[-1])
+    hat = np.clip(1.0 - np.abs(t), 0.0, None) * inside[:, :, None]
+    return np.diff(antiderivative, axis=1), hat[:, :-1] - hat[:, 1:]
+
+
+def oracle_tabulated_matrices(kernel, grid, atoms):
+    """``bin_integral_matrix`` and its gradient assembled from ``oracle_axis_weights``."""
+    mat = np.empty((grid.m, atoms.shape[0]))
+    grad = np.empty((grid.m, atoms.shape[0], kernel.dimension))
+    wx, dwx = oracle_axis_weights(kernel, grid.axis_edges(0), atoms[:, 0], 0)
+    if kernel.dimension == 1:
+        np.matmul(wx, kernel.samples, out=mat.T)
+        np.matmul(dwx, kernel.samples, out=grad[:, :, 0].T)
+        return mat, grad
+    wy, dwy = oracle_axis_weights(kernel, grid.axis_edges(1), atoms[:, 1], 1)
+    np.matmul(wy @ kernel.samples, wx.transpose(0, 2, 1), out=_per_atom(mat, wy, wx))
+    np.matmul(wy @ kernel.samples, dwx.transpose(0, 2, 1), out=_per_atom(grad[..., 0], wy, wx))
+    np.matmul(dwy @ kernel.samples, wx.transpose(0, 2, 1), out=_per_atom(grad[..., 1], wy, wx))
+    return mat, grad
+
+
+@st.composite
+def tabulated_weight_problems(draw):
+    """A tabulated kernel of random spacing and origin, a grid on [0, 1]^d and 1 to 5 atoms.
+
+    On each axis an atom puts a grid edge at a random point of the sampled
+    box, exactly on one of the box's edges, or beyond the box.  Half the
+    kernels have dyadic spacing and origin, with a power-of-two grid, so
+    that ``edge - (edge - box edge)`` is the box edge exactly.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    shape = draw(st.lists(st.integers(2, 8), min_size=d, max_size=d))
+    if draw(st.booleans()):
+        spacing = 2.0 ** -draw(st.integers(2, 5))
+        origin = [draw(st.integers(math.ceil(-1 / spacing), math.floor(0.5 / spacing)))
+                  * spacing for _ in range(d)]
+        res = draw(st.tuples(*[st.sampled_from([1, 2, 4, 8, 16])] * d))
+    else:
+        spacing = draw(st.floats(0.01, 0.3))
+        origin = draw(st.lists(st.floats(-1.0, 0.5), min_size=d, max_size=d))
+        res = draw(st.tuples(*[st.integers(1, 12)] * d))
+    samples = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=math.prod(shape),
+                                     max_size=math.prod(shape))))
+    samples[0] = 1.0  # positive mass
+    kernel = TabulatedKernel(samples.reshape(shape), spacing, origin)
+    grid = BinGrid([0.0] * d, [1.0] * d, res)
+    lo, hi = kernel.support_box()
+    atoms = np.empty((draw(st.integers(1, 5)), d))
+    for j in range(atoms.shape[0]):
+        for axis in range(d):
+            edges = grid.axis_edges(axis)
+            edge = edges[draw(st.integers(0, edges.shape[0] - 1))]
+            place = draw(st.sampled_from(["inside", "box edge", "beyond"]))
+            if place == "inside":
+                atoms[j, axis] = edge - draw(st.floats(lo[axis], hi[axis]))
+            elif place == "box edge":
+                atoms[j, axis] = edge - draw(st.sampled_from([lo[axis], hi[axis]]))
+            else:
+                atoms[j, axis] = draw(st.floats(-5.0, -4.0) | st.floats(4.0, 5.0))
+    return kernel, grid, atoms
+
+
+class TestTabulatedWeightBits:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=tabulated_weight_problems())
+    def test_weights_and_matrices_equal_the_one_step_oracle_bit_for_bit(self, problem):
+        kernel, grid, atoms = problem
+        for axis in range(kernel.dimension):
+            edges = grid.axis_edges(axis)
+            w, dw = oracle_axis_weights(kernel, edges, atoms[:, axis], axis)
+            shifted, a = kernel._hat_coordinates(edges, atoms[:, axis], axis)
+            masses, slopes = kernel._hat_masses(a), kernel._hat_slopes(shifted, a, axis)
+            assert masses.shape == w.shape and masses.tobytes() == w.tobytes()
+            assert slopes.shape == dw.shape and slopes.tobytes() == dw.tobytes()
+        mat, grad = oracle_tabulated_matrices(kernel, grid, atoms)
+        assert kernel.bin_integral_matrix(grid, atoms).tobytes() == mat.tobytes()
+        assert kernel.bin_integral_gradient_matrix(grid, atoms).tobytes() == grad.tobytes()
 
 
 class TestTabulatedMoments:
