@@ -319,23 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON run configuration")
+    runs = {name: sub.add_parser(name)
+            for name in ("simulate", "estimate", "pipeline", "experiment")}
+    for p in runs.values():
+        p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help=f"override the config seed (default {DEFAULT_SEED})")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: logical cores)")
-        p.add_argument("--log-level", default="WARNING",
-                       choices=["DEBUG", "INFO", "WARNING", "ERROR"])
-
-    for name in ("simulate", "estimate", "pipeline", "experiment"):
-        add_common(sub.add_parser(name))
+    runs["experiment"].add_argument("--jobs", type=int, default=None,
+                                    help="worker processes (default: logical cores)")
     metrics = sub.add_parser("metrics")
     metrics.add_argument("measure_a", help="measure JSON file")
     metrics.add_argument("measure_b", help="measure JSON file")
-    add_common(metrics, needs_config=False)
+    for p in [*runs.values(), metrics]:
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--log-level", default="WARNING",
+                       choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     return parser
 
 

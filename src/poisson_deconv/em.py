@@ -140,15 +140,17 @@ def _log_likelihood(image: CountImage, intensity: np.ndarray) -> float:
 def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) -> float:
     """Poisson log-likelihood sum_i [X_i log(t lam_i) - t lam_i], constants dropped.
 
-    Intensities are floored at ``_INTENSITY_FLOOR`` inside the
-    logarithm so bins with positive counts but vanishing model intensity
-    contribute a large negative value instead of NaN.  Requires a finite
-    exposure; noiseless images are handled by run_em.
+    The intensities are the kernel's ``intensity_and_vjp`` forward model,
+    the one maximize_likelihood climbs.  They are floored at
+    ``_INTENSITY_FLOOR`` inside the logarithm so bins with positive counts
+    but vanishing model intensity contribute a large negative value instead
+    of NaN.  Requires a finite exposure; noiseless images are handled by
+    run_em.
     """
     if image.noiseless:
         raise ValueError("log_likelihood requires finite t; see run_em for t = inf")
-    _, intensity = e_step(image, kernel, mu)
-    return _log_likelihood(image, intensity)
+    lam, _ = kernel.intensity_and_vjp(image.grid, mu.atoms)
+    return _log_likelihood(image, lam / mu.k)
 
 
 def e_step(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure) -> tuple:
@@ -308,8 +310,6 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
     accepted and raised, the ascents' log-likelihood evaluations and
     L-BFGS-B iterations, and why the run stopped.
     """
-    if init.k < 1:
-        raise ValueError("initializer must have at least one atom")
     trace, ascents = EmTrace(), []
     current = init
     resp, _ = e_step(image, kernel, current)
@@ -390,8 +390,6 @@ def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMe
     so the optimizer's first point costs nothing when ``init`` lies inside the
     domain.
     """
-    if init.k < 1:
-        raise ValueError("initializer must have at least one atom")
     fun = _NegLogLikelihood(image, kernel, init.k)
     measure, value, status, nit, error = _climb(fun, init, image, kernel, config, 0.0)
     trace = EmTrace()

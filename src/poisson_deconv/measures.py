@@ -6,10 +6,9 @@ structural (weights are never stored).  This module provides the measure type,
 exact complex moments m_1..m_k as a plain array (the array the MM chain
 estimates), the moment distance M_k between two such arrays, exact
 p-Wasserstein distances between equal-size uniform measures, the Hausdorff
-distance between supports, Voronoi-cell conditional measures relative to a
-clustered reference, the cluster-weighted local Wasserstein divergence, and a
-moment-matched perturbation that produces adversarial pairs sharing their
-first k-1 moments.
+distance between supports, the paper's multiscale loss (a cluster-weighted
+W_1 over the Voronoi cells of a clustered reference), and a moment-matched
+perturbation that produces adversarial pairs sharing their first k-1 moments.
 """
 from __future__ import annotations
 
@@ -184,111 +183,43 @@ def hausdorff(mu: AtomicUniformMeasure, nu: AtomicUniformMeasure) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterProfile:
-    """Clustered reference measure mu0 for the local Wasserstein divergence.
-
-    The reference is mu0 = (1/k) sum_j r_j delta_{c_j} with k0 distinct cluster
-    centers c_j carrying multiplicities r_j (sum r_j = k).  The profile stores
-    the separation (minimum pairwise center distance) and the cluster weights
-    delta_j = prod_{i != j} ||c_i - c_j||^{r_i}.
-
-    Parameters
-    ----------
-    centers : array_like, shape (k0, d)
-        Distinct cluster centers.
-    multiplicities : array_like of int, shape (k0,)
-        Number of atoms per cluster, each >= 1.
-    """
-
-    centers: np.ndarray
-    multiplicities: np.ndarray
-
-    def __post_init__(self):
-        centers = np.atleast_2d(np.array(self.centers, dtype=float))
-        mult = np.array(self.multiplicities, dtype=int)
-        if centers.shape[0] != mult.shape[0]:
-            raise ValueError("one multiplicity per center required")
-        if np.any(mult < 1):
-            raise ValueError("multiplicities must be >= 1")
-        if centers.shape[0] > 1:
-            dist = cdist(centers, centers)
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() <= 0.0:
-                raise ValueError("cluster centers must be distinct")
-        centers.flags.writeable = False
-        mult.flags.writeable = False
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "multiplicities", mult)
-
-    @property
-    def k0(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def k(self) -> int:
-        return int(self.multiplicities.sum())
-
-    @property
-    def separation(self) -> float:
-        if self.k0 == 1:
-            return float("inf")
-        dist = cdist(self.centers, self.centers)
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
-
-    @property
-    def cell_weights(self) -> np.ndarray:
-        """delta_j(mu0) = prod_{i != j} ||c_i - c_j||^{r_i}, all strictly positive."""
-        dist = cdist(self.centers, self.centers)
-        weights = np.empty(self.k0)
-        for j in range(self.k0):
-            others = [i for i in range(self.k0) if i != j]
-            weights[j] = np.prod(dist[others, j] ** self.multiplicities[others])
-        return weights
-
-    @property
-    def mu0(self) -> AtomicUniformMeasure:
-        """The reference measure, with each center repeated per its multiplicity."""
-        return AtomicUniformMeasure(np.repeat(self.centers, self.multiplicities, axis=0))
-
-
-def voronoi_assign(profile: ClusterProfile, mu: AtomicUniformMeasure):
-    """Assign atoms of mu to the Voronoi cells of the profile centers.
-
-    Each atom goes to its nearest center; ties break toward the lowest cluster
-    index.  Returns a list of k0 conditional measures (uniform on the atoms of
-    the cell), with None flagging an empty cell.
-    """
-    dist = cdist(mu.atoms, profile.centers)
-    owner = np.argmin(dist, axis=1)  # argmin takes the lowest index on ties
-    cells = []
-    for j in range(profile.k0):
-        pts = mu.atoms[owner == j]
-        cells.append(AtomicUniformMeasure(pts) if pts.shape[0] else None)
-    return cells
-
-
-def local_divergence(profile: ClusterProfile, mu: AtomicUniformMeasure,
+def local_divergence(centers, multiplicities, mu: AtomicUniformMeasure,
                      nu: AtomicUniformMeasure) -> float:
-    """Local Wasserstein divergence 1 ^ sum_j delta_j * W_1^{r_j}(mu_Vj, nu_Vj).
+    """Multiscale loss 1 ^ sum_j delta_j * W_1^{r_j}(mu_Vj, nu_Vj) about a clustered reference.
 
-    Conventions: W_1 between two empty cells is 0; a nonempty cell against an
-    empty one is infinite, which the ^1 cap turns into a result of 1.
+    The reference is mu0 = (1/k) sum_j r_j delta_{c_j}: k0 distinct
+    ``centers`` c_j, shape (k0, d), with ``multiplicities`` r_j >= 1 and
+    sum r_j = k = mu.k = nu.k; anything else raises ValueError.  V_j is the
+    Voronoi cell of c_j (each atom goes to its nearest center, ties to the
+    lowest index), mu_Vj is the uniform measure on the atoms of mu in V_j,
+    and delta_j = prod_{i != j} ||c_i - c_j||^{r_i}.  W_1 between two empty
+    cells is 0; a nonempty cell against an empty one is infinite, which the
+    ^1 cap turns into a result of 1.
     """
-    if not (mu.k == nu.k == profile.k):
-        raise ValueError("local_divergence requires mu.k == nu.k == profile k")
-    cells_mu = voronoi_assign(profile, mu)
-    cells_nu = voronoi_assign(profile, nu)
-    weights = profile.cell_weights
+    centers = np.atleast_2d(np.array(centers, dtype=float))
+    r = np.array(multiplicities, dtype=int)
+    if centers.shape[0] != r.shape[0]:
+        raise ValueError("one multiplicity per center required")
+    if np.any(r < 1):
+        raise ValueError("multiplicities must be >= 1")
+    dist = cdist(centers, centers)
+    np.fill_diagonal(dist, 1.0)  # the i = j factor of every delta_j
+    if dist.min() <= 0.0:
+        raise ValueError("cluster centers must be distinct")
+    if not (mu.k == nu.k == r.sum()):
+        raise ValueError("local_divergence requires mu.k == nu.k == sum of multiplicities")
+    weights = np.prod(dist ** r[:, None], axis=0)
+    # argmin takes the lowest index on ties
+    owner_mu = np.argmin(cdist(mu.atoms, centers), axis=1)
+    owner_nu = np.argmin(cdist(nu.atoms, centers), axis=1)
     total = 0.0
-    for j, (cm, cn) in enumerate(zip(cells_mu, cells_nu)):
-        if cm is None and cn is None:
+    for j in range(r.shape[0]):
+        cm, cn = mu.atoms[owner_mu == j], nu.atoms[owner_nu == j]
+        if cm.shape[0] == 0 and cn.shape[0] == 0:
             continue
-        if cm is None or cn is None:
+        if cm.shape[0] == 0 or cn.shape[0] == 0:
             return 1.0
-        w1 = _w1_uniform_general(cm.atoms, cn.atoms)
-        total += weights[j] * w1 ** int(profile.multiplicities[j])
+        total += weights[j] * _w1_uniform_general(cm, cn) ** int(r[j])
     return min(1.0, total)
 
 

@@ -10,7 +10,7 @@ coefficient matrix, the moment estimates m_1..m_k (one triangular combination
 of the power sums sum_i gamma_i^j X_i / t, O(k * m) work), then elementary
 symmetric values and polynomial coefficients; k is read from the arrays'
 lengths.  The one estimator, mm_complex, serves planar and 1-d images; on 1-d
-data it takes the real parts of the roots.
+data each root a + ib becomes the atom a + b.
 
 What does not depend on the counts is computed once: ``kernel_psi`` keeps
 each kernel's psi array per order for as long as the kernel lives, and the
@@ -310,15 +310,17 @@ def complex_roots(coeffs) -> np.ndarray:
 def measure_from_moments(m, dimension: int = 2) -> AtomicUniformMeasure:
     """Invert complex moments m_1..m_k into the unique k-atomic uniform measure.
 
-    k is the length of ``m``; on 1-d data (``dimension`` 1) the atoms are the
-    sorted real parts of the roots.  Raises ValueError on non-finite moments.
+    k is the length of ``m``.  On 1-d data (``dimension`` 1) each root a + ib
+    becomes the atom a + b, sorted, so a conjugate pair a +- ib gives two
+    atoms a +- b rather than two coincident ones at a, which no likelihood
+    ascent can split.  Raises ValueError on non-finite moments.
     """
     m = np.asarray(m, dtype=complex).ravel()
     if not np.all(np.isfinite(m)):
         raise ValueError("moments m_1..m_k must be finite")
     roots = complex_roots(poly_from_elementary(newton_to_elementary(m)))
     if dimension == 1:
-        return AtomicUniformMeasure(np.sort(roots.real))
+        return AtomicUniformMeasure(np.sort(roots.real + roots.imag))
     return AtomicUniformMeasure.from_complex(roots)
 
 
@@ -343,8 +345,8 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
     """Complex method-of-moments estimator for planar and 1-d images.
 
     Estimated complex moments are inverted through Newton's identities and
-    Vieta's formula; the atoms are the roots of the resulting polynomial, with
-    their real parts taken on 1-d data.  Atoms may land outside the
+    Vieta's formula; the atoms are the roots of the resulting polynomial, each
+    root a + ib mapped to a + b on 1-d data.  Atoms may land outside the
     observation window; no projection onto it is applied.  Raises ValueError
     when k is not an integer >= 1 (checked first) or when the kernel's
     dimension differs from the image's.

@@ -225,6 +225,18 @@ def test_experiment_jobs_below_one_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "run.json", "--jobs", "2"],
+    ["estimate", "--config", "run.json", "--jobs", "2"],
+    ["metrics", "a.json", "b.json", "--seed", "1"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 SIMULATE = {"kernel": {"type": "gaussian", "sigma": 0.05}, "measure": {"atoms": [[0.5, 0.5]]},
             "grid": {"resolution": 8}, "t": 1e3}
 

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from poisson_deconv.measures import (
     AtomicUniformMeasure,
-    ClusterProfile,
     exact_moments,
     hausdorff,
     local_divergence,
     moment_distance,
     perturb_matching_moments,
-    voronoi_assign,
     wasserstein_p,
 )
 
@@ -226,82 +224,122 @@ class TestHausdorff:
 
 
 class TestClusterProfile:
+    """The clustered reference (centers, multiplicities) that local_divergence takes."""
+
     def test_invariants(self):
-        prof = ClusterProfile([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [1, 2, 1])
-        assert prof.k == 4
-        assert prof.separation == pytest.approx(1.0)
-        w = prof.cell_weights
-        # delta_1 = |c2-c1|^2 * |c3-c1|^1 = 1^2 * 2 = 2, etc.
-        assert w[0] == pytest.approx(1.0**2 * 2.0)
-        assert w[1] == pytest.approx(1.0 * np.sqrt(5.0))
-        assert w[2] == pytest.approx(2.0 * np.sqrt(5.0) ** 2)
-        assert np.all(w > 0)
-        assert prof.mu0.k == 4
+        # delta_j = prod_{i != j} |c_i - c_j|^{r_i}: delta_1 = 1^2 * 2, delta_2 = 1 * sqrt(5),
+        # delta_3 = 2 * sqrt(5)^2; moving cell j's atoms by s adds delta_j s^{r_j}
+        centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        mult = np.array([1, 2, 1])
+        mu0 = AtomicUniformMeasure(np.repeat(centers, mult, axis=0))
+        s = 0.01
+        for j, delta in enumerate([2.0, np.sqrt(5.0), 10.0]):
+            shifted = mu0.atoms.copy()
+            shifted[np.repeat(np.arange(3), mult) == j] += [s, 0.0]
+            nu = AtomicUniformMeasure(shifted)
+            assert local_divergence(centers, mult, mu0, nu) == pytest.approx(
+                delta * s ** mult[j], rel=1e-12)
 
     def test_duplicate_centers_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterProfile([[0.0, 0.0], [0.0, 0.0]], [1, 1])
+        mu = AtomicUniformMeasure([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="distinct"):
+            local_divergence([[0.0, 0.0], [0.0, 0.0]], [1, 1], mu, mu)
 
-    def test_caller_arrays_stay_writeable(self):
-        centers = np.array([[0.0, 0.0], [1.0, 0.0]])
-        multiplicities = np.array([1, 2])
-        prof = ClusterProfile(centers, multiplicities)
-        centers[1, 0] = 5.0
-        multiplicities[1] = 7
-        assert prof.separation == 1.0
-        assert prof.k == 3
-        assert not prof.centers.flags.writeable
+    @pytest.mark.parametrize("centers, mult, k, message", [
+        ([[0.0, 0.0], [1.0, 0.0]], [2], 2, "one multiplicity per center"),
+        ([[0.0, 0.0], [1.0, 0.0]], [2, 0], 2, "multiplicities must be >= 1"),
+        ([[0.0, 0.0], [1.0, 0.0]], [1, 2], 2, "mu.k == nu.k"),
+    ])
+    def test_invalid_profiles_rejected(self, centers, mult, k, message):
+        mu = AtomicUniformMeasure(np.zeros((k, 2)))
+        with pytest.raises(ValueError, match=message):
+            local_divergence(centers, mult, mu, mu)
 
 
 class TestVoronoiAssign:
+    """Each atom falls in the Voronoi cell of its nearest center, ties to the lowest index."""
+
     def test_reference_atoms_stay_home(self):
-        prof = ClusterProfile([[0.0, 0.0], [1.0, 0.0]], [2, 1])
-        cells = voronoi_assign(prof, prof.mu0)
-        assert cells[0].k == 2 and cells[1].k == 1
-        assert np.allclose(cells[0].atoms, [[0.0, 0.0], [0.0, 0.0]])
+        # against a copy shifted by s, every cell pairs its own atoms: delta = (1, 1)
+        centers, mult = [[0.0, 0.0], [1.0, 0.0]], [2, 1]
+        mu0 = AtomicUniformMeasure([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert local_divergence(centers, mult, mu0, mu0) == 0.0
+        shifted = AtomicUniformMeasure(mu0.atoms + [0.0, 0.1])
+        assert local_divergence(centers, mult, mu0, shifted) == pytest.approx(0.1**2 + 0.1)
 
     def test_tie_goes_to_lowest_index(self):
-        prof = ClusterProfile([[0.0, 0.0], [1.0, 0.0]], [1, 1])
-        cells = voronoi_assign(prof, AtomicUniformMeasure([[0.5, 0.0], [0.9, 0.0]]))
-        assert cells[0].k == 1 and cells[1].k == 1
-        assert np.allclose(cells[0].atoms, [[0.5, 0.0]])
+        # the midpoint joins cell 0 and meets nu's 0.4 there; in cell 1 it would
+        # leave cell 0 empty against nu's nonempty one, giving 1
+        centers = [[0.0, 0.0], [1.0, 0.0]]
+        mu = AtomicUniformMeasure([[0.5, 0.0], [1.0, 0.0]])
+        nu = AtomicUniformMeasure([[0.4, 0.0], [1.0, 0.0]])
+        assert local_divergence(centers, [1, 1], mu, nu) == pytest.approx(0.1, rel=1e-12)
 
     def test_clustered_draws_fill_cells(self):
         rng = np.random.default_rng(11)
         centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         mult = np.array([2, 1, 3])
-        prof = ClusterProfile(centers, mult)
-        delta = prof.separation
+        delta = np.array([1.0, 2.0 ** 1.5, np.sqrt(2.0)])
+        label = np.repeat(np.arange(3), mult)
         for _ in range(20):
-            jitter = rng.uniform(-delta / 8, delta / 8, size=(prof.k, 2))
-            mu = AtomicUniformMeasure(np.repeat(centers, mult, axis=0) + jitter)
-            cells = voronoi_assign(prof, mu)
-            assert [c.k if c else 0 for c in cells] == list(mult)
+            # jitter below an eighth of the separation keeps each atom in its cluster's cell
+            a, b = (np.repeat(centers, mult, axis=0) + rng.uniform(-1 / 8, 1 / 8, size=(6, 2))
+                    for _ in range(2))
+            expected = sum(
+                delta[j] * wasserstein_p(AtomicUniformMeasure(a[label == j]),
+                                         AtomicUniformMeasure(b[label == j]), 1) ** mult[j]
+                for j in range(3)
+            )
+            got = local_divergence(centers, mult, AtomicUniformMeasure(a),
+                                   AtomicUniformMeasure(b))
+            assert got == pytest.approx(min(1.0, expected), rel=1e-12)
 
 
 class TestLocalDivergence:
     def test_identity(self):
-        prof = ClusterProfile([[0.0, 0.0], [1.0, 0.0]], [1, 2])
         mu = AtomicUniformMeasure([[0.05, 0.0], [0.95, 0.0], [1.05, 0.0]])
-        assert local_divergence(prof, mu, mu) == 0.0
+        assert local_divergence([[0.0, 0.0], [1.0, 0.0]], [1, 2], mu, mu) == 0.0
 
     def test_singleton_cells_hand_value(self):
+        # delta = (1 * 1, 1 * sqrt(2), 1 * sqrt(2)) and each cell's W_1 is its shift
         centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        prof = ClusterProfile(centers, [1, 1, 1])
         shift = np.array([[0.01, 0.0], [0.0, 0.02], [0.03, 0.0]])
         mu = AtomicUniformMeasure(centers)
         nu = AtomicUniformMeasure(centers + shift)
-        expected = min(
-            1.0,
-            float(np.sum(prof.cell_weights * np.linalg.norm(shift, axis=1))),
-        )
-        assert local_divergence(prof, mu, nu) == pytest.approx(expected)
+        expected = 0.01 + np.sqrt(2.0) * (0.02 + 0.03)
+        assert local_divergence(centers, [1, 1, 1], mu, nu) == pytest.approx(expected)
 
     def test_empty_vs_nonempty_caps_at_one(self):
-        prof = ClusterProfile([[0.0, 0.0], [1.0, 0.0]], [1, 1])
         mu = AtomicUniformMeasure([[0.0, 0.0], [1.0, 0.0]])
         nu = AtomicUniformMeasure([[0.1, 0.0], [0.2, 0.0]])  # both in cell 0
-        assert local_divergence(prof, mu, nu) == 1.0
+        assert local_divergence([[0.0, 0.0], [1.0, 0.0]], [1, 1], mu, nu) == 1.0
+
+
+@st.composite
+def divergence_inputs(draw):
+    """Distinct lattice centers, multiplicities 1-3, and two measures of k = sum r_j atoms."""
+    d = draw(st.integers(1, 2))
+    lattice = st.tuples(*[st.integers(0, 4)] * d)
+    cells = draw(st.lists(lattice, min_size=1, max_size=3, unique=True))
+    centers = 0.25 * np.array(cells, dtype=float)
+    mult = draw(st.lists(st.integers(1, 3), min_size=len(cells), max_size=len(cells)))
+    coords = st.floats(-0.5, 1.5, allow_nan=False)
+    mu, nu = (
+        AtomicUniformMeasure(np.array(draw(st.lists(
+            st.lists(coords, min_size=d, max_size=d), min_size=sum(mult), max_size=sum(mult)))))
+        for _ in range(2)
+    )
+    return centers, mult, mu, nu
+
+
+class TestLocalDivergenceProperty:
+    @given(divergence_inputs())
+    def test_symmetric_zero_on_the_diagonal_and_in_unit_interval(self, inputs):
+        centers, mult, mu, nu = inputs
+        value = local_divergence(centers, mult, mu, nu)
+        assert 0.0 <= value <= 1.0
+        assert local_divergence(centers, mult, nu, mu) == pytest.approx(value, abs=1e-12)
+        assert local_divergence(centers, mult, mu, mu) == 0.0
 
 
 class TestPerturbMatchingMoments:

@@ -23,8 +23,6 @@ PACKAGE = Path(poisson_deconv.__file__).parent
 ALLOWED_UNUSED = {
     "density": "kernel densities are the quadrature oracles of the kernel and psi tests",
     "log_likelihood": "the public observed-data log-likelihood for scoring fits at finite t",
-    "separation": "cluster separation of the paper's multiscale loss, not yet in experiments",
-    "mu0": "the clustered reference measure of the paper's multiscale loss",
     "local_divergence": "the paper's multiscale loss, not yet reported by experiments",
     "perturb_matching_moments": "builds the paper's moment-matched adversarial pairs",
 }
