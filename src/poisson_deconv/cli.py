@@ -132,10 +132,11 @@ def _fields(spec: dict, casts: dict) -> dict:
             for key, cast in casts.items() if key in spec}
 
 
-def _em_config(spec: dict) -> EmConfig:
+def _em_config(spec: dict, *keys: str) -> EmConfig:
+    """The EmConfig ``spec`` sets; when ``keys`` are given, it may set only those."""
+    casts = {"max_iterations": int, "early_stop_w1": float, "inner_max_iterations": int}
     with _invalid("em spec"):
-        return EmConfig(**_fields(spec, {
-            "max_iterations": int, "early_stop_w1": float, "inner_max_iterations": int}))
+        return EmConfig(**_fields(spec, {key: casts[key] for key in keys or casts}))
 
 
 def cmd_simulate(config: dict, out_dir: str) -> int:
@@ -161,6 +162,8 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
         raise ConfigError(
             "unknown estimator 'mm-general'; use 'em' (mm-complex refined by EM) instead"
         )
+    if estimator == "mm-complex" and "em" in config:
+        raise ConfigError("unknown field 'em': the mm-complex estimator runs no EM")
     with _invalid("estimate spec"):
         k = validate_k(_require(config, "k"))
     kernel = _build_kernel(_require(config, "kernel"))
@@ -218,7 +221,9 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
     with _invalid("partition spec"):
         for key in ("mode_count", "k"):
             _require(part, key, "partition spec")
-        pconfig = PartitionConfig(em=_em_config(config.get("em", {})), **_fields(part, {
+        # the refinement reads no other EmConfig field (see PartitionConfig)
+        em = _em_config(config.get("em", {}), "inner_max_iterations")
+        pconfig = PartitionConfig(em=em, **_fields(part, {
             "mode_count": int, "k": int, "mode_half_widths": tuple, "link_threshold": float}))
     result = run_pipeline(image, kernel, pconfig)
     os.makedirs(out_dir, exist_ok=True)

@@ -96,6 +96,9 @@ class ExperimentSpec:
             raise ValueError(f"configuration must be one of {CONFIGURATION_NAMES}")
         if self.configuration == "custom" and self.atoms is None:
             raise ValueError("custom configuration requires atoms")
+        if self.configuration != "custom" and self.atoms is not None:
+            raise ValueError(f"atoms are read only by the custom configuration, "
+                             f"not {self.configuration!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if not 0 < self.sigma < np.inf:
@@ -184,10 +187,6 @@ class RiskTable:
         return paths
 
 
-def _fallback_measure(grid: BinGrid, k: int) -> AtomicUniformMeasure:
-    return AtomicUniformMeasure(np.tile(grid.center(), (k, 1)))
-
-
 # The sweep a pool worker serves, set once per worker by _start_worker, so a
 # task carries only (n_side, t, seed) and the worker keeps one kernel object,
 # whose psi mm.kernel_psi then builds once.
@@ -209,9 +208,9 @@ def _run_replicate(sweep: tuple, payload: tuple) -> dict:
     ``sweep`` is (spec, kernel, truth, scenes), what every replicate of the
     sweep shares, with each resolution's scene a (grid, intensities) pair
     keyed by n_side.  ``payload`` is (n_side, t, seed): the cell's
-    resolution, its exposure, and the replicate's stream.  Every warning an
-    estimator raises is recorded, repeats included, and counted under its
-    "n_warnings"; none reaches the caller.
+    resolution, its exposure, and the replicate's stream.  "em" runs its own
+    MM start.  Every warning an estimator raises is recorded, repeats
+    included, and counted under its "n_warnings"; none reaches the caller.
     """
     spec, kernel, truth, scenes = sweep
     n_side, t, seed = payload
@@ -222,22 +221,14 @@ def _run_replicate(sweep: tuple, payload: tuple) -> dict:
     else:
         image = poisson_image(grid, lam, t, seed)
     out = {}
-    mm_est = None
     for name in spec.estimators:
         start = time.perf_counter()
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                if name == "mm":
-                    est = mm_complex(image, kernel, k)
-                    mm_est = est
-                elif name == "em":
-                    init = mm_est
-                    if init is None:
-                        init = mm_complex(image, kernel, k)
-                    est, _ = run_em(image, kernel, init, spec.em)
-                else:  # pragma: no cover - spec validation rejects earlier
-                    raise ValueError(name)
+                est = mm_complex(image, kernel, k)
+                if name == "em":
+                    est, _ = run_em(image, kernel, est, spec.em)
             elapsed = time.perf_counter() - start
             out[name] = {
                 "w1": wasserstein_p(est, truth, 1),
@@ -247,7 +238,7 @@ def _run_replicate(sweep: tuple, payload: tuple) -> dict:
             }
         except (RootRecoveryError, ValueError, FloatingPointError) as exc:
             elapsed = time.perf_counter() - start
-            fallback = _fallback_measure(grid, k)
+            fallback = AtomicUniformMeasure(np.tile(grid.center(), (k, 1)))
             out[name] = {
                 "w1": np.nan,
                 "w1_fallback": wasserstein_p(fallback, truth, 1),

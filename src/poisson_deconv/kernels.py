@@ -27,7 +27,7 @@ bin weights with their gradient, which a kernel may form without either matrix.
 
 The MM chain needs only the moments m_j = E[z^j] of the kernel, with z = x
 on the line and z = x + iy in the plane, and each kernel returns m_0..m_order
-as one array (``kernel_moments``).  Gaussians use Wick's theorem in closed
+as one array (``Kernel.moments``).  Gaussians use Wick's theorem in closed
 form: E[z^(2l)] = (2l - 1)!! c^l with c = E[z^2], and odd moments vanish.
 Box and tabulated kernels build the real table E[x^a y^b] and fold it into
 complex moments by the binomial expansion of (x + iy)^j.
@@ -44,9 +44,6 @@ from scipy.special import ndtr
 
 logger = logging.getLogger(__name__)
 
-# Anisotropic Gaussians integrate over x within this many sigma_x of the atom;
-# the mass left out is 2 * Phi(-9) < 3e-19.
-_CLIP_SIGMAS = 9.0
 # Gauss-Legendre nodes per x-panel of the anisotropic bin integrals.
 _GL_ORDER = 10
 
@@ -64,7 +61,11 @@ class Kernel:
         raise NotImplementedError
 
     def moments(self, order: int) -> np.ndarray:
-        """Moments m_0..m_order, as ``kernel_moments`` describes them."""
+        """Kernel moments m_0..m_order as one array, the first link of the MM chain.
+
+        Entry j is int y^j K(y) dy: a float array for kernels on the line, and a
+        complex array of the moments of z = x + iy for planar kernels.  m_0 is 1.
+        """
         raise NotImplementedError
 
     def bin_integral_matrix(self, grid, atoms: np.ndarray) -> np.ndarray:
@@ -251,7 +252,7 @@ class GaussianKernel(_ProductKernel):
         return _normal_mass(z) * phi
 
     def _x_panels(self, bin_width: float):
-        """Gauss-Legendre node fractions and weights over a bin's clipped x-span.
+        """Gauss-Legendre node fractions and weights over a bin's x-span.
 
         Each bin's span is cut into equal panels no wider than the scale on
         which the integrand varies: sigma_x for the marginal density and
@@ -261,8 +262,7 @@ class GaussianKernel(_ProductKernel):
         beta = self.cov[0, 1] / self.cov[0, 0]  # nonzero: the covariance is not diagonal
         cond_sd = math.sqrt(self.cov[1, 1] - beta * self.cov[0, 1])
         scale = min(sx, cond_sd / abs(beta))
-        span = min(bin_width, 2 * _CLIP_SIGMAS * sx)
-        panels = max(1, math.ceil(span / scale))
+        panels = max(1, math.ceil(bin_width / scale))
         nodes, weights = _gauss_legendre(_GL_ORDER)
         starts = np.arange(panels)[:, None]
         fractions = ((starts + 0.5 * (nodes + 1.0)) / panels).ravel()
@@ -273,14 +273,13 @@ class GaussianKernel(_ProductKernel):
             return super().bin_integral_matrix(grid, atoms)
         atoms = np.atleast_2d(atoms)
         ex, ey = grid.axis_edges(0), grid.axis_edges(1)
-        clip = _CLIP_SIGMAS * self._axis_sigma[0]
         fractions, weights = self._x_panels(ex[1] - ex[0])
         out = np.empty((grid.m, atoms.shape[0]))
         # per atom: batching would multiply the (n_y, n_x, panel nodes) masses by k
         for j, (tx, ty) in enumerate(atoms):
-            # x-span of every bin relative to the atom, clipped to +-clip
-            lo = np.minimum(np.maximum(ex[:-1] - tx, -clip), clip)
-            width = np.minimum(np.maximum(ex[1:] - tx, -clip), clip) - lo
+            # x-span of every bin relative to the atom
+            lo = ex[:-1] - tx
+            width = (ex[1:] - tx) - lo
             offsets = lo[:, None] + width[:, None] * fractions[None, :]
             masses = self._strip_masses(offsets.ravel(), ey - ty, 0)
             masses = masses.reshape(ey.shape[0] - 1, ex.shape[0] - 1, fractions.shape[0])
@@ -391,36 +390,20 @@ class TabulatedKernel(Kernel):
         self.origin = np.atleast_1d(np.asarray(origin, float))
         if self.origin.shape != (self.dimension,) or not np.all(np.isfinite(self.origin)):
             raise ValueError("origin must have one finite coordinate per dimension")
-        mass = self._raw_mass(samples)
+        mass = samples
+        for _ in range(samples.ndim):  # trapezoid rule along the last axis
+            mass = np.trapezoid(mass, dx=self.spacing)
         if mass <= 0:
             raise ValueError("kernel samples must carry positive mass")
         if abs(mass - 1.0) > 1e-3:
             logger.info("normalizing tabulated kernel: raw mass %.6g", mass)
         self.samples = samples / mass
-        self._node_coords = [
-            self.origin[axis] + self.spacing * np.arange(self._shape()[axis])
-            for axis in range(self.dimension)
-        ]
-
-    def _shape(self):
-        if self.dimension == 1:
-            return (self.samples.shape[0],)
-        return (self.samples.shape[1], self.samples.shape[0])  # (n_x, n_y)
-
-    def _raw_mass(self, samples) -> float:
-        if samples.ndim == 1:
-            return float(np.trapezoid(samples, dx=self.spacing))
-        inner = np.trapezoid(samples, dx=self.spacing, axis=1)
-        return float(np.trapezoid(inner, dx=self.spacing))
-
-    def support_box(self):
-        lo = self.origin
-        hi = np.array([c[-1] for c in self._node_coords])
-        return lo, hi
+        # samples are indexed [iy, ix], so the reversed shape is (n_x, n_y)
+        self._node_coords = [start + self.spacing * np.arange(n)
+                             for start, n in zip(self.origin, samples.shape[::-1])]
 
     def spread(self) -> float:
-        lo, hi = self.support_box()
-        return float(np.max(hi - lo) / 2)
+        return float(max(c[-1] - c[0] for c in self._node_coords) / 2)
 
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, float))
@@ -574,13 +557,3 @@ def _planar_moments(table: np.ndarray) -> np.ndarray:
         vals[j] = sum(math.comb(j, l) * 1j**l * table[j - l, l] for l in range(j + 1))
     return vals
 
-
-def kernel_moments(kernel: Kernel, order: int) -> np.ndarray:
-    """Kernel moments m_0..m_order as one array, the first link of the MM chain.
-
-    Entry j is int y^j K(y) dy: a float array for kernels on the line, and a
-    complex array of the moments of z = x + iy for planar kernels.  m_0 is 1.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return kernel.moments(order)

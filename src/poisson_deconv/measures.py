@@ -188,18 +188,22 @@ def local_divergence(centers, multiplicities, mu: AtomicUniformMeasure,
     """Multiscale loss 1 ^ sum_j delta_j * W_1^{r_j}(mu_Vj, nu_Vj) about a clustered reference.
 
     The reference is mu0 = (1/k) sum_j r_j delta_{c_j}: k0 distinct
-    ``centers`` c_j, shape (k0, d), with ``multiplicities`` r_j >= 1 and
-    sum r_j = k = mu.k = nu.k; anything else raises ValueError.  V_j is the
-    Voronoi cell of c_j (each atom goes to its nearest center, ties to the
-    lowest index), mu_Vj is the uniform measure on the atoms of mu in V_j,
-    and delta_j = prod_{i != j} ||c_i - c_j||^{r_i}.  W_1 between two empty
-    cells is 0; a nonempty cell against an empty one is infinite, which the
-    ^1 cap turns into a result of 1.
+    ``centers`` c_j in the dimension of mu and nu, shape (k0, d) or, on the
+    line, (k0,) as for ``AtomicUniformMeasure``, with ``multiplicities``
+    r_j >= 1 and sum r_j = k = mu.k = nu.k; anything else raises ValueError.
+    V_j is the Voronoi cell of c_j (each atom goes to its nearest center, ties
+    to the lowest index), mu_Vj is the uniform measure on the atoms of mu in
+    V_j, and delta_j = prod_{i != j} ||c_i - c_j||^{r_i}.  W_1 between two
+    empty cells is 0; a nonempty cell against an empty one is infinite, which
+    the ^1 cap turns into a result of 1.
     """
-    centers = np.atleast_2d(np.array(centers, dtype=float))
+    centers = AtomicUniformMeasure(centers).atoms
     r = np.array(multiplicities, dtype=int)
     if centers.shape[0] != r.shape[0]:
         raise ValueError("one multiplicity per center required")
+    if not centers.shape[1] == mu.dimension == nu.dimension:
+        raise ValueError(f"centers are {centers.shape[1]}-d but mu is {mu.dimension}-d "
+                         f"and nu {nu.dimension}-d")
     if np.any(r < 1):
         raise ValueError("multiplicities must be >= 1")
     dist = cdist(centers, centers)

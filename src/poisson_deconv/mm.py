@@ -5,17 +5,17 @@ counts into unbiased moment estimates of the mixing measure; Newton's
 identities convert power-sum moments into elementary symmetric polynomials;
 Vieta's formula assembles the monic polynomial whose roots are the atoms; a
 root finder recovers them.  Every link of the complex chain passes plain
-NumPy arrays: kernel moments m_0..m_k, the unit lower-triangular psi
-coefficient matrix, the moment estimates m_1..m_k (one triangular combination
-of the power sums sum_i gamma_i^j X_i / t, O(k * m) work), then elementary
-symmetric values and polynomial coefficients; k is read from the arrays'
-lengths.  The one estimator, mm_complex, serves planar and 1-d images; on 1-d
-data each root a + ib becomes the atom a + b.
+NumPy arrays: kernel moments m_0..m_k (``Kernel.moments``), the unit
+lower-triangular psi coefficient matrix, the moment estimates m_1..m_k (one
+triangular combination of the power sums sum_i gamma_i^j X_i / t, O(k * m)
+work), then elementary symmetric values and polynomial coefficients; k is
+read from the arrays' lengths.  The one estimator, mm_complex, serves planar
+and 1-d images; on 1-d data each root a + ib becomes the atom a + b.
 
 What does not depend on the counts is computed once: ``kernel_psi`` keeps
 each kernel's psi array per order for as long as the kernel lives, and the
-root finder evaluates p and p' once per iterate, reusing them for its freeze
-test, its Newton polish and its residual gate.
+root finder, ``complex_roots``, evaluates p and p' once per iterate, reusing
+them for its freeze test, its Newton polish and its residual gate.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import weakref
 
 import numpy as np
 
-from .kernels import Kernel, kernel_moments
+from .kernels import Kernel
 from .measures import AtomicUniformMeasure
 from .observation import CountImage
 
@@ -72,7 +72,7 @@ _psi_cache = weakref.WeakKeyDictionary()
 
 
 def kernel_psi(kernel: Kernel, order: int) -> np.ndarray:
-    """``compute_psi(kernel_moments(kernel, order))``, built once per kernel and order.
+    """``compute_psi(kernel.moments(order))``, built once per kernel and order.
 
     The array is read-only and shared by every caller with the same kernel
     object, which must not be changed after construction.
@@ -80,7 +80,7 @@ def kernel_psi(kernel: Kernel, order: int) -> np.ndarray:
     by_order = _psi_cache.setdefault(kernel, {})
     psi = by_order.get(order)
     if psi is None:
-        psi = compute_psi(kernel_moments(kernel, order))
+        psi = compute_psi(kernel.moments(order))
         psi.flags.writeable = False
         by_order[order] = psi
     return psi
@@ -258,30 +258,6 @@ def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray, p=None) -> float:
     return float(np.max(np.abs(p) / bound))
 
 
-def _find_roots(coeffs: np.ndarray):
-    """(roots, path, Aberth iterations, residual ratio) for monic descending coefficients.
-
-    A polished candidate set is accepted when its ``_residual_ratio`` is at
-    most 1.
-    """
-    if coeffs.shape[0] == 2:
-        roots = np.array([-coeffs[1]])
-        return roots, "linear", 0, _residual_ratio(coeffs, roots)
-    roots, iterations, values = _aberth(coeffs)
-    roots, p = _newton_polish(coeffs, roots, values)
-    ratio = _residual_ratio(coeffs, roots, p)
-    if ratio <= 1.0:
-        return roots, "aberth", iterations, ratio
-    roots, p = _newton_polish(coeffs, np.roots(coeffs).astype(complex))
-    ratio = _residual_ratio(coeffs, roots, p)
-    if ratio <= 1.0:
-        return roots, "companion", iterations, ratio
-    raise RootRecoveryError(
-        "root finding failed: Aberth iteration and companion-matrix fallback "
-        "both exceeded the residual bound"
-    )
-
-
 def complex_roots(coeffs) -> np.ndarray:
     """All k roots (with multiplicity) of a monic degree-k complex polynomial.
 
@@ -299,7 +275,20 @@ def complex_roots(coeffs) -> np.ndarray:
     if coeffs.shape[0] < 2:
         raise ValueError("polynomial degree must be >= 1")
     coeffs = coeffs / coeffs[0]
-    roots, path, iterations, ratio = _find_roots(coeffs)
+    if coeffs.shape[0] == 2:
+        roots, path, iterations = np.array([-coeffs[1]]), "linear", 0
+        ratio = _residual_ratio(coeffs, roots)
+    else:
+        roots, iterations, values = _aberth(coeffs)
+        roots, p = _newton_polish(coeffs, roots, values)
+        ratio, path = _residual_ratio(coeffs, roots, p), "aberth"
+        # "not <=" rather than ">": a NaN ratio must fall through, then raise
+        if not ratio <= 1.0:
+            roots, p = _newton_polish(coeffs, np.roots(coeffs).astype(complex))
+            ratio, path = _residual_ratio(coeffs, roots, p), "companion"
+        if not ratio <= 1.0:
+            raise RootRecoveryError("root finding failed: Aberth iteration and companion-"
+                                    "matrix fallback both exceeded the residual bound")
     logger.debug(
         "complex_roots degree %d: path %s, %d Aberth iterations, "
         "worst residual/bound %.3g", coeffs.shape[0] - 1, path, iterations, ratio,
@@ -324,16 +313,6 @@ def measure_from_moments(m, dimension: int = 2) -> AtomicUniformMeasure:
     return AtomicUniformMeasure.from_complex(roots)
 
 
-def _degenerate_guard(image: CountImage, k: int) -> AtomicUniformMeasure | None:
-    if image.total() > 0:
-        return None
-    warnings.warn(
-        "all counts are zero; returning window-center atoms", DegenerateDataWarning
-    )
-    center = image.grid.center()
-    return AtomicUniformMeasure(np.tile(center, (k, 1)))
-
-
 def validate_k(k) -> int:
     """``k`` as an int; ValueError naming k unless it is an integer >= 1 (not a bool)."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
@@ -347,9 +326,10 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
     Estimated complex moments are inverted through Newton's identities and
     Vieta's formula; the atoms are the roots of the resulting polynomial, each
     root a + ib mapped to a + b on 1-d data.  Atoms may land outside the
-    observation window; no projection onto it is applied.  Raises ValueError
-    when k is not an integer >= 1 (checked first) or when the kernel's
-    dimension differs from the image's.
+    observation window; no projection onto it is applied.  An image whose
+    counts are all zero gives k atoms at the window centre and a
+    DegenerateDataWarning.  Raises ValueError when k is not an integer >= 1
+    (checked first) or when the kernel's dimension differs from the image's.
     """
     k = validate_k(k)
     if kernel.dimension != image.grid.dimension:
@@ -357,9 +337,10 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
             f"a {kernel.dimension}-d kernel cannot deconvolve a "
             f"{image.grid.dimension}-d image"
         )
-    guard = _degenerate_guard(image, k)
-    if guard is not None:
-        return guard
+    if not image.total() > 0:
+        warnings.warn("all counts are zero; returning window-center atoms",
+                      DegenerateDataWarning)
+        return AtomicUniformMeasure(np.tile(image.grid.center(), (k, 1)))
     m_hat = estimate_moments(image, kernel_psi(kernel, k))
     return measure_from_moments(m_hat, dimension=image.grid.dimension)
 

@@ -164,12 +164,6 @@ def intensities(kernel: Kernel, mu: AtomicUniformMeasure, grid: BinGrid) -> np.n
     return np.clip(kernel.bin_integral_matrix(grid, mu.atoms).mean(axis=1), 0.0, None)
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def replicate_seed(seed: int, *indices: int) -> np.random.SeedSequence:
     """Derived stream for a (cell, replicate, ...) coordinate of an experiment."""
     return np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
@@ -183,7 +177,8 @@ def poisson_image(grid: BinGrid, intensity: np.ndarray, t: float, seed) -> Count
     """
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite (use noiseless() for t = inf)")
-    counts = _generator(seed).poisson(t * intensity).astype(float)
+    rng = np.random.Generator(np.random.Philox(seed))
+    counts = rng.poisson(t * intensity).astype(float)
     return CountImage(grid, counts, t)
 
 

@@ -158,6 +158,8 @@ def run_main(tmp_path, command, config) -> int:
     ({"em": {"inner_grad_tol": 1e-8}}, "em spec: unknown field 'inner_grad_tol'"),
     ({"replicate": 8}, "experiment spec: unknown field 'replicate'"),
     ({"sigma ": 0.2}, "experiment spec: unknown field 'sigma '"),
+    ({"k": 2, "atoms": [[0.3, 0.3], [0.7, 0.7]]},
+     "experiment spec: atoms are read only by the custom configuration, not 'grid'"),
 ])
 def test_invalid_experiment_values_exit_2(tmp_path, capsys, override, message):
     assert run_main(tmp_path, "experiment", {**EXPERIMENT, **override}) == 2
@@ -181,6 +183,8 @@ def test_invalid_experiment_values_exit_2(tmp_path, capsys, override, message):
      "em spec: inner_max_iterations must be an integer, got '3'"),
     ({"mode_count": 2, "k": 2, "mode_half_widths": [-1, 0.1]}, {},
      "partition spec: mode_half_widths must be two positive, finite numbers"),
+    ({"mode_count": 2, "k": 2}, {"max_iterations": 5}, "em spec: unknown field 'max_iterations'"),
+    ({"mode_count": 2, "k": 2}, {"early_stop_w1": 0.01}, "em spec: unknown field 'early_stop_w1'"),
 ])
 def test_invalid_pipeline_values_exit_2(estimate_config, tmp_path, capsys, partition, em,
                                         message):
@@ -188,6 +192,13 @@ def test_invalid_pipeline_values_exit_2(estimate_config, tmp_path, capsys, parti
               "partition": partition, "em": em}
     assert run_main(tmp_path, "pipeline", config) == 2
     assert capsys.readouterr().err.startswith(f"config error: invalid {message}")
+
+
+def test_mm_complex_estimate_rejects_an_em_block(estimate_config, tmp_path, capsys):
+    config = {**estimate_config, "estimator": "mm-complex", "em": {"max_iterations": 5}}
+    assert run_main(tmp_path, "estimate", config) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown field 'em'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_em_values_in_estimate_exit_2(estimate_config, tmp_path, capsys):

@@ -187,7 +187,9 @@ class TestProcessPool:
 
 
 class TestWarningCounts:
-    def test_each_estimator_counts_its_warnings(self, monkeypatch, recwarn):
+    @pytest.fixture(autouse=True)
+    def warning_mm(self, monkeypatch):
+        """The harness's mm_complex, raising one RuntimeWarning per call."""
         real_mm = harness.mm_complex
 
         def warning_mm(image, kernel, k):
@@ -195,12 +197,22 @@ class TestWarningCounts:
             return real_mm(image, kernel, k)
 
         monkeypatch.setattr(harness, "mm_complex", warning_mm)
+
+    def test_each_estimator_counts_its_warnings(self, recwarn):
         table = run_risk_experiment(small_spec(replicates=3))
-        # the same warning is counted on every replicate; "em" reuses the MM start
+        # the same warning is counted on every replicate; "em" runs its own MM start
         assert lookup(table, "mm", 1e4, 400)["n_warnings"] == 3
-        assert lookup(table, "em", 1e4, 400)["n_warnings"] == 0
+        assert lookup(table, "em", 1e4, 400)["n_warnings"] == 3
         table = run_risk_experiment(small_spec(replicates=2, estimators=("em",)))
         assert lookup(table, "em", 1e4, 400)["n_warnings"] == 2
+        assert len(recwarn) == 0
+
+    def test_em_row_does_not_depend_on_the_estimator_order(self, recwarn):
+        rows = [lookup(run_risk_experiment(small_spec(estimators=estimators)), "em", 1e4, 400)
+                for estimators in [("mm", "em"), ("em",)]]
+        for key in ("w1_samples", "n_warnings"):
+            assert rows[0][key] == rows[1][key], key
+        assert rows[0]["n_warnings"] == 3
         assert len(recwarn) == 0
 
 
@@ -245,6 +257,10 @@ class TestSpecValidation:
     def test_bad_estimator(self):
         with pytest.raises(ValueError):
             small_spec(estimators=("mm", "nn"))
+
+    def test_atoms_need_the_custom_configuration(self):
+        with pytest.raises(ValueError, match="atoms are read only by the custom configuration"):
+            small_spec(configuration="grid", k=4, atoms=((0.3, 0.3), (0.7, 0.7)))
 
     def test_custom_atoms_roundtrip(self):
         spec = small_spec(

@@ -15,7 +15,6 @@ from poisson_deconv.kernels import (
     TabulatedKernel,
     UniformBoxKernel,
     _per_atom,
-    kernel_moments,
 )
 from poisson_deconv.measures import AtomicUniformMeasure
 from poisson_deconv.observation import BinGrid
@@ -126,18 +125,18 @@ def bin_intensity(kernel, mu, lo, hi):
 class TestKernelMoments:
     def test_standard_gaussian_1d(self):
         k = GaussianKernel(sigma=1.0, dim=1)
-        m = kernel_moments(k, 4)
+        m = k.moments(4)
         assert np.allclose(m, [1.0, 0.0, 1.0, 0.0, 3.0])
 
     def test_scaled_gaussian_1d(self):
         s = 0.3
-        m = kernel_moments(GaussianKernel(sigma=s, dim=1), 6)
+        m = GaussianKernel(sigma=s, dim=1).moments(6)
         assert m[2] == pytest.approx(s**2)
         assert m[4] == pytest.approx(3 * s**4)
         assert m[6] == pytest.approx(15 * s**6)
 
     def test_isotropic_complex_moments_vanish(self):
-        m = kernel_moments(GaussianKernel(sigma=0.25, dim=2), 5)
+        m = GaussianKernel(sigma=0.25, dim=2).moments(5)
         assert m.dtype == complex
         assert np.allclose(m[1:], 0.0)
 
@@ -148,7 +147,7 @@ class TestKernelMoments:
     def test_nearly_symmetric_gaussian_keeps_pseudo_variance(self, cov):
         # within np.allclose of a diagonal, isotropic covariance, yet
         # m_2 = Sxx - Syy + 2i Sxy is not zero
-        m = kernel_moments(GaussianKernel(cov=cov), 2)
+        m = GaussianKernel(cov=cov).moments(2)
         c = cov[0, 0] - cov[1, 1] + 2j * cov[0, 1]
         assert abs(c) > 1e-9
         assert m[2] == pytest.approx(c, rel=1e-9, abs=0)
@@ -156,14 +155,14 @@ class TestKernelMoments:
     def test_near_isotropic_moments_do_not_cancel(self):
         # a binomial fold of the axis moments cancels to -8.3e-24 here
         cov = np.diag([0.05**2, (0.05 * 1.000005) ** 2])
-        m = kernel_moments(GaussianKernel(cov=cov), 8)
+        m = GaussianKernel(cov=cov).moments(8)
         exact = float(105 * (Fraction(cov[0, 0]) - Fraction(cov[1, 1])) ** 4)
         assert m[8].imag == 0.0
         assert abs(m[8].real - exact) <= 1e-12 * exact
 
     def test_anisotropic_complex_moments_wick(self):
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
-        m = kernel_moments(GaussianKernel(cov=cov), 4)
+        m = GaussianKernel(cov=cov).moments(4)
         # Wick: E[Z^{2l}] = (2l-1)!! c^l with pseudo-variance c = Sxx - Syy + 2i Sxy
         c = cov[0, 0] - cov[1, 1] + 2j * cov[0, 1]
         assert m[1] == pytest.approx(0.0, abs=1e-12)
@@ -172,14 +171,14 @@ class TestKernelMoments:
         assert m[4] == pytest.approx(3 * c**2, abs=1e-12)
 
     def test_uniform_box_1d(self):
-        m = kernel_moments(UniformBoxKernel([1.0]), 2)
+        m = UniformBoxKernel([1.0]).moments(2)
         assert m[1] == pytest.approx(0.0)
         assert m[2] == pytest.approx(1.0 / 3.0)
 
     def test_tabulated_uniform_matches_analytic(self):
         xs = np.linspace(-1, 1, 801)
         k = TabulatedKernel(np.full_like(xs, 0.5), xs[1] - xs[0], [-1.0])
-        m = kernel_moments(k, 2)
+        m = k.moments(2)
         assert m[1] == pytest.approx(0.0, abs=1e-12)
         assert m[2] == pytest.approx(1.0 / 3.0, abs=1e-4)
 
@@ -187,7 +186,7 @@ class TestKernelMoments:
         s = 0.5
         xs = np.arange(-4.0, 4.0 + 1e-9, 0.002)
         k = TabulatedKernel(norm.pdf(xs, scale=s), 0.002, [xs[0]])
-        m = kernel_moments(k, 4)
+        m = k.moments(4)
         assert m[2] == pytest.approx(s**2, rel=1e-4)
         assert m[4] == pytest.approx(3 * s**4, rel=1e-3)
 
@@ -235,7 +234,7 @@ def gaussian_covariances(draw):
 @given(cov=gaussian_covariances(), order=st.integers(1, 16))
 @settings(max_examples=200, deadline=None)
 def test_gaussian_moments_match_exact_wick(cov, order):
-    m = kernel_moments(GaussianKernel(cov=cov, dim=cov.shape[0]), order)
+    m = GaussianKernel(cov=cov, dim=cov.shape[0]).moments(order)
     assert m.shape == (order + 1,)
     assert m.dtype == (float if cov.shape == (1, 1) else complex)
     for value, (re, im) in zip(m.tolist(), exact_wick_moments(cov, order)):
@@ -307,7 +306,7 @@ def box_and_tabulated_kernels(draw):
 @given(kernel=box_and_tabulated_kernels(), order=st.integers(1, 16))
 @settings(max_examples=200, deadline=None)
 def test_box_and_tabulated_moments_match_the_multi_index_oracle(kernel, order):
-    m, oracle = kernel_moments(kernel, order), oracle_kernel_moments(kernel, order)
+    m, oracle = kernel.moments(order), oracle_kernel_moments(kernel, order)
     assert m.dtype == oracle.dtype and m.tobytes() == oracle.tobytes()
 
 
@@ -445,6 +444,12 @@ def sampled_gaussian_1d(sigma=0.05, spacing=0.02, half_extent=0.2):
     return TabulatedKernel(norm.pdf(nodes, scale=sigma), spacing, [nodes[0]])
 
 
+def sampled_box(kernel):
+    """(lo, hi): the first and last node of a tabulated kernel on each axis (x first)."""
+    n = np.array(kernel.samples.shape[::-1])
+    return kernel.origin, kernel.origin + kernel.spacing * (n - 1)
+
+
 def scalar_matrix(kernel, grid, atoms):
     """The (m, k) bin integrals from the one-bin-at-a-time reference."""
     out = np.empty((grid.m, len(atoms)))
@@ -516,6 +521,24 @@ class TestVectorizedPaths:
         assert np.all(np.isfinite(grad))
         if sigmas == 20.0:
             assert mat[0, 0] > 0  # the tail mass does not cancel to zero
+
+    @pytest.mark.parametrize("cov", [ANISOTROPIC_COV, [[0.0016, -0.0012], [-0.0012, 0.0025]]],
+                             ids=["positive", "negative"])
+    def test_anisotropic_value_is_positive_where_its_gradient_is_not_zero(self, cov):
+        # values and gradients describe one function: no bin far out along x
+        # reads 0 while its gradient does not.  A gradient below the smallest
+        # normal float is left out, because the value there, about the
+        # gradient times a bin width and a quadrature weight, underflows
+        k = GaussianKernel(cov=cov)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            res = tuple(int(n) for n in rng.integers(5, 61, size=2))
+            grid = BinGrid([0.0, 0.0], [1.0, 1.0], res)
+            atoms = rng.uniform(-0.2, 1.2, size=(3, 2))
+            mat = k.bin_integral_matrix(grid, atoms)
+            grad = k.bin_integral_gradient_matrix(grid, atoms)
+            moving = np.any(np.abs(grad) >= np.finfo(float).tiny, axis=2)
+            assert np.all(mat[moving] > 0), res
 
     def test_anisotropic_gradient_matches_central_differences(self):
         k = GaussianKernel(cov=[[0.01, -0.006], [-0.006, 0.005]])
@@ -622,7 +645,7 @@ def tabulated_problems(draw):
     d = kernel.dimension
     res = draw(st.tuples(*[st.sampled_from([1, 3, 4, 8, 10])] * d))
     grid = BinGrid([0.0] * d, [1.0] * d, res)
-    box = kernel.support_box()
+    box = sampled_box(kernel)
     k = draw(st.integers(1, 6))
     atoms = np.empty((k, d))
     for j in range(k):
@@ -777,7 +800,7 @@ def tabulated_weight_problems(draw):
     samples[0] = 1.0  # positive mass
     kernel = TabulatedKernel(samples.reshape(shape), spacing, origin)
     grid = BinGrid([0.0] * d, [1.0] * d, res)
-    lo, hi = kernel.support_box()
+    lo, hi = sampled_box(kernel)
     atoms = np.empty((draw(st.integers(1, 5)), d))
     for j in range(atoms.shape[0]):
         for axis in range(d):
@@ -816,10 +839,10 @@ class TestTabulatedMoments:
         (sampled_gaussian(ANISOTROPIC_COV), 8),
     ], ids=["1d", "anisotropic"])
     def test_complex_moments_match_per_cell_quadrature(self, kernel, order):
-        lo, hi = kernel.support_box()
+        lo, hi = sampled_box(kernel)
         w = [[segment_integrals(kernel, lo[a], hi[a], a, degree) for degree in range(order + 1)]
              for a in range(kernel.dimension)]
-        moments = kernel_moments(kernel, order)
+        moments = kernel.moments(order)
         for j, value in enumerate(moments):
             if kernel.dimension == 1:
                 reference = w[0][j] @ kernel.samples

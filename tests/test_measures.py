@@ -249,6 +249,7 @@ class TestClusterProfile:
         ([[0.0, 0.0], [1.0, 0.0]], [2], 2, "one multiplicity per center"),
         ([[0.0, 0.0], [1.0, 0.0]], [2, 0], 2, "multiplicities must be >= 1"),
         ([[0.0, 0.0], [1.0, 0.0]], [1, 2], 2, "mu.k == nu.k"),
+        ([0.0, 1.0], [1, 1], 2, "centers are 1-d but mu is 2-d and nu 2-d"),
     ])
     def test_invalid_profiles_rejected(self, centers, mult, k, message):
         mu = AtomicUniformMeasure(np.zeros((k, 2)))
@@ -308,6 +309,14 @@ class TestLocalDivergence:
         nu = AtomicUniformMeasure(centers + shift)
         expected = 0.01 + np.sqrt(2.0) * (0.02 + 0.03)
         assert local_divergence(centers, [1, 1, 1], mu, nu) == pytest.approx(expected)
+
+    def test_flat_centers_are_points_on_the_line(self):
+        # as for AtomicUniformMeasure, a flat array is k0 points, not one point
+        mu = AtomicUniformMeasure([0.1, 0.9])
+        nu = AtomicUniformMeasure([0.15, 0.9])
+        assert local_divergence([0.0, 1.0], [1, 1], mu, mu) == 0.0
+        assert (local_divergence([0.0, 1.0], [1, 1], mu, nu)
+                == local_divergence([[0.0], [1.0]], [1, 1], mu, nu) == pytest.approx(0.05))
 
     def test_empty_vs_nonempty_caps_at_one(self):
         mu = AtomicUniformMeasure([[0.0, 0.0], [1.0, 0.0]])
