@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .em import EmConfig, run_em
+from .em import EmConfig, log_likelihood, run_em
 from .harness import ExperimentSpec, builtin_configuration, run_risk_experiment
 from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
 from .measures import (
@@ -158,14 +158,13 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
 
 def cmd_estimate(config: dict, out_dir: str) -> int:
     estimator = _require(config, "estimator")
-    if estimator == "mm-general":
-        raise ConfigError(
-            "unknown estimator 'mm-general'; use 'em' (mm-complex refined by EM) instead"
-        )
+    if estimator not in ("mm-complex", "em"):
+        raise ConfigError(f"unknown estimator '{estimator}'; expected 'mm-complex' or 'em'")
     if estimator == "mm-complex" and "em" in config:
         raise ConfigError("unknown field 'em': the mm-complex estimator runs no EM")
     with _invalid("estimate spec"):
         k = validate_k(_require(config, "k"))
+    em_config = _em_config(config.get("em", {}))
     kernel = _build_kernel(_require(config, "kernel"))
     image = load_image(_require(config, "image"))
     os.makedirs(out_dir, exist_ok=True)
@@ -174,10 +173,10 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
         warnings.simplefilter("always")
         if estimator == "mm-complex":
             est = mm_complex(image, kernel, k)
-            objective = None
-        elif estimator == "em":
+            objective = None if image.noiseless else log_likelihood(image, kernel, est)
+        else:
             init = mm_complex(image, kernel, k)
-            est, trace = run_em(image, kernel, init, _em_config(config.get("em", {})))
+            est, trace = run_em(image, kernel, init, em_config)
             trace.to_csv(os.path.join(out_dir, "trace.csv"))
             objective = trace.loglik[-1] if trace.loglik else None
             diagnostics["em"] = {
@@ -185,21 +184,18 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
                 "monotone": trace.monotone(),
                 "collision": trace.collision,
             }
-        else:
-            raise ConfigError(f"unknown estimator '{estimator}'")
     # Every warning the estimator raised, repeats included, as the harness counts them.
     diagnostics["flags"] = [f"{w.category.__name__}: {w.message}" for w in caught]
     for flag in diagnostics["flags"]:
         logger.warning("%s", flag)
-    if image.grid.dimension == 2:
-        m_hat = estimate_moments(image, kernel_psi(kernel, k))
-        diagnostics["moments_hat"] = [[m.real, m.imag] for m in m_hat.tolist()]
+    m_hat = estimate_moments(image, kernel_psi(kernel, k))  # load_image gives planar images
+    diagnostics["moments_hat"] = [[m.real, m.imag] for m in m_hat.tolist()]
     diagnostics["objective"] = objective
     payload = est.to_dict()
     payload["diagnostics"] = diagnostics
     path = os.path.join(out_dir, "estimate.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
     logger.info("wrote %s", path)
     return 0
 
@@ -238,7 +234,7 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
             "atoms": None if cell.estimate is None else cell.estimate.atoms.tolist(),
         })
     with open(os.path.join(out_dir, "cells.json"), "w") as fh:
-        json.dump(cells_payload, fh, indent=2)
+        json.dump(cells_payload, fh, indent=2, allow_nan=False)
     if result.estimate is not None:
         result.estimate.to_json(os.path.join(out_dir, "estimate.json"))
         result.trace.to_csv(os.path.join(out_dir, "trace.csv"))
@@ -251,16 +247,7 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
 
 
 def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
-    if "em_max_iterations" in config:
-        raise ConfigError(
-            "unknown field 'em_max_iterations'; set em.max_iterations instead"
-        )
     mode = config.get("mode", "risk")
-    if mode == "runtime":
-        raise ConfigError(
-            "unknown experiment mode 'runtime'; every experiment writes "
-            "timing.csv with mean_time_s per estimator and cell"
-        )
     if mode != "risk":
         raise ConfigError(f"unknown experiment mode '{mode}'")
     _require(config, "resolutions")
@@ -302,8 +289,8 @@ def cmd_metrics(path_a: str, path_b: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")
     with open(path, "w") as fh:
-        json.dump(metrics, fh, indent=2)
-    print(json.dumps(metrics, indent=2))
+        json.dump(metrics, fh, indent=2, allow_nan=False)
+    print(json.dumps(metrics, indent=2, allow_nan=False))
     return 0
 
 

@@ -8,8 +8,11 @@ grid and the truth's bin intensities) once per resolution; every t and every
 replicate of that resolution draws its image from that scene.  Each (t, m)
 cell is replicated with independently derived seeds; per-replicate W_1
 errors, wall times and the number of warnings each estimator raised aggregate
-into a RiskTable.  risk.csv contains only deterministic columns so identical
-spec+seed runs are byte-identical; timings are written separately.
+into a RiskTable.  An estimator that fails on a replicate is logged at
+WARNING and scores W_1 = NaN: the mean and stderr columns skip it, n_fail
+counts it, and the pessimistic columns score it as k atoms at the window's
+centre.  risk.csv contains only deterministic columns so identical spec+seed
+runs are byte-identical; timings are written separately.
 """
 from __future__ import annotations
 
@@ -156,13 +159,15 @@ class RiskTable:
         self._write_csv(path, self.TIMING_COLUMNS)
 
     def summary_json(self, path) -> None:
+        """Every column of every row as strict JSON: t = inf as "inf", NaN as null."""
         payload = []
         for row in self.rows:
-            entry = dict(row)
-            entry["t"] = "inf" if np.isinf(entry["t"]) else entry["t"]
+            entry = {key: None if isinstance(value, float) and np.isnan(value) else value
+                     for key, value in row.items()}
+            entry["t"] = "inf" if np.isinf(row["t"]) else row["t"]
             payload.append(entry)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
 
     def write_dat_files(self, directory) -> list:
         """Gnuplot-ready columns (t, mean_w1, stderr_w1) per estimator and m."""
@@ -209,13 +214,15 @@ def _run_replicate(sweep: tuple, payload: tuple) -> dict:
     sweep shares, with each resolution's scene a (grid, intensities) pair
     keyed by n_side.  ``payload`` is (n_side, t, seed): the cell's
     resolution, its exposure, and the replicate's stream.  "em" runs its own
-    MM start.  Every warning an estimator raises is recorded, repeats
-    included, and counted under its "n_warnings"; none reaches the caller.
+    MM start.  Each estimator gets {"w1", "time", "n_warnings"}: every
+    warning it raises is recorded, repeats included, and counted; none
+    reaches the caller.  One that raises RootRecoveryError, ValueError or
+    FloatingPointError scores W_1 = NaN, which the pessimistic columns replace
+    by the window-centre W_1, and is logged at WARNING after its clock stops.
     """
     spec, kernel, truth, scenes = sweep
     n_side, t, seed = payload
     grid, lam = scenes[n_side]
-    k = truth.k
     if np.isinf(t):
         image = CountImage(grid, lam, t)
     else:
@@ -226,45 +233,33 @@ def _run_replicate(sweep: tuple, payload: tuple) -> dict:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                est = mm_complex(image, kernel, k)
+                est = mm_complex(image, kernel, truth.k)
                 if name == "em":
                     est, _ = run_em(image, kernel, est, spec.em)
-            elapsed = time.perf_counter() - start
-            out[name] = {
-                "w1": wasserstein_p(est, truth, 1),
-                "time": elapsed,
-                "failed": False,
-                "n_warnings": len(caught),
-            }
+                elapsed = time.perf_counter() - start
+                w1 = wasserstein_p(est, truth, 1)
         except (RootRecoveryError, ValueError, FloatingPointError) as exc:
             elapsed = time.perf_counter() - start
-            fallback = AtomicUniformMeasure(np.tile(grid.center(), (k, 1)))
-            out[name] = {
-                "w1": np.nan,
-                "w1_fallback": wasserstein_p(fallback, truth, 1),
-                "time": elapsed,
-                "failed": True,
-                "error": str(exc),
-                "n_warnings": len(caught),
-            }
+            w1 = np.nan
+            logger.warning("estimator %s failed at t=%s, m=%d: %s", name, t, grid.m, exc)
+        out[name] = {"w1": w1, "time": elapsed, "n_warnings": len(caught)}
     return out
 
 
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of ``values``; 0 for fewer than two."""
+    return float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+
+
 def _aggregate_cell(spec: ExperimentSpec, k: int, t: float, n_side: int,
-                    results: list) -> list:
+                    results: list, fallback_w1: float) -> list:
     rows = []
     for name in spec.estimators:
         w1 = np.array([r[name]["w1"] for r in results], dtype=float)
-        failed = np.array([r[name]["failed"] for r in results], dtype=bool)
         times = np.array([r[name]["time"] for r in results], dtype=float)
+        failed = np.isnan(w1)
         ok = w1[~failed]
-        pess = w1.copy()
-        for i, r in enumerate(results):
-            if failed[i]:
-                pess[i] = r[name]["w1_fallback"]
-        n_ok = int(ok.size)
-        mean = float(ok.mean()) if n_ok else float("nan")
-        stderr = float(ok.std(ddof=1) / np.sqrt(n_ok)) if n_ok > 1 else 0.0
+        pess = np.where(failed, fallback_w1, w1)
         rows.append({
             "estimator": name,
             "configuration": spec.configuration,
@@ -275,15 +270,12 @@ def _aggregate_cell(spec: ExperimentSpec, k: int, t: float, n_side: int,
             "n": len(results),
             "n_fail": int(failed.sum()),
             "n_warnings": sum(r[name]["n_warnings"] for r in results),
-            "mean_w1": mean,
-            "stderr_w1": stderr,
+            "mean_w1": float(ok.mean()) if ok.size else float("nan"),
+            "stderr_w1": _stderr(ok),
             "mean_w1_pessimistic": float(pess.mean()),
-            "stderr_w1_pessimistic": (
-                float(pess.std(ddof=1) / np.sqrt(len(pess))) if len(pess) > 1 else 0.0
-            ),
+            "stderr_w1_pessimistic": _stderr(pess),
             "mean_time_s": float(times.mean()),
-            "w1_samples": [None if failed[i] else float(w1[i])
-                           for i in range(len(results))],
+            "w1_samples": [None if fail else float(v) for fail, v in zip(failed, w1)],
         })
     return rows
 
@@ -305,6 +297,9 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
     for n_side in spec.resolutions:
         grid = BinGrid([0.0, 0.0], [1.0, 1.0], (n_side, n_side))
         scenes[n_side] = grid, intensities(kernel, truth, grid)
+    # every scene has the window [0, 1]^2, so one centre scores every failure
+    centre = AtomicUniformMeasure(np.tile(grid.center(), (truth.k, 1)))
+    fallback_w1 = wasserstein_p(centre, truth, 1)
     sweep = (spec, kernel, truth, scenes)
     cells = [(t, n) for t in spec.t_values for n in spec.resolutions]
     jobs = spec.jobs or os.cpu_count() or 1
@@ -322,6 +317,6 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
                 results = [_run_replicate(sweep, payload) for payload in payloads]
             if np.isinf(t) and spec.replicates > 1:
                 results = results * spec.replicates  # deterministic cell, reuse
-            table.rows.extend(_aggregate_cell(spec, truth.k, t, n_side, results))
+            table.rows.extend(_aggregate_cell(spec, truth.k, t, n_side, results, fallback_w1))
             logger.info("cell t=%s m=%d done", t, n_side * n_side)
     return table

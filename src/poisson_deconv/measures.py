@@ -82,7 +82,7 @@ class AtomicUniformMeasure:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(self.to_dict(), fh, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, path) -> "AtomicUniformMeasure":

@@ -231,7 +231,7 @@ def save_image(image: CountImage, directory) -> tuple:
     if np.any(origin != 0):
         meta["origin"] = origin.tolist()
     with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, allow_nan=False)
     return csv_path, json_path
 
 

@@ -93,7 +93,6 @@ class PipelineResult:
 class ModeSelectionResult:
     modes: np.ndarray
     residual: CountImage
-    exhausted: bool  # residual hit zero before the requested mode count
 
 
 def mode_selection(image: CountImage, mode_kernel: Kernel, mode_count: int
@@ -111,12 +110,10 @@ def mode_selection(image: CountImage, mode_kernel: Kernel, mode_count: int
     anchors = grid.anchors()
     residual = image.counts.copy()
     modes = []
-    exhausted = False
     # peak-normalized subtraction can leave ulp-scale crumbs at the peak bin
     zero_tol = 1e-12 * max(float(image.counts.max()), 1.0)
     for _ in range(mode_count):
         if residual.max() <= zero_tol:
-            exhausted = True
             logger.warning(
                 "mode selection stopped early after %d of %d modes", len(modes),
                 mode_count,
@@ -127,12 +124,11 @@ def mode_selection(image: CountImage, mode_kernel: Kernel, mode_count: int
         spike = mode_kernel.bin_integral_matrix(grid, theta[None, :])[:, 0]
         peak = spike.max()
         if peak <= 0:
-            exhausted = True
             break
         residual = np.maximum(residual - (residual[j] / peak) * spike, 0.0)
         modes.append(theta)
     residual_image = CountImage(grid, residual, np.inf)
-    return ModeSelectionResult(np.array(modes), residual_image, exhausted)
+    return ModeSelectionResult(np.array(modes), residual_image)
 
 
 def partition(modes: np.ndarray, grid: BinGrid, link_threshold: float) -> list:
@@ -168,8 +164,6 @@ def denoise_and_crop(image: CountImage, residual: CountImage,
         raise ValueError("residual must align with the image")
     den = np.maximum(image.counts - residual.counts, 0.0) * mask
     grid = image.grid
-    if grid.dimension != 2:
-        raise ValueError("the pipeline operates on planar images")
     n_x, n_y = grid.resolution
     den2d = den.reshape(n_y, n_x)
     rows = np.flatnonzero(den2d.any(axis=1))
@@ -223,8 +217,12 @@ def run_pipeline(image: CountImage, kernel: Kernel,
 
     Per-cell estimation failures are isolated: the cell is flagged and the
     remaining cells still contribute to the merged measure, which
-    ``maximize_likelihood`` then refines on the full image.
+    ``maximize_likelihood`` then refines on the full image.  Raises ValueError
+    unless both the image and the kernel are planar.
     """
+    if image.grid.dimension != 2 or kernel.dimension != 2:
+        raise ValueError(f"the pipeline needs a planar image and kernel, got a "
+                         f"{image.grid.dimension}-d image and a {kernel.dimension}-d kernel")
     mode_kernel = UniformBoxKernel(config.mode_half_widths)
     selection = mode_selection(image, mode_kernel, config.mode_count)
     if selection.modes.shape[0] == 0:

@@ -5,11 +5,18 @@ import pytest
 
 from poisson_deconv import cli, mm
 from poisson_deconv.cli import ConfigError, cmd_estimate, cmd_experiment, cmd_pipeline, main
-from poisson_deconv.em import EmConfig
+from poisson_deconv.em import EmConfig, log_likelihood
 from poisson_deconv.harness import RiskTable
 from poisson_deconv.kernels import GaussianKernel
 from poisson_deconv.measures import AtomicUniformMeasure
-from poisson_deconv.observation import BinGrid, CountImage, load_image, noiseless, save_image
+from poisson_deconv.observation import (
+    BinGrid,
+    CountImage,
+    load_image,
+    noiseless,
+    save_image,
+    simulate,
+)
 
 
 @pytest.fixture
@@ -38,6 +45,19 @@ def test_mm_complex_estimate_writes_planar_atoms(estimate_config, tmp_path):
     diagnostics, out = run_estimate(estimate_config, tmp_path, "mm-complex")
     assert "em" not in diagnostics and diagnostics["objective"] is None
     assert not (out / "trace.csv").exists()
+
+
+def test_mm_complex_objective_is_the_log_likelihood_at_finite_t(estimate_config, tmp_path):
+    mu = AtomicUniformMeasure(np.array([[0.35, 0.4], [0.65, 0.6]]))
+    kernel = GaussianKernel(sigma=0.05)
+    image = simulate(kernel, mu, BinGrid([0.0, 0.0], [1.0, 1.0], (24, 24)), 1e4, 3)
+    save_image(image, tmp_path / "counts")
+    config = {**estimate_config, "image": str(tmp_path / "counts"), "estimator": "mm-complex"}
+    assert cmd_estimate(config, str(tmp_path / "out")) == 0
+    payload = json.loads((tmp_path / "out" / "estimate.json").read_text())
+    est = AtomicUniformMeasure(np.array(payload["atoms"]))
+    objective = log_likelihood(load_image(tmp_path / "counts"), kernel, est)
+    assert payload["diagnostics"]["objective"] == objective
 
 
 def test_estimate_and_its_moment_diagnostic_share_one_psi(estimate_config, tmp_path,
@@ -71,13 +91,17 @@ def test_estimate_flags_the_warnings_the_estimator_raised(estimate_config, tmp_p
     ]
 
 
-def test_general_moment_estimator_is_replaced_by_em(estimate_config, tmp_path):
-    with pytest.raises(ConfigError, match="unknown estimator 'mm-general'; use 'em'"):
+def test_mm_general_is_not_an_estimator(estimate_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "load_image", lambda path: pytest.fail("image read"))
+    with pytest.raises(ConfigError, match="unknown estimator 'mm-general'; expected "
+                                          "'mm-complex' or 'em'"):
         cmd_estimate({**estimate_config, "estimator": "mm-general"}, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
-def test_mm_real_is_not_an_estimator(estimate_config, tmp_path):
+def test_mm_real_is_not_an_estimator(estimate_config, tmp_path, monkeypatch):
     # images load as planar grids, so a real-line MM name has nothing to select
+    monkeypatch.setattr(cli, "load_image", lambda path: pytest.fail("image read"))
     with pytest.raises(ConfigError, match="unknown estimator 'mm-real'"):
         cmd_estimate({**estimate_config, "estimator": "mm-real"}, str(tmp_path / "out"))
 
@@ -122,13 +146,13 @@ def test_experiment_reads_the_em_object(captured_spec, tmp_path):
 
 
 def test_experiment_rejects_em_max_iterations(captured_spec, tmp_path):
-    with pytest.raises(ConfigError, match="em.max_iterations"):
+    with pytest.raises(ConfigError, match="unknown field 'em_max_iterations'"):
         cmd_experiment({**EXPERIMENT, "em_max_iterations": 3}, str(tmp_path), jobs=1)
     assert captured_spec == []
 
 
-def test_runtime_mode_points_to_timing_csv(captured_spec, tmp_path):
-    with pytest.raises(ConfigError, match="'runtime'; every experiment writes timing.csv"):
+def test_runtime_is_not_an_experiment_mode(captured_spec, tmp_path):
+    with pytest.raises(ConfigError, match="^unknown experiment mode 'runtime'$"):
         cmd_experiment({**EXPERIMENT, "mode": "runtime"}, str(tmp_path), jobs=1)
     assert captured_spec == []
 
@@ -192,6 +216,24 @@ def test_invalid_pipeline_values_exit_2(estimate_config, tmp_path, capsys, parti
               "partition": partition, "em": em}
     assert run_main(tmp_path, "pipeline", config) == 2
     assert capsys.readouterr().err.startswith(f"config error: invalid {message}")
+
+
+def test_pipeline_with_a_line_kernel_exits_1_and_writes_nothing(estimate_config, tmp_path,
+                                                               capsys):
+    config = {"kernel": {**estimate_config["kernel"], "dim": 1},
+              "image": estimate_config["image"], "partition": {"mode_count": 2, "k": 2}}
+    assert run_main(tmp_path, "pipeline", config) == 1
+    assert "got a 2-d image and a 1-d kernel" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_em_estimate_rejects_an_unknown_em_field_before_estimating(estimate_config, tmp_path,
+                                                                  capsys, monkeypatch):
+    monkeypatch.setattr(cli, "mm_complex", lambda *args: pytest.fail("estimated"))
+    config = {**estimate_config, "estimator": "em", "em": {"max_iteration": 5}}
+    assert run_main(tmp_path, "estimate", config) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid em spec: unknown field")
+    assert not (tmp_path / "out").exists()
 
 
 def test_mm_complex_estimate_rejects_an_em_block(estimate_config, tmp_path, capsys):

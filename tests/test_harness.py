@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import warnings
 
@@ -14,7 +15,7 @@ from poisson_deconv.harness import (
     run_risk_experiment,
 )
 from poisson_deconv.kernels import GaussianKernel
-from poisson_deconv.measures import wasserstein_p
+from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
 from poisson_deconv.mm import mm_complex
 from poisson_deconv.observation import BinGrid, noiseless, replicate_seed, simulate
 
@@ -216,6 +217,58 @@ class TestWarningCounts:
         assert len(recwarn) == 0
 
 
+def failing_mm(monkeypatch, failures: dict):
+    """Patch the harness's mm_complex to raise ``failures[n]`` on its n-th call (from 1)."""
+    real_mm = harness.mm_complex
+    calls = []
+
+    def planted(image, kernel, k):
+        calls.append(None)
+        if len(calls) in failures:
+            raise failures[len(calls)]
+        return real_mm(image, kernel, k)
+
+    monkeypatch.setattr(harness, "mm_complex", planted)
+
+
+class TestFailures:
+    def test_a_failed_replicate_scores_nan_and_the_centre_fallback(self, monkeypatch, caplog):
+        spec = small_spec(replicates=3)
+        clean = {name: lookup(run_risk_experiment(spec), name, 1e4, 400)["w1_samples"]
+                 for name in ("mm", "em")}
+        # calls run mm, em per replicate: em fails on replicate 0, mm on replicate 2
+        failing_mm(monkeypatch, {2: mm.RootRecoveryError("no roots"), 5: ValueError("bad k")})
+        with caplog.at_level("WARNING", logger="poisson_deconv.harness"):
+            table = run_risk_experiment(spec)
+        fallback = wasserstein_p(AtomicUniformMeasure(np.full((4, 2), 0.5)), spec.truth(), 1)
+        expected = {"mm": [*clean["mm"][:2], None], "em": [None, *clean["em"][1:]]}
+        for name, samples in expected.items():
+            row = lookup(table, name, 1e4, 400)
+            assert row["w1_samples"] == samples
+            assert row["n"] == 3 and row["n_fail"] == 1
+            successes = [w1 for w1 in samples if w1 is not None]
+            assert row["mean_w1"] == np.mean(successes)
+            pessimistic = [fallback if w1 is None else w1 for w1 in samples]
+            assert row["mean_w1_pessimistic"] == np.mean(pessimistic)
+        messages = [record.getMessage() for record in caplog.records]
+        assert [record.levelname for record in caplog.records] == ["WARNING", "WARNING"]
+        assert "estimator em failed" in messages[0] and "no roots" in messages[0]
+        assert "estimator mm failed" in messages[1] and "bad k" in messages[1]
+
+    def test_a_cell_with_no_success_writes_strict_json(self, monkeypatch, tmp_path):
+        failing_mm(monkeypatch, {n: ValueError("planted") for n in range(1, 7)})
+        table = run_risk_experiment(small_spec(replicates=3))
+        table.summary_json(tmp_path / "summary.json")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        for row in payload:
+            assert row["n_fail"] == row["n"] == 3
+            assert row["mean_w1"] is None and row["w1_samples"] == [None] * 3
+
+
 class TestRiskTableOutputs:
     def test_csv_excludes_timing(self, tmp_path):
         table = run_risk_experiment(small_spec())
@@ -230,8 +283,6 @@ class TestRiskTableOutputs:
         table.timing_to_csv(tmp_path / "timing.csv")
         table.summary_json(tmp_path / "summary.json")
         assert "mean_time_s" in (tmp_path / "timing.csv").read_text()
-        import json
-
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert len(payload) == len(table.rows)
 

