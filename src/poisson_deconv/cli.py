@@ -211,8 +211,6 @@ def _mask_to_rle(mask: np.ndarray) -> list:
 
 
 def cmd_pipeline(config: dict, out_dir: str) -> int:
-    kernel = _build_kernel(_require(config, "kernel"))
-    image = load_image(_require(config, "image"))
     part = _require(config, "partition")
     with _invalid("partition spec"):
         for key in ("mode_count", "k"):
@@ -221,6 +219,8 @@ def cmd_pipeline(config: dict, out_dir: str) -> int:
         em = _em_config(config.get("em", {}), "inner_max_iterations")
         pconfig = PartitionConfig(em=em, **_fields(part, {
             "mode_count": int, "k": int, "mode_half_widths": tuple, "link_threshold": float}))
+    kernel = _build_kernel(_require(config, "kernel"))
+    image = load_image(_require(config, "image"))
     result = run_pipeline(image, kernel, pconfig)
     os.makedirs(out_dir, exist_ok=True)
     cells_payload = []

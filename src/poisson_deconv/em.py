@@ -2,27 +2,27 @@
 
 The complete-data decomposition splits each bin count into per-atom Poisson
 contributions Z_ij ~ Poi(t * lam_ij) with lam_ij = (1/k) int_Bin K(x - theta_j).
-The e-step computes multinomial responsibilities p_ij = lam_ij / lam_i and the
-intensities lam_i; the m-step ascends
+The m-step forms the multinomial responsibilities p_ij = lam_ij / lam_i at
+its input mu_tilde and ascends
 Q(mu, mu_tilde) = sum_ij (X_i p_ij ln(t lam_ij) - t lam_ij) over atom
 coordinates inside the observation window inflated by 3 kernel spreads,
 accepting a point only if Q rose by more than a rounding-level 1e-13 of |Q|,
 which keeps the observed-data log-likelihood non-decreasing along the run.
 maximize_likelihood climbs the observed-data log-likelihood itself, which
-converges in far fewer steps than EM when atoms overlap; its forward model is
-the kernel's ``intensity_and_vjp``, while Q and the e-step read the kernel's
-dense (m, k) bin-integral matrices.  Both climbs are one L-BFGS-B run,
-``_climb``, that keeps its start unless the objective improved.
+converges in far fewer steps than EM when atoms overlap.  Only Q reads the
+kernel's dense (m, k) bin-integral matrices; every log-likelihood, climbed,
+reported or recorded, comes from the kernel's ``intensity_and_vjp``.  Both
+climbs are one L-BFGS-B run, ``_climb``, that keeps its start unless the
+objective improved.
 run_em alternates the two (Redner & Walker, SIAM Review 26, 1984; Jamshidian
 & Jennrich, JRSS-B 59, 1997): after every m-step that moves, it ascends the
 log-likelihood from the m-step's point, still with one m-step per iteration.
-Each iterate is e-stepped once: its intensities give the log-likelihood
-recorded for it and its responsibilities feed the next m-step.  An m-step
-that keeps its input is a fixed point of EM, so the run ends there.
+An m-step that keeps its input is a fixed point of EM, so the run ends there.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -132,9 +132,18 @@ def _effective(image: CountImage) -> tuple:
 
 
 def _log_likelihood(image: CountImage, intensity: np.ndarray) -> float:
+    """l = sum_i X_i log(t max(lam_i, floor)) - t lam_i, overwriting ``intensity``.
+
+    floor is ``_INTENSITY_FLOOR`` and noiseless images run at t = 1.  The
+    intensities lam_i are overwritten with the gradient weights
+    W_i = X_i / max(lam_i, floor) - t, so that grad l = sum_i W_i grad lam_i.
+    """
     counts, t = _effective(image)
-    return float(np.sum(counts * np.log(t * np.maximum(intensity, _INTENSITY_FLOOR))
-                        - t * intensity))
+    floored = np.maximum(intensity, _INTENSITY_FLOOR)
+    ll = float(np.sum(counts * np.log(t * floored) - t * intensity))
+    np.divide(counts, floored, out=intensity)
+    intensity -= t
+    return ll
 
 
 def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) -> float:
@@ -153,32 +162,19 @@ def log_likelihood(image: CountImage, kernel: Kernel, mu: AtomicUniformMeasure) 
     return _log_likelihood(image, lam / mu.k)
 
 
-def e_step(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure) -> tuple:
-    """Responsibilities p_ij = lam_ij / lam_i, shape (m, k), and intensities lam_i, shape (m,).
-
-    lam_i = sum_j lam_ij is the model intensity of bin i.  Rows with
-    underflowing total intensity fall back to the uniform 1/k.
-    """
-    lam = kernel.bin_integral_matrix(image.grid, mu_tilde.atoms) / mu_tilde.k
-    intensity = lam.sum(axis=1)
-    totals = intensity[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        resp = np.where(totals > 0, lam / totals, 1.0 / mu_tilde.k)
-    return resp, intensity
-
-
 class _PointMemory:
-    """A (value, gradient) function of flat atom coordinates, computed once per point.
+    """``evaluate(theta)``, a (value, gradient) pair of flat atom coordinates, once per point.
 
-    Subclasses compute the pair in ``_evaluate(theta)``.  Every point's value
-    and gradient are remembered, keyed by the coordinates' bytes, so calling
-    again at a point (an optimizer's first point after the caller evaluated
-    it, its final one in an acceptance check, or one L-BFGS-B returns to
-    after a failed line search) computes nothing; the gradient is returned
-    as a copy.  ``computed`` counts the evaluations actually made.
+    Every point's value and gradient are remembered, keyed by the
+    coordinates' bytes, so calling again at a point (an optimizer's first
+    point after the caller evaluated it, its final one in an acceptance
+    check, or one L-BFGS-B returns to after a failed line search) computes
+    nothing; the gradient is returned as a copy.  ``computed`` counts the
+    evaluations actually made.
     """
 
-    def __init__(self):
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
         self.memory = {}
 
     @property
@@ -189,65 +185,67 @@ class _PointMemory:
         theta = np.asarray(theta_flat, float)
         key = theta.tobytes()
         if key not in self.memory:
-            self.memory[key] = self._evaluate(theta)
+            self.memory[key] = self.evaluate(theta)
         value, grad = self.memory[key]
         return value, grad.copy()
 
 
-class _QFunction(_PointMemory):
-    """-Q(mu, mu_tilde) and its gradient at flat atom coordinates, one evaluation per point.
+def _neg_q(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure):
+    """The function theta -> (-Q(theta, mu_tilde), -grad Q) of flat atom coordinates.
 
     Q = sum_ij X_i p_ij ln(t lam_ij) - t sum_ij lam_ij, with lam_ij floored
-    at ``_INTENSITY_FLOOR`` inside the logarithm only.  An evaluation makes one
-    ``bin_integral_matrix`` and one ``bin_integral_gradient_matrix`` call and
-    works in place in one (m, k) buffer.  The 1/k of lam_ij = L_ij / k and
-    the exposure t stay scalars: with W = X p, ln(t lam) = ln L + ln(t / k)
-    and dQ = sum_i (W / L - t / k) dL, so the (m, k) and (m, k, d) matrices
-    are never rescaled.  Points are remembered as in ``_PointMemory``.
+    at ``_INTENSITY_FLOOR`` inside the logarithm only.  One
+    ``bin_integral_matrix`` call at mu_tilde gives the responsibilities
+    p_ij = lam_ij / lam_i; rows whose total intensity underflows to 0 take
+    the uniform 1/k.  An evaluation makes one ``bin_integral_matrix`` and one
+    ``bin_integral_gradient_matrix`` call and works in place in one (m, k)
+    buffer.  The 1/k of lam_ij = L_ij / k and the exposure t stay scalars:
+    with W = X p, ln(t lam) = ln L + ln(t / k) and
+    dQ = sum_i (W / L - t / k) dL, so the (m, k) and (m, k, d) matrices are
+    never rescaled.
     """
+    counts, t = _effective(image)
+    grid, k = image.grid, mu_tilde.k
+    lam = kernel.bin_integral_matrix(grid, mu_tilde.atoms) / k
+    totals = lam.sum(axis=1)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = counts[:, None] * np.where(totals > 0, lam / totals, 1.0 / k)  # X_i p_ij
+    work = np.empty_like(weights)
+    t_per_atom = t / k
+    # sum_ij W_ij ln(t / k), the part of Q that does not depend on the atoms
+    q_offset = weights.sum() * np.log(t_per_atom)
 
-    def __init__(self, image: CountImage, kernel: Kernel, resp: np.ndarray, k: int):
-        super().__init__()
-        counts, t = _effective(image)
-        self.weights = counts[:, None] * resp  # X_i * p_ij
-        self.work = np.empty_like(self.weights)
-        self.t_per_atom = t / k
-        # sum_ij W_ij ln(t / k), the part of Q that does not depend on the atoms
-        self.q_offset = self.weights.sum() * np.log(self.t_per_atom)
-        self.grid, self.kernel, self.k = image.grid, kernel, k
-
-    def _evaluate(self, theta):
-        atoms, work = theta.reshape(self.k, -1), self.work
-        lam = self.kernel.bin_integral_matrix(self.grid, atoms)  # L_ij = k lam_ij
+    def evaluate(theta):
+        atoms = theta.reshape(k, -1)
+        lam = kernel.bin_integral_matrix(grid, atoms)  # L_ij = k lam_ij
         total = lam.sum()
-        np.maximum(lam, self.k * _INTENSITY_FLOOR, out=lam)
+        np.maximum(lam, k * _INTENSITY_FLOOR, out=lam)
         np.log(lam, out=work)
-        work *= self.weights
-        q = work.sum() + self.q_offset - self.t_per_atom * total
-        grad_lam = self.kernel.bin_integral_gradient_matrix(self.grid, atoms)
-        np.divide(self.weights, lam, out=work)
-        work -= self.t_per_atom  # dQ/dL_ij
+        np.multiply(work, weights, out=work)
+        q = work.sum() + q_offset - t_per_atom * total
+        grad_lam = kernel.bin_integral_gradient_matrix(grid, atoms)
+        np.divide(weights, lam, out=work)
+        np.subtract(work, t_per_atom, out=work)  # dQ/dL_ij
         grad = np.matmul(work.T[:, None, :], grad_lam.transpose(1, 0, 2))  # (k, 1, d)
         return -q, -grad.ravel()
 
-
-def _default_domain(image: CountImage, kernel: Kernel) -> tuple:
-    pad = 3.0 * kernel.spread()
-    return image.grid.window_lo - pad, image.grid.window_hi + pad
+    return evaluate
 
 
 def _climb(fun, start: AtomicUniformMeasure, image: CountImage, kernel: Kernel,
            config: EmConfig, rise_rtol: float) -> tuple:
     """L-BFGS-B minimization of ``fun`` (value, flat gradient) from ``start``, kept if no gain.
 
-    The solver starts from ``start`` clipped to ``_default_domain`` and stays
-    there.  Its point is accepted ("improved") only if ``fun`` there is below
-    ``fun`` at the unclipped ``start`` by more than ``rise_rtol`` of the
-    latter's magnitude; otherwise, or when the solver raised (logged at
-    WARNING), ``start`` itself is returned ("kept").  Returns (measure,
-    ``fun`` at it, status, L-BFGS-B iterations or 0, "Type: message" or None).
+    The solver starts from ``start`` clipped to the observation window
+    inflated by 3 kernel spreads and stays there.  Its point is accepted
+    ("improved") only if ``fun`` there is below ``fun`` at the unclipped
+    ``start`` by more than ``rise_rtol`` of the latter's magnitude;
+    otherwise, or when the solver raised (logged at WARNING), ``start``
+    itself is returned ("kept").  Returns (measure, ``fun`` at it, status,
+    L-BFGS-B iterations or 0, "Type: message" or None).
     """
-    lo, hi = _default_domain(image, kernel)
+    pad = 3.0 * kernel.spread()
+    lo, hi = image.grid.window_lo - pad, image.grid.window_hi + pad
     value = fun(start.atoms.ravel())[0]
     try:
         res = minimize(
@@ -266,63 +264,63 @@ def _climb(fun, start: AtomicUniformMeasure, image: CountImage, kernel: Kernel,
     return start, value, "kept", int(res.nit), None
 
 
-def m_step(image: CountImage, kernel: Kernel, resp: np.ndarray,
-           mu_tilde: AtomicUniformMeasure, config: EmConfig = EmConfig()):
-    """Ascend Q over atom coordinates inside the window inflated by 3 kernel spreads.
+def m_step(image: CountImage, kernel: Kernel, mu_tilde: AtomicUniformMeasure,
+           config: EmConfig = EmConfig()):
+    """Ascend Q(., mu_tilde) over atoms inside the window inflated by 3 kernel spreads.
 
-    Returns (measure, status, nit, q_evals, error).  The optimizer's point is
-    accepted ("improved") only if it raised Q by more than
-    _Q_RISE_RTOL |Q(mu_tilde)|; a smaller rise is rounding noise.  Otherwise
-    mu_tilde itself is returned as "kept"; no shorter step toward a rejected
-    point is tried, since L-BFGS-B's line search already accepts only points
-    that raise Q.  An exception from the inner optimizer is logged at
-    WARNING, returned as error = "Type: message" (None otherwise), and also
-    yields "kept".  nit is L-BFGS-B's iteration count (0 when it raised) and
-    q_evals the number of Q evaluations computed; Q is evaluated at most once
-    per point, so the optimizer's repeat of the starting point and the
-    acceptance check at its final point cost nothing.
+    Returns (measure, status, nit, q_evals, error).  The responsibilities
+    come from mu_tilde (see ``_neg_q``).  The optimizer's point is accepted
+    ("improved") only if it raised Q by more than _Q_RISE_RTOL |Q(mu_tilde)|;
+    a smaller rise is rounding noise.  Otherwise mu_tilde itself is returned
+    as "kept"; no shorter step toward a rejected point is tried, since
+    L-BFGS-B's line search already accepts only points that raise Q.  An
+    exception from the inner optimizer is logged at WARNING, returned as
+    error = "Type: message" (None otherwise), and also yields "kept".  nit
+    is L-BFGS-B's iteration count (0 when it raised) and q_evals the number
+    of Q evaluations computed; Q is evaluated at most once per point, so the
+    optimizer's repeat of the starting point and the acceptance check at its
+    final point cost nothing.
     """
-    fun = _QFunction(image, kernel, resp, mu_tilde.k)
+    fun = _PointMemory(_neg_q(image, kernel, mu_tilde))
     measure, _, status, nit, error = _climb(fun, mu_tilde, image, kernel, config, _Q_RISE_RTOL)
     return measure, status, nit, fun.computed, error
 
 
 def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
            config: EmConfig = EmConfig()):
-    """Alternate e- and m-steps from the given initializer, ascending the likelihood between.
+    """Alternate m-steps from the given initializer, ascending the likelihood between.
 
     After an m-step that moved theta to M(theta), maximize_likelihood climbs
     the log-likelihood from M(theta) and returns M(theta) itself unless it
     raised the log-likelihood (status "improved"), also when its optimizer
     raised.  The ascent is skipped on the last iteration max_iterations
     allows, so max_iterations=1 is one plain EM step.  Each iteration makes
-    one m-step and one e-step.  Neither the m-step nor the ascent lowers the
-    log-likelihood, so it never falls along the run.
+    one m-step, whose responsibilities come from the previous iterate.
+    Neither the m-step nor the ascent lowers the log-likelihood, so it never
+    falls along the run.
 
     Stops after max_iterations or once the W_1 movement between consecutive
     iterates is at most early_stop_w1.  An m-step that keeps its input moves
     0, so any threshold >= 0 stops at that fixed point and the trace holds at
-    most one "kept" row, its last.  Each iterate is e-stepped once.  Returns
-    the final measure together with an EmTrace holding per-iteration
-    log-likelihood (computed at t = 1 on noiseless inputs), step sizes,
-    m-step statuses, m-step solver statistics and solver errors.  One DEBUG
-    record on this module's logger gives the iterations, the ascents tried,
+    most one "kept" row, its last.  Returns the final measure together with
+    an EmTrace holding per-iteration log-likelihood (the forward model of
+    log_likelihood, at t = 1 on noiseless inputs), step sizes, m-step
+    statuses, m-step solver statistics and solver errors.  One DEBUG record
+    on this module's logger gives the iterations, the ascents tried,
     accepted and raised, the ascents' log-likelihood evaluations and
     L-BFGS-B iterations, and why the run stopped.
     """
     trace, ascents = EmTrace(), []
     current = init
-    resp, _ = e_step(image, kernel, current)
     stop = "max_iterations"
     for iteration in range(1, config.max_iterations + 1):
-        nxt, status, nit, q_evals, error = m_step(image, kernel, resp, current, config)
+        nxt, status, nit, q_evals, error = m_step(image, kernel, current, config)
         if status != "kept" and iteration < config.max_iterations:
             nxt, ascent = maximize_likelihood(image, kernel, nxt, config)
             ascents.append(ascent)
         step = wasserstein_p(nxt, current, 1)
-        resp, intensity = e_step(image, kernel, nxt)
-        ll = _log_likelihood(image, intensity)
-        trace.append(ll, step, status, nit, q_evals, error)
+        lam, _ = kernel.intensity_and_vjp(image.grid, nxt.atoms)
+        trace.append(_log_likelihood(image, lam / nxt.k), step, status, nit, q_evals, error)
         current = nxt
         if current.k > 1 and pdist(current.atoms).min() < 1e-12:
             trace.collision = True
@@ -343,34 +341,16 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
 def _neg_log_likelihood(theta_flat, image: CountImage, kernel: Kernel, k: int) -> tuple:
     """-l(theta) and its gradient at flat atom coordinates.
 
-    l = sum_i X_i log(t max(lam_i, floor)) - t lam_i, the observed-data
-    log-likelihood with floor = _INTENSITY_FLOOR, has the gradient
-    sum_i W_i grad lam_i with W_i = X_i / max(lam_i, floor) - t.  The
+    l is ``_log_likelihood`` of the intensities lam_i, and its gradient is
+    sum_i W_i grad lam_i with the weights W it leaves in their place.  The
     kernel's ``intensity_and_vjp`` gives k lam_i and contracts W with the
     gradient of k lam, so this function does not know how a kernel lays out
-    its bins.  The floored intensities are formed once and then overwritten
-    with W.
+    its bins.
     """
-    counts, t = _effective(image)
     lam, vjp = kernel.intensity_and_vjp(image.grid, np.reshape(theta_flat, (k, -1)))
-    intensity = lam / k
-    w = np.maximum(intensity, _INTENSITY_FLOOR)
-    # _log_likelihood's expression, on the floored intensities already formed
-    ll = float(np.sum(counts * np.log(t * w) - t * intensity))
-    np.divide(counts, w, out=w)
-    w -= t
-    return -ll, -(vjp(w) / k).ravel()
-
-
-class _NegLogLikelihood(_PointMemory):
-    """``_neg_log_likelihood(theta, image, kernel, k)``, computed once per point."""
-
-    def __init__(self, image: CountImage, kernel: Kernel, k: int):
-        super().__init__()
-        self.args = (image, kernel, k)
-
-    def _evaluate(self, theta):
-        return _neg_log_likelihood(theta, *self.args)
+    weights = lam / k
+    ll = _log_likelihood(image, weights)
+    return -ll, -(vjp(weights) / k).ravel()
 
 
 def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
@@ -390,7 +370,8 @@ def maximize_likelihood(image: CountImage, kernel: Kernel, init: AtomicUniformMe
     so the optimizer's first point costs nothing when ``init`` lies inside the
     domain.
     """
-    fun = _NegLogLikelihood(image, kernel, init.k)
+    fun = _PointMemory(functools.partial(_neg_log_likelihood, image=image, kernel=kernel,
+                                         k=init.k))
     measure, value, status, nit, error = _climb(fun, init, image, kernel, config, 0.0)
     trace = EmTrace()
     trace.append(-value, wasserstein_p(measure, init, 1), status, nit, fun.computed, error)

@@ -2,15 +2,15 @@
 
 The estimator chain: kernel-adapted monic polynomials psi_alpha turn bin
 counts into unbiased moment estimates of the mixing measure; Newton's
-identities convert power-sum moments into elementary symmetric polynomials;
-Vieta's formula assembles the monic polynomial whose roots are the atoms; a
-root finder recovers them.  Every link of the complex chain passes plain
-NumPy arrays: kernel moments m_0..m_k (``Kernel.moments``), the unit
-lower-triangular psi coefficient matrix, the moment estimates m_1..m_k (one
-triangular combination of the power sums sum_i gamma_i^j X_i / t, O(k * m)
-work), then elementary symmetric values and polynomial coefficients; k is
-read from the arrays' lengths.  The one estimator, mm_complex, serves planar
-and 1-d images; on 1-d data each root a + ib becomes the atom a + b.
+identities and Vieta's formula, in one recursion, turn these power-sum
+moments into the monic polynomial whose roots are the atoms; a root finder
+recovers them.  Every link of the complex chain passes plain NumPy arrays:
+kernel moments m_0..m_k (``Kernel.moments``), the unit lower-triangular psi
+coefficient matrix, the moment estimates m_1..m_k (one triangular
+combination of the power sums sum_i gamma_i^j X_i / t, O(k * m) work), then
+the polynomial's coefficients; k is read from the arrays' lengths.  The one
+estimator, mm_complex, serves planar and 1-d images; on 1-d data each root
+a + ib becomes the atom a + b.
 
 What does not depend on the counts is computed once: ``kernel_psi`` keeps
 each kernel's psi array per order for as long as the kernel lives, and the
@@ -121,31 +121,20 @@ def estimate_moments(image: CountImage, psi: np.ndarray) -> np.ndarray:
     return (psi * sums).sum(axis=1)[1:]
 
 
-def newton_to_elementary(m) -> np.ndarray:
-    """Elementary symmetric values eps_0..eps_k from complex moments m_1..m_k.
+def polynomial_from_moments(m) -> np.ndarray:
+    """Monic polynomial whose roots are the atoms, descending coefficients c_0..c_k.
 
-    k is the length of ``m``.  Newton's identity for uniform k-atomic
-    measures: eps_l = (k/l) * sum_{j=1}^{l} (-1)^(j-1) eps_{l-j} m_j.
+    k is the length of the complex moments ``m`` = m_1..m_k of a uniform
+    k-atomic measure.  Newton's identities and Vieta's formula in one
+    recursion: c_0 = 1 and c_l = -(k/l) sum_{j=1}^{l} c_{l-j} m_j.
     """
     m = np.asarray(m, dtype=complex).ravel()
     k = m.shape[0]
-    eps = np.zeros(k + 1, dtype=complex)
-    eps[0] = 1.0
+    coeffs = np.zeros(k + 1, dtype=complex)
+    coeffs[0] = 1.0
     for l in range(1, k + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, l + 1):
-            acc += (-1) ** (j - 1) * eps[l - j] * m[j - 1]
-        eps[l] = acc * k / l
-    return eps
-
-
-def poly_from_elementary(eps) -> np.ndarray:
-    """Monic polynomial z^k - eps_1 z^{k-1} + eps_2 z^{k-2} - ... (descending coeffs)."""
-    eps = np.asarray(eps, dtype=complex).ravel()
-    if eps[0] != 1.0:
-        raise ValueError("eps_0 must equal 1")
-    signs = (-1.0) ** np.arange(eps.shape[0])
-    return signs * eps
+        coeffs[l] = -sum(coeffs[l - j] * m[j - 1] for j in range(1, l + 1)) * k / l
+    return coeffs
 
 
 def _polyval_and_deriv(coeffs: np.ndarray, z: np.ndarray):
@@ -307,7 +296,7 @@ def measure_from_moments(m, dimension: int = 2) -> AtomicUniformMeasure:
     m = np.asarray(m, dtype=complex).ravel()
     if not np.all(np.isfinite(m)):
         raise ValueError("moments m_1..m_k must be finite")
-    roots = complex_roots(poly_from_elementary(newton_to_elementary(m)))
+    roots = complex_roots(polynomial_from_moments(m))
     if dimension == 1:
         return AtomicUniformMeasure(np.sort(roots.real + roots.imag))
     return AtomicUniformMeasure.from_complex(roots)

@@ -218,6 +218,17 @@ def test_invalid_pipeline_values_exit_2(estimate_config, tmp_path, capsys, parti
     assert capsys.readouterr().err.startswith(f"config error: invalid {message}")
 
 
+def test_pipeline_rejects_an_unknown_partition_field_before_reading(estimate_config, tmp_path,
+                                                                    capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_image", lambda path: pytest.fail("image read"))
+    config = {"kernel": estimate_config["kernel"], "image": estimate_config["image"],
+              "partition": {"mode_count": 2, "k": 2, "mode_half_width": [0.08, 0.08]}}
+    assert run_main(tmp_path, "pipeline", config) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: invalid partition spec: unknown field 'mode_half_width'")
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_with_a_line_kernel_exits_1_and_writes_nothing(estimate_config, tmp_path,
                                                                capsys):
     config = {"kernel": {**estimate_config["kernel"], "dim": 1},

@@ -15,19 +15,28 @@ from poisson_deconv import em
 from poisson_deconv.em import (
     EmConfig,
     EmTrace,
-    e_step,
     log_likelihood,
     m_step,
     maximize_likelihood,
     run_em,
     _neg_log_likelihood,
-    _QFunction,
+    _neg_q,
 )
 from poisson_deconv.harness import builtin_configuration
 from poisson_deconv.kernels import GaussianKernel, Kernel, TabulatedKernel, UniformBoxKernel
 from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
 from poisson_deconv.mm import mm_complex
 from poisson_deconv.observation import BinGrid, CountImage, noiseless, simulate
+
+
+def reference_responsibilities(image, kernel, mu):
+    """p_ij = lam_ij / lam_i, and the uniform 1/k on rows whose lam_i is 0."""
+    lam = kernel.bin_integral_matrix(image.grid, mu.atoms) / mu.k
+    totals = lam.sum(axis=1)
+    resp = np.full_like(lam, 1.0 / mu.k)
+    counted = totals > 0
+    resp[counted] = lam[counted] / totals[counted, None]
+    return resp
 
 
 def reference_q_function(image, kernel, resp, k, floor):
@@ -48,16 +57,24 @@ def reference_q_function(image, kernel, resp, k, floor):
     return fun
 
 
+def assert_same_objective(fun, reference, points):
+    """fun and reference agree to 1e-12 relative, value and gradient, at each point."""
+    for x in points:
+        value, grad = fun(np.ravel(x))
+        ref_value, ref_grad = reference(np.ravel(x))
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
 def reference_plain_em(image, kernel, init, config):
     """Plain EM, run_em's loop without the ascents: every iterate is the m-step's result."""
     trace = EmTrace()
     current = init
-    resp, _ = e_step(image, kernel, current)
     for _ in range(config.max_iterations):
-        nxt, status, nit, q_evals, error = m_step(image, kernel, resp, current, config)
+        nxt, status, nit, q_evals, error = m_step(image, kernel, current, config)
         step = wasserstein_p(nxt, current, 1)
-        resp, intensity = e_step(image, kernel, nxt)
-        ll = em._log_likelihood(image, intensity)
+        lam, _ = kernel.intensity_and_vjp(image.grid, nxt.atoms)
+        ll = em._log_likelihood(image, lam / nxt.k)
         trace.append(ll, step, status, nit, q_evals, error)
         current = nxt
         if current.k > 1 and pdist(current.atoms).min() < 1e-12:
@@ -96,6 +113,12 @@ class CountingKernel(GaussianKernel):
     def bin_integral_gradient_matrix(self, grid, atoms):
         self.gradient_points.append(np.asarray(atoms, float).tobytes())
         return super().bin_integral_gradient_matrix(grid, atoms)
+
+
+def domain(image, kernel):
+    """The box every climb searches: the window inflated by 3 kernel spreads."""
+    pad = 3.0 * kernel.spread()
+    return image.grid.window_lo - pad, image.grid.window_hi + pad
 
 
 def sampled_gaussian_kernel(sigma=0.06, spacing=0.02, half_extent=0.2):
@@ -144,32 +167,53 @@ class TestLogLikelihood:
             log_likelihood(noiseless(kernel, mu, grid), kernel, mu)
 
 
-class TestEStep:
+class TestResponsibilities:
+    """The m-step's responsibilities, read through Q against the plain formulas."""
+
     def test_single_component(self, small_setup):
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e3, seed=4)
-        resp, _ = e_step(img, kernel, AtomicUniformMeasure([[0.5, 0.5]]))
-        assert np.allclose(resp, 1.0)
+        fun = _neg_q(img, kernel, AtomicUniformMeasure([[0.5, 0.5]]))
+        reference = reference_q_function(img, kernel, np.ones((grid.m, 1)), 1, 1e-30)
+        assert_same_objective(fun, reference, [[0.5, 0.5], [0.42, 0.61]])
 
     def test_symmetric_atoms_split_half(self):
         kernel = GaussianKernel(sigma=0.1, dim=2)
         grid = BinGrid([0, 0], [1, 1], (5, 5))
-        img = CountImage(grid, np.ones(grid.m), 10.0)
+        counts = np.zeros(grid.m)
+        counts[12] = 10.0  # the center bin, iy=2, ix=2
+        img = CountImage(grid, counts, 10.0)
         # both atoms symmetric about the center bin's center
         mu = AtomicUniformMeasure([[0.3, 0.5], [0.7, 0.5]])
-        resp, _ = e_step(img, kernel, mu)
-        center_bin = 12  # iy=2, ix=2
-        assert np.allclose(resp[center_bin], [0.5, 0.5], atol=1e-12)
+        fun = _neg_q(img, kernel, mu)
+        reference = reference_q_function(img, kernel, np.full((grid.m, 2), 0.5), 2, 1e-30)
+        assert_same_objective(fun, reference, [[0.35, 0.45, 0.6, 0.55]])
 
     def test_rows_sum_to_one(self, small_setup):
+        # with both atoms at one point, sum_j p_ij ln(t lam_ij) is ln(t lam_i1)
+        # only if every row of p sums to one
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=5)
-        resp, intensity = e_step(img, kernel, mu)
-        assert np.all(resp >= 0)
-        assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-        expected = kernel.bin_integral_matrix(grid, mu.atoms).sum(axis=1) / mu.k
-        assert intensity.shape == (grid.m,)
-        assert np.allclose(intensity, expected, rtol=1e-12, atol=0.0)
+        point = np.array([0.5, 0.45])
+        lam = kernel.bin_integral_matrix(grid, point[None, :])[:, 0] / 2
+        expected = np.sum(img.counts * np.log(img.t * lam)) - img.t * 2 * lam.sum()
+        value, _ = _neg_q(img, kernel, mu)(np.tile(point, 2))
+        assert -value == pytest.approx(expected, rel=1e-12)
+
+    def test_underflowing_rows_take_the_uniform_share(self):
+        # from atoms in one corner, counted bins in the far corner have an
+        # intensity that underflows to 0, so their rows fall back to 1/k
+        kernel = GaussianKernel(sigma=0.02, dim=2)
+        grid = BinGrid([0, 0], [1, 1], (20, 20))
+        truth = AtomicUniformMeasure([[0.2, 0.25], [0.8, 0.75], [0.6, 0.3]])
+        img = simulate(kernel, truth, grid, 1e4, seed=23)
+        corner = AtomicUniformMeasure([[0.02, 0.03], [0.05, 0.01], [0.04, 0.06]])
+        totals = kernel.bin_integral_matrix(grid, corner.atoms).sum(axis=1)
+        assert np.any((totals == 0) & (img.counts > 0))
+        fun = _neg_q(img, kernel, corner)
+        resp = reference_responsibilities(img, kernel, corner)
+        reference = reference_q_function(img, kernel, resp, 3, 1e-30)
+        assert_same_objective(fun, reference, [truth.atoms + 0.01, corner.atoms])
 
 
 class TestMStep:
@@ -177,9 +221,8 @@ class TestMStep:
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=6)
         start = AtomicUniformMeasure([[0.3, 0.3], [0.75, 0.7]])
-        resp, _ = e_step(img, kernel, start)
-        out, status, nit, q_evals, error = m_step(img, kernel, resp, start)
-        neg_q = _QFunction(img, kernel, resp, 2)
+        out, status, nit, q_evals, error = m_step(img, kernel, start)
+        neg_q = _neg_q(img, kernel, start)
         assert -neg_q(out.atoms.ravel())[0] >= -neg_q(start.atoms.ravel())[0]
         assert status in ("improved", "kept")
         assert nit >= 1 and q_evals >= 2
@@ -196,26 +239,21 @@ class TestMStep:
         grid = BinGrid([0, 0], [1, 1], (20, 20))
         truth = AtomicUniformMeasure([[0.3, 0.35], [0.7, 0.6], [0.5, 0.8]])
         img = simulate(kernel, truth, grid, 1e4, seed=21)
-        resp, _ = e_step(img, kernel, truth)
-        fun = _QFunction(img, kernel, resp, 3)
+        resp = reference_responsibilities(img, kernel, truth)
+        fun = _neg_q(img, kernel, truth)
         reference = reference_q_function(img, kernel, resp, 3, 1e-30)
         near = truth.atoms + 0.01
         # atoms in one corner leave counted bins far away with lam below the floor
         corner = np.array([[0.02, 0.03], [0.05, 0.01], [0.04, 0.06]])
         lam = kernel.bin_integral_matrix(grid, corner) / 3
         assert np.any((lam < 1e-30) & (img.counts[:, None] * resp > 0))
-        for atoms in (near, corner):
-            value, grad = fun(atoms.ravel())
-            ref_value, ref_grad = reference(atoms.ravel())
-            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert_same_objective(fun, reference, [near, corner])
 
     def test_repeated_point_is_not_recomputed(self, small_setup):
         _, mu, grid = small_setup
         kernel = CountingKernel(0.08)
         img = simulate(kernel, mu, grid, 1e4, seed=6)
-        resp, _ = e_step(img, kernel, mu)
-        fun = _QFunction(img, kernel, resp, 2)
+        fun = em._PointMemory(_neg_q(img, kernel, mu))
         x = mu.atoms.ravel() + 0.01
         value, grad = fun(x)
         grad[:] = 0.0  # the caller's copy, not the remembered gradient
@@ -229,11 +267,10 @@ class TestMStep:
         kernel = CountingKernel(0.08)
         img = simulate(kernel, mu, grid, 1e4, seed=6)
         start = AtomicUniformMeasure([[0.3, 0.3], [0.75, 0.7]])
-        resp, _ = e_step(img, kernel, start)
         # from this start L-BFGS-B's line searches fail near the optimum and
         # it returns to points evaluated several calls before (34 requests at
         # 20 points), so remembering only the last point would recompute
-        _, status, nit, q_evals, _ = m_step(img, kernel, resp, start)
+        _, status, nit, q_evals, _ = m_step(img, kernel, start)
         points = kernel.gradient_points
         assert status == "improved" and nit >= 1
         assert q_evals == len(points) == len(set(points))
@@ -246,8 +283,7 @@ class TestMStep:
             k = int(rng.integers(1, 4))
             mu = AtomicUniformMeasure(rng.uniform(0.2, 0.8, size=(k, 2)))
             img = simulate(kernel, mu, grid, 500.0, seed=int(rng.integers(1e6)))
-            resp, _ = e_step(img, kernel, mu)
-            fun = _QFunction(img, kernel, resp, k)
+            fun = _neg_q(img, kernel, mu)
             x = rng.uniform(0.2, 0.8, size=2 * k)
             _, grad = fun(x)
             scale = max(np.linalg.norm(grad), 1.0)
@@ -266,14 +302,13 @@ class TestMStep:
     def test_optimizer_exception_logged_and_kept(self, small_setup, monkeypatch, caplog):
         kernel, mu, grid = small_setup
         img = simulate(kernel, mu, grid, 1e4, seed=6)
-        resp, _ = e_step(img, kernel, mu)
 
         def failing_minimize(*args, **kwargs):
             raise FloatingPointError("inner solver diverged")
 
         monkeypatch.setattr(em, "minimize", failing_minimize)
         with caplog.at_level(logging.WARNING, logger="poisson_deconv.em"):
-            out, status, nit, q_evals, error = m_step(img, kernel, resp, mu)
+            out, status, nit, q_evals, error = m_step(img, kernel, mu)
         assert status == "kept"
         assert error == "FloatingPointError: inner solver diverged"
         assert out is mu
@@ -288,7 +323,6 @@ class TestMStep:
         img = simulate(kernel, mu, grid, 1e4, seed=11)
         final, trace = run_em(img, kernel, mu, EmConfig(max_iterations=50, early_stop_w1=0.0))
         assert trace.status[-1] == "kept"
-        resp, _ = e_step(img, kernel, final)
         requested, results = set(), []
         minimize = em.minimize
 
@@ -301,7 +335,7 @@ class TestMStep:
             return results[-1]
 
         monkeypatch.setattr(em, "minimize", recording_minimize)
-        out, status, _, q_evals, _ = m_step(img, kernel, resp, final)
+        out, status, _, q_evals, _ = m_step(img, kernel, final)
         assert status == "kept" and out is final
         # Q was computed only at the optimizer's own points
         assert q_evals == len(requested) <= results[0].nfev
@@ -311,8 +345,7 @@ class TestMStep:
         mu = AtomicUniformMeasure([[0.48, 0.55]])
         grid = BinGrid([0, 0], [1, 1], (50, 50))
         img = simulate(kernel, mu, grid, 1e6, seed=8)
-        resp, _ = e_step(img, kernel, mu)
-        out, *_ = m_step(img, kernel, resp, AtomicUniformMeasure([[0.45, 0.5]]))
+        out, *_ = m_step(img, kernel, AtomicUniformMeasure([[0.45, 0.5]]))
         centroid = (img.counts[:, None] * img.grid.anchors()).sum(axis=0) / img.total()
         assert np.allclose(out.atoms[0], centroid, atol=1e-2)
 
@@ -410,9 +443,28 @@ class TestRunEm:
         assert all(evals >= 1 for evals in trace.q_evals)
         # every gradient matrix of the run is one counted Q evaluation
         assert sum(trace.q_evals) == len(kernel.gradient_points)
-        # and every value matrix one Q evaluation or the one E-step of an
-        # iterate (the initializer and each m-step's result)
-        assert kernel.value_calls <= sum(trace.q_evals) + trace.iterations + 1
+
+    def test_each_m_step_makes_one_responsibility_matrix(self, small_setup):
+        _, mu, grid = small_setup
+        kernel = CountingKernel(0.08)
+        img = simulate(kernel, mu, grid, 1e4, seed=13)
+        init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        kernel.value_calls = 0
+        _, trace = run_em(img, kernel, init, EmConfig(max_iterations=10, early_stop_w1=0.0))
+        assert trace.iterations >= 2
+        # every value matrix is one Q evaluation or the responsibilities at
+        # an m-step's input; the ascents and the recorded log-likelihoods
+        # read the product kernel's axis factors
+        assert kernel.value_calls == sum(trace.q_evals) + trace.iterations
+
+    def test_recorded_loglik_is_log_likelihood(self):
+        kernel = GaussianKernel(cov=[[0.0036, 0.0012], [0.0012, 0.0025]])
+        grid = BinGrid([0, 0], [1, 1], (20, 20))
+        truth = AtomicUniformMeasure([[0.3, 0.35], [0.7, 0.6], [0.5, 0.8]])
+        for seed in range(10):
+            img = simulate(kernel, truth, grid, 1e4, seed=seed)
+            est, trace = run_em(img, kernel, mm_complex(img, kernel, truth.k))
+            assert trace.loglik[-1] == log_likelihood(img, kernel, est)
 
     def test_stops_at_the_fixed_point(self, small_setup):
         kernel, mu, grid = small_setup
@@ -482,16 +534,17 @@ class TestOverRelaxation:
         # corner, and the run starts near the window's corner
         mu = AtomicUniformMeasure([[-0.2, -0.2], [0.6, 0.6]])
         img = simulate(kernel, mu, grid, 1e5, seed=3)
-        lo, hi = em._default_domain(img, kernel)
+        lo, hi = domain(img, kernel)
         iterates = []
 
-        def recording_e_step(image, kernel, measure):
-            iterates.append(measure.atoms)
-            return e_step(image, kernel, measure)
+        def recording_m_step(image, kernel, mu_tilde, config):
+            iterates.append(mu_tilde.atoms)
+            return m_step(image, kernel, mu_tilde, config)
 
-        monkeypatch.setattr(em, "e_step", recording_e_step)
+        monkeypatch.setattr(em, "m_step", recording_m_step)
         init = AtomicUniformMeasure([[0.1, 0.1], [0.6, 0.6]])
-        _, trace = run_em(img, kernel, init, EmConfig(max_iterations=100, early_stop_w1=0.0))
+        final, trace = run_em(img, kernel, init, EmConfig(max_iterations=100, early_stop_w1=0.0))
+        iterates.append(final.atoms)
         assert len(iterates) == trace.iterations + 1 >= 3
         assert all(np.all((lo <= atoms) & (atoms <= hi)) for atoms in iterates)
         assert np.any(iterates[-1] == lo)  # the run ends on the domain's edge
@@ -533,7 +586,7 @@ class TestOverRelaxation:
         minimize = em.minimize
 
         def failing_ascent(fun, x0, **kwargs):
-            if isinstance(fun, em._NegLogLikelihood):
+            if getattr(fun.evaluate, "func", None) is _neg_log_likelihood:
                 raise FloatingPointError("ascent diverged")
             return minimize(fun, x0, **kwargs)
 
@@ -738,12 +791,11 @@ class TestClimb:
         truth = AtomicUniformMeasure([[0.4, 0.5], [1.28, 0.5]])
         img = simulate(kernel, truth, BinGrid([0, 0], [1, 1], (20, 20)), 1e6, seed=3)
         start = AtomicUniformMeasure(start)
-        lo, hi = em._default_domain(img, kernel)
+        lo, hi = domain(img, kernel)
         assert np.any((start.atoms < lo) | (start.atoms > hi))
         if climb == "m_step":
-            resp, _ = e_step(img, kernel, start)
-            neg_q = _QFunction(img, kernel, resp, 2)
-            out, status, *_ = m_step(img, kernel, resp, start)
+            neg_q = _neg_q(img, kernel, start)
+            out, status, *_ = m_step(img, kernel, start)
             objective = [-neg_q(mu.atoms.ravel())[0] for mu in (out, start)]
         else:
             out, trace = maximize_likelihood(img, kernel, start)

@@ -36,8 +36,7 @@ from poisson_deconv.mm import (
     kernel_psi,
     measure_from_moments,
     mm_complex,
-    newton_to_elementary,
-    poly_from_elementary,
+    polynomial_from_moments,
 )
 from poisson_deconv.observation import (
     BinGrid,
@@ -166,35 +165,35 @@ class TestPsiUnbiasedProperty:
 
 class TestNewtonVieta:
     def test_hand_recursion_k2(self):
-        eps = newton_to_elementary([0.5, 0.5])
-        assert np.allclose(eps, [1.0, 1.0, 0.0])
+        # atoms 0 and 1: z^2 - z
+        assert np.allclose(polynomial_from_moments([0.5, 0.5]), [1.0, -1.0, 0.0])
 
     def test_single_step(self):
-        eps = newton_to_elementary([0.3 + 0.1j])
-        assert eps[1] == pytest.approx(0.3 + 0.1j)
+        coeffs = polynomial_from_moments([0.3 + 0.1j])
+        assert coeffs[0] == 1.0 and coeffs[1] == pytest.approx(-0.3 - 0.1j)
 
     def test_hand_recursion_k3(self):
-        eps = newton_to_elementary([2.0, 14.0 / 3.0, 12.0])
-        assert np.allclose(eps, [1.0, 6.0, 11.0, 6.0])
+        # atoms 1, 2 and 3
+        coeffs = polynomial_from_moments([2.0, 14.0 / 3.0, 12.0])
+        assert np.allclose(coeffs, [1.0, -6.0, 11.0, -6.0])
 
-    def test_poly_from_elementary(self):
-        assert np.allclose(poly_from_elementary([1, 1, 0]), [1, -1, 0])
-        assert np.allclose(poly_from_elementary([1, 6, 11, 6]), [1, -6, 11, -6])
-        assert np.allclose(poly_from_elementary([1, 0, 0, 0]), [1, 0, 0, 0])
+    def test_zero_moments_give_a_root_of_full_multiplicity(self):
+        assert np.allclose(polynomial_from_moments([0, 0, 0]), [1, 0, 0, 0])
 
     def test_matches_direct_expansion(self):
-        # recursion from power sums == direct elementary symmetric expansion
+        # recursion from power sums == signed elementary symmetric expansion
         rng = np.random.default_rng(31)
         for k in range(1, 7):
             atoms = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
             moments = [np.mean(atoms**j) for j in range(1, k + 1)]
-            eps = newton_to_elementary(moments)
+            coeffs = polynomial_from_moments(moments)
+            assert coeffs[0] == 1.0
             for j in range(1, k + 1):
                 direct = sum(
                     np.prod(np.array(combo))
                     for combo in itertools.combinations(atoms, j)
                 )
-                assert eps[j] == pytest.approx(direct, abs=1e-10)
+                assert coeffs[j] == pytest.approx((-1) ** j * direct, abs=1e-10)
 
 
 class TestComplexRoots:
@@ -220,9 +219,9 @@ class TestComplexRoots:
         rng = np.random.default_rng(4)
         for _ in range(50):
             k = int(rng.integers(1, 7))
-            eps = np.concatenate([[1.0], rng.normal(size=k) + 1j * rng.normal(size=k)])
-            roots = complex_roots(poly_from_elementary(eps))
-            assert np.all(np.abs(roots) <= 1.0 + np.max(np.abs(eps[1:])) + 1e-9)
+            coeffs = np.concatenate([[1.0], rng.normal(size=k) + 1j * rng.normal(size=k)])
+            roots = complex_roots(coeffs)
+            assert np.all(np.abs(roots) <= 1.0 + np.max(np.abs(coeffs[1:])) + 1e-9)
 
 
 class TestRootFinderConvergence:
@@ -454,7 +453,12 @@ class TestMomentRoundtrip:
     @given(spaced_atoms(0.05))
     def test_newton_vieta_roundtrip(self, points):
         mu = AtomicUniformMeasure(np.array(points))
-        nu = measure_from_moments(exact_moments(mu, mu.k))
+        moments = exact_moments(mu, mu.k)
+        # the monic polynomial whose roots are the atoms, prod_j (z - z_j)
+        coeffs = polynomial_from_moments(moments)
+        expected = np.poly(mu.atoms[:, 0] + 1j * mu.atoms[:, 1])
+        assert np.abs(coeffs - expected).max() <= 1e-9 * np.abs(expected).max()
+        nu = measure_from_moments(moments)
         assert wasserstein_p(mu, nu, np.inf) <= 1e-6
 
     def test_random_measures_recovered(self):

@@ -10,8 +10,9 @@ the package passes is a knob only tests turn, or nobody.  A call passes a
 parameter by keyword, by position, or through ``*``/``**``; callees are
 matched by name, as loaded names are.
 
-And every name a module imports is read in that module, and every JSON
-writer refuses NaN and infinity instead of writing invalid JSON.
+And every name a module imports is read in that module, every JSON writer
+refuses NaN and infinity instead of writing invalid JSON, and each kernel
+internal is read only where it belongs.
 """
 import ast
 from pathlib import Path
@@ -195,6 +196,16 @@ def test_only_kernels_reads_the_axis_factors():
     readers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "kernels"
                and "axis_factors" in loaded_names(ast.parse(path.read_text()))]
     assert readers == []
+
+
+def test_only_the_q_objective_reads_the_dense_matrices_in_em():
+    # every log-likelihood in em.py comes from Kernel.intensity_and_vjp; only
+    # Q needs the per-atom (m, k) and (m, k, d) bin integrals
+    tree = ast.parse((PACKAGE / "em.py").read_text())
+    readers = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and {"bin_integral_matrix", "bin_integral_gradient_matrix"} & loaded_names(node)]
+    assert readers == ["_neg_q"]
 
 
 def test_every_import_is_used():
