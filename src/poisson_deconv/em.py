@@ -318,9 +318,12 @@ def run_em(image: CountImage, kernel: Kernel, init: AtomicUniformMeasure,
         if status != "kept" and iteration < config.max_iterations:
             nxt, ascent = maximize_likelihood(image, kernel, nxt, config)
             ascents.append(ascent)
+            loglik = ascent.loglik[0]  # l at nxt, by the same forward model
+        else:
+            lam, _ = kernel.intensity_and_vjp(image.grid, nxt.atoms)
+            loglik = _log_likelihood(image, lam / nxt.k)
         step = wasserstein_p(nxt, current, 1)
-        lam, _ = kernel.intensity_and_vjp(image.grid, nxt.atoms)
-        trace.append(_log_likelihood(image, lam / nxt.k), step, status, nit, q_evals, error)
+        trace.append(loglik, step, status, nit, q_evals, error)
         current = nxt
         if current.k > 1 and pdist(current.atoms).min() < 1e-12:
             trace.collision = True

@@ -6,13 +6,18 @@ or supplies custom atoms, a kernel width, grid resolutions, exposure values
 kernel are built once per sweep, and the scene of each resolution (its bin
 grid and the truth's bin intensities) once per resolution; every t and every
 replicate of that resolution draws its image from that scene.  Each (t, m)
-cell is replicated with independently derived seeds; per-replicate W_1
-errors, wall times and the number of warnings each estimator raised aggregate
-into a RiskTable.  An estimator that fails on a replicate is logged at
-WARNING and scores W_1 = NaN: the mean and stderr columns skip it, n_fail
-counts it, and the pessimistic columns score it as k atoms at the window's
-centre.  risk.csv contains only deterministic columns so identical spec+seed
-runs are byte-identical; timings are written separately.
+cell is replicated with independently derived seeds and is one unit of work:
+every replicate's image gives its moment estimates, and one stacked root
+solve inverts them all, giving each replicate bit for bit the MM estimate it
+would get alone; "em" refines that estimate.  Per-replicate W_1 errors, wall
+times and the number of warnings each estimator raised aggregate into a
+RiskTable.  A replicate's time is its own moment estimation, plus an equal
+share of its cell's stacked solve, plus run_em for "em"; drawing the image
+and scoring it are not timed.  An estimator that fails on a replicate is
+logged at WARNING and scores W_1 = NaN: the mean and stderr columns skip it,
+n_fail counts it, and the pessimistic columns score it as k atoms at the
+window's centre.  risk.csv contains only deterministic columns so identical
+spec+seed runs are byte-identical; timings are written separately.
 """
 from __future__ import annotations
 
@@ -30,7 +35,13 @@ import numpy as np
 from .em import EmConfig, run_em
 from .kernels import GaussianKernel
 from .measures import AtomicUniformMeasure, wasserstein_p
-from .mm import RootRecoveryError, mm_complex
+from .mm import (
+    RootRecoveryError,
+    degenerate_estimate,
+    estimate_moments,
+    kernel_psi,
+    measure_from_moments,
+)
 from .observation import BinGrid, CountImage, intensities, poisson_image, replicate_seed
 
 logger = logging.getLogger(__name__)
@@ -125,7 +136,14 @@ class ExperimentSpec:
 
 @dataclass
 class RiskTable:
-    """Aggregated results, one row per (estimator, t, m, sigma) cell."""
+    """Aggregated results, one row per (estimator, t, m, sigma) cell.
+
+    mean_time_s is the mean over a cell's replicates of each one's time: its
+    moment estimation, plus the cell's stacked root solve divided by the
+    number of replicates in the stack, plus run_em for "em".  A warning
+    raised by the stacked solve counts once in n_warnings for every
+    replicate in the stack.
+    """
 
     rows: list = field(default_factory=list)
 
@@ -193,7 +211,7 @@ class RiskTable:
 
 
 # The sweep a pool worker serves, set once per worker by _start_worker, so a
-# task carries only (n_side, t, seed) and the worker keeps one kernel object,
+# task carries only (n_side, t, seeds) and the worker keeps one kernel object,
 # whose psi mm.kernel_psi then builds once.
 _worker_sweep = None
 
@@ -203,47 +221,79 @@ def _start_worker(sweep: tuple) -> None:
     _worker_sweep = sweep
 
 
-def _run_in_worker(payload: tuple) -> dict:
-    return _run_replicate(_worker_sweep, payload)
+def _run_in_worker(payload: tuple) -> list:
+    return _run_cell(_worker_sweep, payload)
 
 
-def _run_replicate(sweep: tuple, payload: tuple) -> dict:
-    """One replicate of one cell: draw its image, run the estimators, score.
+def _run_cell(sweep: tuple, payload: tuple) -> list:
+    """Every replicate of one cell: draw its image, run the estimators, score.
 
-    ``sweep`` is (spec, kernel, truth, scenes), what every replicate of the
-    sweep shares, with each resolution's scene a (grid, intensities) pair
-    keyed by n_side.  ``payload`` is (n_side, t, seed): the cell's
-    resolution, its exposure, and the replicate's stream.  "em" runs its own
-    MM start.  Each estimator gets {"w1", "time", "n_warnings"}: every
-    warning it raises is recorded, repeats included, and counted; none
-    reaches the caller.  One that raises RootRecoveryError, ValueError or
-    FloatingPointError scores W_1 = NaN, which the pessimistic columns replace
-    by the window-centre W_1, and is logged at WARNING after its clock stops.
+    ``sweep`` is (spec, kernel, truth, scenes), what every cell of the sweep
+    shares, with each resolution's scene a (grid, intensities) pair keyed by
+    n_side.  ``payload`` is (n_side, t, seeds): the cell's resolution, its
+    exposure, and one stream per replicate.  Each replicate's image gives its
+    moment estimates, or window-centre atoms and a DegenerateDataWarning when
+    its counts are all zero; one ``measure_from_moments`` call then inverts
+    the cell's stack of moments, so each replicate gets the MM estimate it
+    would get alone.  "mm" scores that estimate and "em" runs ``run_em`` from
+    it.  Returns one dict per replicate, mapping each estimator to
+    {"w1", "time", "n_warnings"}; see ``RiskTable`` for what the time
+    covers.  Every warning is recorded, repeats included, and counted; one
+    raised by the stacked call counts for every replicate in the stack, and
+    none reaches the caller.  An estimator whose inversion or refinement
+    raises RootRecoveryError, ValueError or FloatingPointError scores
+    W_1 = NaN, which the pessimistic columns replace by the window-centre
+    W_1, and is logged at WARNING after its clock stops.
     """
     spec, kernel, truth, scenes = sweep
-    n_side, t, seed = payload
+    n_side, t, seeds = payload
     grid, lam = scenes[n_side]
-    if np.isinf(t):
-        image = CountImage(grid, lam, t)
-    else:
-        image = poisson_image(grid, lam, t, seed)
-    out = {}
-    for name in spec.estimators:
-        start = time.perf_counter()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                est = mm_complex(image, kernel, truth.k)
-                if name == "em":
-                    est, _ = run_em(image, kernel, est, spec.em)
-                elapsed = time.perf_counter() - start
-                w1 = wasserstein_p(est, truth, 1)
-        except (RootRecoveryError, ValueError, FloatingPointError) as exc:
-            elapsed = time.perf_counter() - start
-            w1 = np.nan
-            logger.warning("estimator %s failed at t=%s, m=%d: %s", name, t, grid.m, exc)
-        out[name] = {"w1": w1, "time": elapsed, "n_warnings": len(caught)}
-    return out
+    psi = kernel_psi(kernel, truth.k)
+    images, starts, times, n_warnings = [], [], [], []
+    for seed in seeds:
+        image = CountImage(grid, lam, t) if np.isinf(t) else poisson_image(grid, lam, t, seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            begin = time.perf_counter()
+            start = degenerate_estimate(image, truth.k)
+            if start is None:
+                start = estimate_moments(image, psi)
+            times.append(time.perf_counter() - begin)
+        images.append(image if "em" in spec.estimators else None)  # only run_em reads it
+        starts.append(start)
+        n_warnings.append(len(caught))
+    # a start that is still an array of moments is inverted with the others
+    stacked = [rep for rep, start in enumerate(starts) if isinstance(start, np.ndarray)]
+    if stacked:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            begin = time.perf_counter()
+            solved = measure_from_moments(np.array([starts[rep] for rep in stacked]))
+            share = (time.perf_counter() - begin) / len(stacked)
+        for rep, start in zip(stacked, solved):
+            starts[rep] = start
+            times[rep] += share
+            n_warnings[rep] += len(caught)
+    results = []
+    for image, start, elapsed, shared_warnings in zip(images, starts, times, n_warnings):
+        out = {}
+        for name in spec.estimators:
+            begin = time.perf_counter()
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    if isinstance(start, Exception):
+                        raise start
+                    est = run_em(image, kernel, start, spec.em)[0] if name == "em" else start
+                    spent = elapsed + time.perf_counter() - begin
+                    w1 = wasserstein_p(est, truth, 1)
+            except (RootRecoveryError, ValueError, FloatingPointError) as exc:
+                spent = elapsed + time.perf_counter() - begin
+                w1 = np.nan
+                logger.warning("estimator %s failed at t=%s, m=%d: %s", name, t, grid.m, exc)
+            out[name] = {"w1": w1, "time": spent, "n_warnings": shared_warnings + len(caught)}
+        results.append(out)
+    return results
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -285,10 +335,11 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
 
     The truth and kernel are built once, and each resolution's scene (bin
     grid and intensities) once; every cell of that resolution draws
-    from it.  Replicates run in one process pool per sweep when spec.jobs > 1,
-    whose workers each receive the sweep's kernel, truth and scenes once;
-    the reduction always consumes results in replicate order so means are
-    bit-stable.  Noiseless cells (t = inf) are deterministic and computed once.
+    from it.  Cells run in one process pool per sweep when spec.jobs > 1 and
+    the sweep has more than one cell, one cell per task; the workers each
+    receive the sweep's kernel, truth and scenes once.  The reduction always
+    consumes results in cell and replicate order so means are bit-stable.
+    Noiseless cells (t = inf) are deterministic and computed once.
     """
     table = RiskTable()
     truth = spec.truth()
@@ -302,21 +353,21 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
     fallback_w1 = wasserstein_p(centre, truth, 1)
     sweep = (spec, kernel, truth, scenes)
     cells = [(t, n) for t in spec.t_values for n in spec.resolutions]
-    jobs = spec.jobs or os.cpu_count() or 1
+    payloads = [(n_side, t, [replicate_seed(spec.seed, cell_index, rep)
+                             for rep in range(1 if np.isinf(t) else spec.replicates)])
+                for cell_index, (t, n_side) in enumerate(cells)]
+    jobs = min(spec.jobs or os.cpu_count() or 1, len(cells))
     parallel = jobs > 1 and spec.replicates > 1 and any(np.isfinite(spec.t_values))
     pool = ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                                initargs=(sweep,)) if parallel else None
     with pool or contextlib.nullcontext():
-        for cell_index, (t, n_side) in enumerate(cells):
-            reps = 1 if np.isinf(t) else spec.replicates
-            payloads = [(n_side, t, replicate_seed(spec.seed, cell_index, rep))
-                        for rep in range(reps)]
-            if pool:
-                results = list(pool.map(_run_in_worker, payloads))
-            else:
-                results = [_run_replicate(sweep, payload) for payload in payloads]
-            if np.isinf(t) and spec.replicates > 1:
-                results = results * spec.replicates  # deterministic cell, reuse
-            table.rows.extend(_aggregate_cell(spec, truth.k, t, n_side, results, fallback_w1))
+        if pool:
+            results = pool.map(_run_in_worker, payloads)
+        else:
+            results = (_run_cell(sweep, payload) for payload in payloads)
+        for (t, n_side), cell in zip(cells, results):
+            if np.isinf(t):
+                cell = cell * spec.replicates  # deterministic cell, reuse
+            table.rows.extend(_aggregate_cell(spec, truth.k, t, n_side, cell, fallback_w1))
             logger.info("cell t=%s m=%d done", t, n_side * n_side)
     return table

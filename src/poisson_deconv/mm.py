@@ -16,6 +16,13 @@ What does not depend on the counts is computed once: ``kernel_psi`` keeps
 each kernel's psi array per order for as long as the kernel lives, and the
 root finder, ``complex_roots``, evaluates p and p' once per iterate, reusing
 them for its freeze test, its Newton polish and its residual gate.
+
+``complex_roots`` and ``measure_from_moments`` also take a stack, one
+polynomial or one moment vector per row, and run every Aberth iteration over
+all rows at once, so NumPy's per-call overhead is paid once per stack rather
+than once per polynomial.  Each row's result is bit for bit the one it gets
+alone, and a row that fails fails alone.  The risk harness inverts each
+cell's replicates this way; every other caller solves one polynomial.
 """
 from __future__ import annotations
 
@@ -138,7 +145,11 @@ def polynomial_from_moments(m) -> np.ndarray:
 
 
 def _polyval_and_deriv(coeffs: np.ndarray, z: np.ndarray):
-    """Horner evaluation of p and p' for descending coefficients."""
+    """Horner evaluation of p and p' for descending coefficients.
+
+    Each ``coeffs[j]`` is a scalar or an array that broadcasts against ``z``,
+    so one call evaluates a stack of polynomials, each at its own points.
+    """
     p = np.full_like(z, coeffs[0])
     dp = np.zeros_like(z)
     for c in coeffs[1:]:
@@ -153,6 +164,8 @@ def _polyval_deriv_and_bound(coeffs: np.ndarray, rounding: np.ndarray, z: np.nda
     Each is bit for bit what ``_polyval_and_deriv`` and
     ``np.polyval(rounding, |z|)`` return; the bound starts from 0, as
     np.polyval's accumulator does, so a non-finite |z| gives the same value.
+    ``coeffs[j]`` and ``rounding[j]`` broadcast against ``z`` as in
+    ``_polyval_and_deriv``.
     """
     p = np.full_like(z, coeffs[0])
     dp = np.zeros_like(z)
@@ -168,10 +181,13 @@ def _polyval_deriv_and_bound(coeffs: np.ndarray, rounding: np.ndarray, z: np.nda
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, values=None, max_steps: int = 8):
     """Newton steps on every root, each kept only where it lowers |p|.
 
+    ``coeffs`` broadcasts against ``roots`` as in ``_polyval_and_deriv``, and
     ``values`` is (p, p') at ``roots`` when the caller has them.  Returns the
     polished roots and p at them.  p and p' are evaluated once per step, at
     the trial points; a root whose step is refused keeps the values it had,
-    which are what evaluating it again would give.
+    which are what evaluating it again would give.  So a stack of
+    polynomials polished together gives each its own result: once none of a
+    polynomial's steps is kept, its next steps repeat the refused ones.
     """
     roots = roots.astype(complex)
     p, dp = _polyval_and_deriv(coeffs, roots) if values is None else values
@@ -190,116 +206,182 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, values=None, max_steps
     return roots, p
 
 
-def _aberth(coeffs: np.ndarray, max_iter: int = 200):
-    """Aberth-Ehrlich simultaneous iteration for a monic polynomial.
+def _aberth(coeffs: np.ndarray, columns: np.ndarray, max_iter: int = 200):
+    """Aberth-Ehrlich simultaneous iteration over an (R, k + 1) stack of monic polynomials.
 
-    The k starting points lie on a circle about the roots' centroid
-    c = -a_{k-1}/k of radius |p(c)|^(1/k), the geometric-mean distance from c
-    to the roots (Bini 1996); when c is itself a root the Cauchy radius
-    1 + max|a_j| is used instead.  Root i freezes once
-    |p(z_i)| <= 4 eps sum_j |a_j| |z_i|^j, i.e. once its backward error is at
-    rounding level; p, p' and that bound come from one Horner pass per
-    iteration over the active roots.  Only the active roots move, each
-    corrected against all k current points.  Returns the roots and the number
-    of iterations taken, at most ``max_iter``, and (p, p') at the returned
-    roots, each root's from the iteration that froze it, or None when the cap
-    stopped the iteration.
+    ``columns`` is (k + 1, R * k): column r * k + i holds the coefficients of
+    row r, the polynomial of its root i, so one Horner pass evaluates every
+    root of every row.  Each polynomial's k starting points lie on a circle
+    about its roots' centroid c = -a_{k-1}/k of radius |p(c)|^(1/k), the
+    geometric-mean distance from c to the roots (Bini 1996); when c is itself
+    a root the Cauchy radius 1 + max|a_j| is used instead.  Root i freezes
+    once |p(z_i)| <= 4 eps sum_j |a_j| |z_i|^j, i.e. once its backward error
+    is at rounding level; p, p' and that bound come from one Horner pass per
+    iteration.  Only the active roots move, each corrected against the k
+    current points of its own polynomial.  A frozen root is evaluated again
+    at the same point, so its values repeat, and a row's roots are those it
+    gets alone.  Returns the R * k roots, row after row, each row's number of
+    iterations, at most ``max_iter``, and (p, p') at the returned roots, or
+    None when the cap stopped any row.
     """
-    k = coeffs.shape[0] - 1
-    centre = -coeffs[1] / k
-    radius = abs(np.polyval(coeffs, centre)) ** (1.0 / k)
-    if not 0.0 < radius < np.inf:
-        radius = 1.0 + np.max(np.abs(coeffs[1:]))  # Cauchy bound
+    n_rows, k = coeffs.shape[0], coeffs.shape[1] - 1
+    centre = -coeffs[:, 1] / k
+    value = np.zeros_like(centre)
+    for c in coeffs.T:  # np.polyval's Horner, every row at its centre
+        value = value * centre + c
+    # abs and ** of NumPy scalars, as on np.polyval's scalar result: the
+    # array versions differ from them in the last bit
+    radius = np.empty(n_rows)
+    for row, v in enumerate(value):
+        r = abs(v) ** (1.0 / k)
+        radius[row] = r if 0.0 < r < np.inf else 1.0 + np.max(np.abs(coeffs[row, 1:]))  # Cauchy
     angles = 2 * np.pi * (np.arange(k) + 0.5) / k + 0.4
-    z = centre + radius * np.exp(1j * angles)
-    rounding = 4.0 * np.finfo(float).eps * np.abs(coeffs)
-    active = np.arange(k)
-    p_all, dp_all = np.empty_like(z), np.empty_like(z)
+    z = (centre[:, None] + radius[:, None] * np.exp(1j * angles)).ravel()
+    rounding = 4.0 * np.finfo(float).eps * np.abs(columns)
+    diagonal = np.arange(k)
+    active = np.ones(z.shape, dtype=bool)
+    # the last iteration each root was tested while active, the one that froze it
+    tested = np.empty(z.shape, dtype=int)
     for iteration in range(max_iter):
-        za = z[active]
-        p, dp, bound = _polyval_deriv_and_bound(coeffs, rounding, za)
-        p_all[active], dp_all[active] = p, dp
-        moving = np.abs(p) > bound
-        active, za, p, dp = active[moving], za[moving], p[moving], dp[moving]
-        if active.size == 0:
-            return z, iteration, (p_all, dp_all)
-        pair = za[:, None] - z[None, :]
-        pair[np.arange(active.size), active] = np.inf
+        p, dp, bound = _polyval_deriv_and_bound(columns, rounding, z)
+        tested[active] = iteration
+        active &= np.abs(p) > bound
+        if not np.count_nonzero(active):
+            return z, tested.reshape(n_rows, k).max(axis=1), (p, dp)
+        rows = z.reshape(n_rows, k)
+        pair = rows[:, :, None] - rows[:, None, :]
+        pair[:, diagonal, diagonal] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            sums = np.sum(1.0 / pair, axis=1)
+            sums = (1.0 / pair).sum(axis=2).ravel()
             w = np.where(np.abs(dp) > 0, p / dp, p)
             denom = 1.0 - w * sums
             step = np.where(np.abs(denom) > 0, w / denom, w)
-        z[active] = za - np.where(np.isfinite(step), step, 0.0)
-    return z, max_iter, None
+            z = np.where(active, z - np.where(np.isfinite(step), step, 0.0), z)
+    tested[active] = max_iter
+    return z, tested.reshape(n_rows, k).max(axis=1), None
 
 
-def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray, p=None) -> float:
-    """Largest |p(root)| / (1e-10 * max|coeff| * (1+|root|)^k) over the roots.
+def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray, p=None):
+    """Largest |p(root)| / (1e-10 * max|coeff| * (1+|root|)^k) over each polynomial's roots.
 
-    ``p`` holds p(roots) when the caller has it; otherwise it is evaluated.
+    ``coeffs`` is (k + 1,) or an (R, k + 1) stack and ``roots`` (k,) or
+    (R, k); the result is a scalar or (R,).  ``p`` holds p(roots) when the
+    caller has it; otherwise it is evaluated.
     """
     if p is None:
-        p, _ = _polyval_and_deriv(coeffs, roots)
-    scale = np.max(np.abs(coeffs))
-    k = coeffs.shape[0] - 1
+        p, _ = _polyval_and_deriv(coeffs.T[..., None], roots)
+    scale = np.abs(coeffs).max(axis=-1, keepdims=True)
+    k = coeffs.shape[-1] - 1
     bound = 1e-10 * scale * (1.0 + np.abs(roots)) ** k
-    return float(np.max(np.abs(p) / bound))
+    return (np.abs(p) / bound).max(axis=-1)
+
+
+def _companion_roots(coeffs: np.ndarray):
+    """Polished companion-matrix eigenvalues of one polynomial and their residual ratio.
+
+    The ratio is NaN when the eigenvalue solver fails, as it does on
+    non-finite coefficients.
+    """
+    try:
+        roots = np.roots(coeffs).astype(complex)
+    except np.linalg.LinAlgError:
+        return np.full(coeffs.shape[0] - 1, np.nan, dtype=complex), np.nan
+    roots, p = _newton_polish(coeffs, roots)
+    return roots, _residual_ratio(coeffs, roots, p)
+
+
+_ROOT_FAILURE = ("root finding failed: Aberth iteration and companion-matrix fallback "
+                 "both exceeded the residual bound")
 
 
 def complex_roots(coeffs) -> np.ndarray:
-    """All k roots (with multiplicity) of a monic degree-k complex polynomial.
+    """All k roots (with multiplicity) of a monic degree-k complex polynomial, or of a stack.
 
-    Aberth-Ehrlich iteration started on a circle about the root centroid
-    -a_{k-1}/k of radius |p(centroid)|^(1/k), each root frozen once
-    |p(z)| <= 4 eps sum_j |a_j| |z|^j (rounding-level backward error), capped
-    at 200 iterations; companion-matrix eigenvalues are the fallback.  Every
-    candidate set is Newton-polished and accepted only if the residual
-    |p(root)| stays below 1e-10 * max|coeff| * (1+|root|)^k.  Each call logs
-    one DEBUG record on this module's logger with the path taken ("linear",
-    "aberth" or "companion"), the Aberth iteration count and the worst
-    residual-to-bound ratio of the accepted roots.
+    ``coeffs`` holds descending coefficients: one polynomial, or an
+    (R, k + 1) stack of them, which gives (R, k) roots.  Aberth-Ehrlich
+    iteration, run over every row at once, started on a circle about each
+    root centroid -a_{k-1}/k of radius |p(centroid)|^(1/k), each root frozen
+    once |p(z)| <= 4 eps sum_j |a_j| |z|^j (rounding-level backward error),
+    capped at 200 iterations; companion-matrix eigenvalues are the fallback
+    of each row whose Aberth roots miss the residual gate.  Every candidate
+    set is Newton-polished and accepted only if the residual |p(root)| stays
+    below 1e-10 * max|coeff| * (1+|root|)^k.  A row's roots are bit for bit
+    those it gets alone.  Each accepted row logs one DEBUG record on this
+    module's logger with the path taken ("linear", "aberth" or "companion"),
+    the Aberth iteration count and the worst residual-to-bound ratio.  A row
+    that fails both paths raises RootRecoveryError for one polynomial; in a
+    stack it fails alone, as a row of NaN.
     """
-    coeffs = np.asarray(coeffs, dtype=complex).ravel()
-    if coeffs.shape[0] < 2:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    stack = coeffs if coeffs.ndim == 2 else coeffs.reshape(1, -1)
+    if stack.shape[1] < 2:
         raise ValueError("polynomial degree must be >= 1")
-    coeffs = coeffs / coeffs[0]
-    if coeffs.shape[0] == 2:
-        roots, path, iterations = np.array([-coeffs[1]]), "linear", 0
-        ratio = _residual_ratio(coeffs, roots)
+    stack = stack / stack[:, :1]
+    n_rows, k = stack.shape[0], stack.shape[1] - 1
+    if k == 1:
+        roots, iterations, paths = -stack[:, 1:], np.zeros(n_rows, int), ["linear"] * n_rows
+        ratios = _residual_ratio(stack, roots)
+        failed = np.zeros(n_rows, dtype=bool)
     else:
-        roots, iterations, values = _aberth(coeffs)
-        roots, p = _newton_polish(coeffs, roots, values)
-        ratio, path = _residual_ratio(coeffs, roots, p), "aberth"
-        # "not <=" rather than ">": a NaN ratio must fall through, then raise
-        if not ratio <= 1.0:
-            roots, p = _newton_polish(coeffs, np.roots(coeffs).astype(complex))
-            ratio, path = _residual_ratio(coeffs, roots, p), "companion"
-        if not ratio <= 1.0:
-            raise RootRecoveryError("root finding failed: Aberth iteration and companion-"
-                                    "matrix fallback both exceeded the residual bound")
-    logger.debug(
-        "complex_roots degree %d: path %s, %d Aberth iterations, "
-        "worst residual/bound %.3g", coeffs.shape[0] - 1, path, iterations, ratio,
-    )
-    return roots
+        columns = np.repeat(stack.T, k, axis=1)  # each root's coefficients, row after row
+        roots, iterations, values = _aberth(stack, columns)
+        roots, p = _newton_polish(columns, roots, values)
+        roots, p = roots.reshape(n_rows, k), p.reshape(n_rows, k)
+        ratios, paths = _residual_ratio(stack, roots, p), ["aberth"] * n_rows
+        # "not <=" rather than ">": a NaN ratio must fall through, then fail
+        failed = ~(ratios <= 1.0)
+        if failed.any():
+            for row in np.flatnonzero(failed):
+                roots[row], ratios[row] = _companion_roots(stack[row])
+                paths[row] = "companion"
+            failed = ~(ratios <= 1.0)
+            if failed.any() and coeffs.ndim != 2:
+                raise RootRecoveryError(_ROOT_FAILURE)
+            roots[failed] = np.nan
+    if logger.isEnabledFor(logging.DEBUG):
+        for row in np.flatnonzero(~failed):
+            logger.debug(
+                "complex_roots degree %d: path %s, %d Aberth iterations, "
+                "worst residual/bound %.3g", k, paths[row], int(iterations[row]),
+                float(ratios[row]),
+            )
+    return roots if coeffs.ndim == 2 else roots[0]
 
 
-def measure_from_moments(m, dimension: int = 2) -> AtomicUniformMeasure:
+def measure_from_moments(m, dimension: int = 2):
     """Invert complex moments m_1..m_k into the unique k-atomic uniform measure.
 
     k is the length of ``m``.  On 1-d data (``dimension`` 1) each root a + ib
     becomes the atom a + b, sorted, so a conjugate pair a +- ib gives two
     atoms a +- b rather than two coincident ones at a, which no likelihood
-    ascent can split.  Raises ValueError on non-finite moments.
+    ascent can split.  Raises ValueError on non-finite moments and
+    RootRecoveryError when no root set passes the residual gate.  An (R, k)
+    stack of moments is inverted by one ``complex_roots`` call and gives a
+    list of R entries: each row's measure, bit for bit the one it gets alone,
+    or the exception it alone would raise, so a failed row fails alone.
     """
-    m = np.asarray(m, dtype=complex).ravel()
-    if not np.all(np.isfinite(m)):
-        raise ValueError("moments m_1..m_k must be finite")
-    roots = complex_roots(polynomial_from_moments(m))
-    if dimension == 1:
-        return AtomicUniformMeasure(np.sort(roots.real + roots.imag))
-    return AtomicUniformMeasure.from_complex(roots)
+    m = np.asarray(m, dtype=complex)
+    stack = m if m.ndim == 2 else m.reshape(1, -1)
+    finite = np.isfinite(stack).all(axis=1)
+    roots = np.full(stack.shape, np.nan, dtype=complex)
+    if finite.any():
+        roots[finite] = complex_roots(
+            np.array([polynomial_from_moments(row) for row in stack[finite]]))
+    measures = []
+    for row_finite, row in zip(finite, roots):
+        if not row_finite:
+            measures.append(ValueError("moments m_1..m_k must be finite"))
+        elif np.isnan(row[0]):
+            measures.append(RootRecoveryError(_ROOT_FAILURE))
+        elif dimension == 1:
+            measures.append(AtomicUniformMeasure(np.sort(row.real + row.imag)))
+        else:
+            measures.append(AtomicUniformMeasure.from_complex(row))
+    if m.ndim == 2:
+        return measures
+    if isinstance(measures[0], Exception):
+        raise measures[0]
+    return measures[0]
 
 
 def validate_k(k) -> int:
@@ -307,6 +389,17 @@ def validate_k(k) -> int:
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return int(k)
+
+
+def degenerate_estimate(image: CountImage, k: int) -> AtomicUniformMeasure | None:
+    """k atoms at the window centre and a DegenerateDataWarning when all counts are zero.
+
+    Returns None when the image has a count, so its moments can be inverted.
+    """
+    if image.total() > 0:
+        return None
+    warnings.warn("all counts are zero; returning window-center atoms", DegenerateDataWarning)
+    return AtomicUniformMeasure(np.tile(image.grid.center(), (k, 1)))
 
 
 def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasure:
@@ -326,10 +419,9 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
             f"a {kernel.dimension}-d kernel cannot deconvolve a "
             f"{image.grid.dimension}-d image"
         )
-    if not image.total() > 0:
-        warnings.warn("all counts are zero; returning window-center atoms",
-                      DegenerateDataWarning)
-        return AtomicUniformMeasure(np.tile(image.grid.center(), (k, 1)))
+    centre = degenerate_estimate(image, k)
+    if centre is not None:
+        return centre
     m_hat = estimate_moments(image, kernel_psi(kernel, k))
     return measure_from_moments(m_hat, dimension=image.grid.dimension)
 

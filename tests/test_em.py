@@ -98,17 +98,22 @@ def run_summary(caplog):
 
 
 class CountingKernel(GaussianKernel):
-    """Isotropic Gaussian counting its value-matrix calls and recording the
-    atoms of every gradient-matrix call."""
+    """Isotropic Gaussian counting its value-matrix and forward-model calls and
+    recording the atoms of every gradient-matrix call."""
 
     def __init__(self, sigma):
         super().__init__(sigma=sigma, dim=2)
         self.value_calls = 0
+        self.likelihood_calls = 0
         self.gradient_points = []
 
     def bin_integral_matrix(self, grid, atoms):
         self.value_calls += 1
         return super().bin_integral_matrix(grid, atoms)
+
+    def intensity_and_vjp(self, grid, atoms):
+        self.likelihood_calls += 1
+        return super().intensity_and_vjp(grid, atoms)
 
     def bin_integral_gradient_matrix(self, grid, atoms):
         self.gradient_points.append(np.asarray(atoms, float).tobytes())
@@ -456,6 +461,21 @@ class TestRunEm:
         # an m-step's input; the ascents and the recorded log-likelihoods
         # read the product kernel's axis factors
         assert kernel.value_calls == sum(trace.q_evals) + trace.iterations
+
+    def test_each_ascent_gives_the_log_likelihood_of_its_iterate(self, small_setup, caplog):
+        _, mu, grid = small_setup
+        kernel = CountingKernel(0.08)
+        img = simulate(kernel, mu, grid, 1e4, seed=13)
+        init = AtomicUniformMeasure([[0.3, 0.35], [0.65, 0.75]])
+        kernel.likelihood_calls = 0
+        with caplog.at_level(logging.DEBUG, logger="poisson_deconv.em"):
+            _, trace = run_em(img, kernel, init, EmConfig(max_iterations=10, early_stop_w1=0.0))
+        summary = run_summary(caplog)
+        assert summary["tried"] >= 1
+        # one forward model per likelihood evaluation of the ascents, and one
+        # for each iterate that no ascent produced
+        assert kernel.likelihood_calls == (summary["evals"] + trace.iterations
+                                           - summary["tried"])
 
     def test_recorded_loglik_is_log_likelihood(self):
         kernel = GaussianKernel(cov=[[0.0036, 0.0012], [0.0012, 0.0025]])

@@ -148,6 +148,48 @@ class TestReplicatesMatchDirectCalls:
                     assert row["w1_samples"][rep] == w1, (name, t, n_side, rep)
 
 
+class TestOneRootSolvePerCell:
+    def test_each_cell_with_moments_inverts_them_in_one_call(self, monkeypatch):
+        shapes = []
+        real_roots = mm.complex_roots
+
+        def recorded(coeffs):
+            shapes.append(np.shape(coeffs))
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(mm, "complex_roots", recorded)
+        # t = 1e-9 draws all-zero images, which have no moments to invert
+        spec = small_spec(t_values=(1e-9, 1e4, np.inf), resolutions=(10, 20), replicates=3)
+        table = run_risk_experiment(spec)
+        assert shapes == [(3, 5), (3, 5), (1, 5), (1, 5)]
+        centre = wasserstein_p(AtomicUniformMeasure(np.full((4, 2), 0.5)), spec.truth(), 1)
+        for m in (100, 400):
+            row = lookup(table, "mm", 1e-9, m)
+            assert row["w1_samples"] == [centre] * 3
+            assert row["n_warnings"] == 3  # one DegenerateDataWarning per replicate
+
+    def test_a_row_that_fails_fails_its_replicate_alone(self, monkeypatch, caplog):
+        spec = small_spec(replicates=3, estimators=("mm",))
+        clean = lookup(run_risk_experiment(spec), "mm", 1e4, 400)["w1_samples"]
+        real_roots = mm.complex_roots
+
+        def planted(coeffs):
+            roots = real_roots(coeffs)
+            roots[1] = np.nan  # how a stack reports a row that failed both paths
+            return roots
+
+        monkeypatch.setattr(mm, "complex_roots", planted)
+        with caplog.at_level("WARNING", logger="poisson_deconv.harness"):
+            table = run_risk_experiment(spec)
+        row = lookup(table, "mm", 1e4, 400)
+        assert row["w1_samples"] == [clean[0], None, clean[2]]
+        assert row["n_fail"] == 1
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert "estimator mm failed" in record.getMessage()
+        assert "root finding failed" in record.getMessage()
+
+
 class TestProcessPool:
     def test_one_pool_per_sweep_gives_the_serial_bytes(self, monkeypatch, tmp_path):
         pools = []
@@ -189,19 +231,19 @@ class TestProcessPool:
 
 class TestWarningCounts:
     @pytest.fixture(autouse=True)
-    def warning_mm(self, monkeypatch):
-        """The harness's mm_complex, raising one RuntimeWarning per call."""
-        real_mm = harness.mm_complex
+    def warning_moments(self, monkeypatch):
+        """The harness's estimate_moments, raising one RuntimeWarning per call."""
+        real_moments = harness.estimate_moments
 
-        def warning_mm(image, kernel, k):
+        def warning_moments(image, psi):
             warnings.warn("probe", RuntimeWarning)
-            return real_mm(image, kernel, k)
+            return real_moments(image, psi)
 
-        monkeypatch.setattr(harness, "mm_complex", warning_mm)
+        monkeypatch.setattr(harness, "estimate_moments", warning_moments)
 
     def test_each_estimator_counts_its_warnings(self, recwarn):
         table = run_risk_experiment(small_spec(replicates=3))
-        # the same warning is counted on every replicate; "em" runs its own MM start
+        # the same warning is counted on every replicate; "em" counts its MM start's
         assert lookup(table, "mm", 1e4, 400)["n_warnings"] == 3
         assert lookup(table, "em", 1e4, 400)["n_warnings"] == 3
         table = run_risk_experiment(small_spec(replicates=2, estimators=("em",)))
@@ -217,18 +259,21 @@ class TestWarningCounts:
         assert len(recwarn) == 0
 
 
-def failing_mm(monkeypatch, failures: dict):
-    """Patch the harness's mm_complex to raise ``failures[n]`` on its n-th call (from 1)."""
-    real_mm = harness.mm_complex
+def failing_scores(monkeypatch, failures: dict):
+    """Patch the harness's W_1 to raise ``failures[n]`` when scoring its n-th estimate (from 1).
+
+    The sweep's first call scores the window-centre fallback, not an estimate.
+    """
+    real_w1 = harness.wasserstein_p
     calls = []
 
-    def planted(image, kernel, k):
+    def planted(mu, nu, p):
         calls.append(None)
-        if len(calls) in failures:
-            raise failures[len(calls)]
-        return real_mm(image, kernel, k)
+        if len(calls) - 1 in failures:
+            raise failures[len(calls) - 1]
+        return real_w1(mu, nu, p)
 
-    monkeypatch.setattr(harness, "mm_complex", planted)
+    monkeypatch.setattr(harness, "wasserstein_p", planted)
 
 
 class TestFailures:
@@ -236,8 +281,8 @@ class TestFailures:
         spec = small_spec(replicates=3)
         clean = {name: lookup(run_risk_experiment(spec), name, 1e4, 400)["w1_samples"]
                  for name in ("mm", "em")}
-        # calls run mm, em per replicate: em fails on replicate 0, mm on replicate 2
-        failing_mm(monkeypatch, {2: mm.RootRecoveryError("no roots"), 5: ValueError("bad k")})
+        # scores run mm, em per replicate: em fails on replicate 0, mm on replicate 2
+        failing_scores(monkeypatch, {2: mm.RootRecoveryError("no roots"), 5: ValueError("bad k")})
         with caplog.at_level("WARNING", logger="poisson_deconv.harness"):
             table = run_risk_experiment(spec)
         fallback = wasserstein_p(AtomicUniformMeasure(np.full((4, 2), 0.5)), spec.truth(), 1)
@@ -256,7 +301,7 @@ class TestFailures:
         assert "estimator mm failed" in messages[1] and "bad k" in messages[1]
 
     def test_a_cell_with_no_success_writes_strict_json(self, monkeypatch, tmp_path):
-        failing_mm(monkeypatch, {n: ValueError("planted") for n in range(1, 7)})
+        failing_scores(monkeypatch, {n: ValueError("planted") for n in range(1, 7)})
         table = run_risk_experiment(small_spec(replicates=3))
         table.summary_json(tmp_path / "summary.json")
 

@@ -346,10 +346,10 @@ complex_values = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
 
 
 @st.composite
-def monic_polynomials(draw):
+def monic_polynomials(draw, degrees=st.integers(2, 16)):
     """Monic descending coefficients of degree 2..16: drawn directly, or from
     roots that may repeat or cluster."""
-    degree = draw(st.integers(2, 16))
+    degree = draw(degrees)
     if draw(st.booleans()):
         return np.concatenate([[1.0], draw(st.lists(complex_values, min_size=degree,
                                                      max_size=degree))]).astype(complex)
@@ -357,6 +357,21 @@ def monic_polynomials(draw):
     spread = draw(st.sampled_from([0.0, 1e-6, 1.0]))
     roots = [distinct[i % len(distinct)] * (1 + spread * i) for i in range(degree)]
     return np.poly(roots).astype(complex)
+
+
+@st.composite
+def monic_stacks(draw):
+    """An (R, k + 1) stack of 1..8 monic polynomials of one degree k in 2..16."""
+    degree = draw(st.integers(2, 16))
+    return np.array(draw(st.lists(monic_polynomials(st.just(degree)), min_size=1, max_size=8)))
+
+
+def oracle_or_failure(coeffs):
+    """oracle_find_roots, or None when both of its paths fail."""
+    try:
+        return oracle_find_roots(coeffs)
+    except RootRecoveryError:
+        return None
 
 
 def same_bits(a, b) -> bool:
@@ -423,6 +438,38 @@ class TestRootFinderMatchesOracle:
             two_values = _polyval_and_deriv(coeffs, z)
         for got, want in zip(one_pass + two_values, (p, dp, bound, p, dp)):
             assert same_bits(got, want)
+
+    @settings(max_examples=60)
+    @given(monic_stacks())
+    def test_each_row_of_a_stack_matches_the_oracle_bit_for_bit(self, stack):
+        expected = [oracle_or_failure(coeffs) for coeffs in stack]
+        with mm_debug_records() as records:
+            roots = complex_roots(stack)
+        assert roots.shape == (stack.shape[0], stack.shape[1] - 1)
+        # one record per row solved, in row order
+        assert [r.args[1:3] for r in records] == [e[1:] for e in expected if e is not None]
+        for row, want in zip(roots, expected):
+            if want is None:
+                assert np.isnan(row).all()
+            else:
+                assert same_bits(row, want[0])
+
+    def test_a_row_that_fails_both_paths_fails_alone(self):
+        # rows: Aberth; Aberth overflows from its Cauchy start, so the companion
+        # fallback; both paths overflow; Aberth
+        stack = np.array([[1, -3, 2, 0], [1, 0, -1e200, 0], [1, 1e200, 1e200, 0],
+                          [1, 0, 0, -8]], dtype=complex)
+        with np.errstate(all="ignore"):
+            expected = [oracle_or_failure(coeffs) for coeffs in stack]
+            with mm_debug_records() as records:
+                roots = complex_roots(stack)
+            with pytest.raises(RootRecoveryError):
+                complex_roots(stack[2])
+        assert [e and e[1] for e in expected] == ["aberth", "companion", None, "aberth"]
+        assert [r.args[1] for r in records] == ["aberth", "companion", "aberth"]
+        assert np.isnan(roots[2]).all()
+        for row in (0, 1, 3):
+            assert same_bits(roots[row], expected[row][0])
 
     @pytest.mark.parametrize("coeffs", [
         np.poly(np.arange(1, 9) / 10.0),
@@ -630,6 +677,19 @@ class TestMmComplex:
         img = noiseless(kernel, mu, grid)
         with pytest.raises(ValueError, match="1-d kernel cannot deconvolve a 2-d image"):
             mm_complex(img, GaussianKernel(sigma=0.05, dim=1), 2)
+
+    def test_a_moment_stack_gives_each_row_its_own_measure(self):
+        rng = np.random.default_rng(8)
+        moments = [exact_moments(AtomicUniformMeasure(rng.uniform(0, 1, (5, 2))), 5)
+                   for _ in range(3)]
+        moments.insert(1, np.array([0.5, np.nan, 0.1, 0.2, 0.3]))
+        for dimension in (1, 2):
+            got = measure_from_moments(np.array(moments), dimension=dimension)
+            assert len(got) == 4
+            assert isinstance(got[1], ValueError)
+            for row in (0, 2, 3):
+                alone = measure_from_moments(moments[row], dimension=dimension)
+                assert same_bits(got[row].atoms, alone.atoms)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_moments_rejected(self, bad):
