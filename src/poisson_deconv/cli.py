@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .em import EmConfig, log_likelihood, run_em
-from .harness import ExperimentSpec, builtin_configuration, run_risk_experiment
+from .harness import ESTIMATOR_NAMES, ExperimentSpec, builtin_configuration, run_risk_experiment
 from .kernels import GaussianKernel, TabulatedKernel, UniformBoxKernel
 from .measures import (
     AtomicUniformMeasure,
@@ -158,26 +158,24 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
 
 def cmd_estimate(config: dict, out_dir: str) -> int:
     estimator = _require(config, "estimator")
-    if estimator not in ("mm-complex", "em"):
-        raise ConfigError(f"unknown estimator '{estimator}'; expected 'mm-complex' or 'em'")
-    if estimator == "mm-complex" and "em" in config:
-        raise ConfigError("unknown field 'em': the mm-complex estimator runs no EM")
+    if estimator not in ESTIMATOR_NAMES:
+        raise ConfigError(f"unknown estimator '{estimator}'; expected 'mm' or 'em'")
+    if estimator == "mm" and "em" in config:
+        raise ConfigError("unknown field 'em': the mm estimator runs no EM")
     with _invalid("estimate spec"):
         k = validate_k(_require(config, "k"))
     em_config = _em_config(config.get("em", {}))
     kernel = _build_kernel(_require(config, "kernel"))
     image = load_image(_require(config, "image"))
-    os.makedirs(out_dir, exist_ok=True)
     diagnostics = {"estimator": estimator, "flags": []}
+    trace = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if estimator == "mm-complex":
-            est = mm_complex(image, kernel, k)
+        est = mm_complex(image, kernel, k)
+        if estimator == "mm":
             objective = None if image.noiseless else log_likelihood(image, kernel, est)
         else:
-            init = mm_complex(image, kernel, k)
-            est, trace = run_em(image, kernel, init, em_config)
-            trace.to_csv(os.path.join(out_dir, "trace.csv"))
+            est, trace = run_em(image, kernel, est, em_config)
             objective = trace.loglik[-1] if trace.loglik else None
             diagnostics["em"] = {
                 "iterations": trace.iterations,
@@ -193,6 +191,9 @@ def cmd_estimate(config: dict, out_dir: str) -> int:
     diagnostics["objective"] = objective
     payload = est.to_dict()
     payload["diagnostics"] = diagnostics
+    os.makedirs(out_dir, exist_ok=True)
+    if trace is not None:
+        trace.to_csv(os.path.join(out_dir, "trace.csv"))
     path = os.path.join(out_dir, "estimate.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)

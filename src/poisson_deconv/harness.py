@@ -335,9 +335,10 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
 
     The truth and kernel are built once, and each resolution's scene (bin
     grid and intensities) once; every cell of that resolution draws
-    from it.  Cells run in one process pool per sweep when spec.jobs > 1 and
-    the sweep has more than one cell, one cell per task; the workers each
-    receive the sweep's kernel, truth and scenes once.  The reduction always
+    from it.  Cells run in one process pool per sweep, one cell per task,
+    when spec.jobs (None: every core) > 1, the sweep has more than one cell,
+    spec.replicates > 1 and some t is finite; the workers each receive the
+    sweep's kernel, truth and scenes once.  The reduction always
     consumes results in cell and replicate order so means are bit-stable.
     Noiseless cells (t = inf) are deterministic and computed once.
     """

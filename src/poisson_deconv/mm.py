@@ -16,13 +16,6 @@ What does not depend on the counts is computed once: ``kernel_psi`` keeps
 each kernel's psi array per order for as long as the kernel lives, and the
 root finder, ``complex_roots``, evaluates p and p' once per iterate, reusing
 them for its freeze test, its Newton polish and its residual gate.
-
-``complex_roots`` and ``measure_from_moments`` also take a stack, one
-polynomial or one moment vector per row, and run every Aberth iteration over
-all rows at once, so NumPy's per-call overhead is paid once per stack rather
-than once per polynomial.  Each row's result is bit for bit the one it gets
-alone, and a row that fails fails alone.  The risk harness inverts each
-cell's replicates this way; every other caller solves one polynomial.
 """
 from __future__ import annotations
 
@@ -178,8 +171,12 @@ def _polyval_deriv_and_bound(coeffs: np.ndarray, rounding: np.ndarray, z: np.nda
     return p, dp, bound
 
 
-def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, values=None, max_steps: int = 8):
-    """Newton steps on every root, each kept only where it lowers |p|.
+_POLISH_STEPS = 8
+_ABERTH_MAX_ITER = 200
+
+
+def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, values=None):
+    """Newton steps on every root, each kept only where it lowers |p|, at most _POLISH_STEPS.
 
     ``coeffs`` broadcasts against ``roots`` as in ``_polyval_and_deriv``, and
     ``values`` is (p, p') at ``roots`` when the caller has them.  Returns the
@@ -191,7 +188,7 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, values=None, max_steps
     """
     roots = roots.astype(complex)
     p, dp = _polyval_and_deriv(coeffs, roots) if values is None else values
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         ok = np.abs(dp) > 0
         step = np.zeros_like(roots)
         step[ok] = p[ok] / dp[ok]
@@ -206,7 +203,7 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, values=None, max_steps
     return roots, p
 
 
-def _aberth(coeffs: np.ndarray, columns: np.ndarray, max_iter: int = 200):
+def _aberth(coeffs: np.ndarray, columns: np.ndarray):
     """Aberth-Ehrlich simultaneous iteration over an (R, k + 1) stack of monic polynomials.
 
     ``columns`` is (k + 1, R * k): column r * k + i holds the coefficients of
@@ -221,8 +218,8 @@ def _aberth(coeffs: np.ndarray, columns: np.ndarray, max_iter: int = 200):
     current points of its own polynomial.  A frozen root is evaluated again
     at the same point, so its values repeat, and a row's roots are those it
     gets alone.  Returns the R * k roots, row after row, each row's number of
-    iterations, at most ``max_iter``, and (p, p') at the returned roots, or
-    None when the cap stopped any row.
+    iterations, at most _ABERTH_MAX_ITER, and (p, p') at the returned roots,
+    or None when the cap stopped any row.
     """
     n_rows, k = coeffs.shape[0], coeffs.shape[1] - 1
     centre = -coeffs[:, 1] / k
@@ -242,7 +239,7 @@ def _aberth(coeffs: np.ndarray, columns: np.ndarray, max_iter: int = 200):
     active = np.ones(z.shape, dtype=bool)
     # the last iteration each root was tested while active, the one that froze it
     tested = np.empty(z.shape, dtype=int)
-    for iteration in range(max_iter):
+    for iteration in range(_ABERTH_MAX_ITER):
         p, dp, bound = _polyval_deriv_and_bound(columns, rounding, z)
         tested[active] = iteration
         active &= np.abs(p) > bound
@@ -257,7 +254,7 @@ def _aberth(coeffs: np.ndarray, columns: np.ndarray, max_iter: int = 200):
             denom = 1.0 - w * sums
             step = np.where(np.abs(denom) > 0, w / denom, w)
             z = np.where(active, z - np.where(np.isfinite(step), step, 0.0), z)
-    tested[active] = max_iter
+    tested[active] = _ABERTH_MAX_ITER
     return z, tested.reshape(n_rows, k).max(axis=1), None
 
 
@@ -290,18 +287,14 @@ def _companion_roots(coeffs: np.ndarray):
     return roots, _residual_ratio(coeffs, roots, p)
 
 
-_ROOT_FAILURE = ("root finding failed: Aberth iteration and companion-matrix fallback "
-                 "both exceeded the residual bound")
-
-
 def complex_roots(coeffs) -> np.ndarray:
-    """All k roots (with multiplicity) of a monic degree-k complex polynomial, or of a stack.
+    """All k roots (with multiplicity) of each monic degree-k complex polynomial of a stack.
 
-    ``coeffs`` holds descending coefficients: one polynomial, or an
-    (R, k + 1) stack of them, which gives (R, k) roots.  Aberth-Ehrlich
-    iteration, run over every row at once, started on a circle about each
-    root centroid -a_{k-1}/k of radius |p(centroid)|^(1/k), each root frozen
-    once |p(z)| <= 4 eps sum_j |a_j| |z|^j (rounding-level backward error),
+    ``coeffs`` is an (R, k + 1) stack of descending coefficients, one
+    polynomial per row, and gives (R, k) roots.  Aberth-Ehrlich iteration,
+    run over every row at once, started on a circle about each root centroid
+    -a_{k-1}/k of radius |p(centroid)|^(1/k), each root frozen once
+    |p(z)| <= 4 eps sum_j |a_j| |z|^j (rounding-level backward error),
     capped at 200 iterations; companion-matrix eigenvalues are the fallback
     of each row whose Aberth roots miss the residual gate.  Every candidate
     set is Newton-polished and accepted only if the residual |p(root)| stays
@@ -309,14 +302,12 @@ def complex_roots(coeffs) -> np.ndarray:
     those it gets alone.  Each accepted row logs one DEBUG record on this
     module's logger with the path taken ("linear", "aberth" or "companion"),
     the Aberth iteration count and the worst residual-to-bound ratio.  A row
-    that fails both paths raises RootRecoveryError for one polynomial; in a
-    stack it fails alone, as a row of NaN.
+    that fails both paths fails alone, as a row of NaN.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    stack = coeffs if coeffs.ndim == 2 else coeffs.reshape(1, -1)
-    if stack.shape[1] < 2:
-        raise ValueError("polynomial degree must be >= 1")
-    stack = stack / stack[:, :1]
+    if coeffs.ndim != 2 or coeffs.shape[1] < 2:
+        raise ValueError(f"coeffs must be an (R, k + 1) stack with k >= 1, got {coeffs.shape}")
+    stack = coeffs / coeffs[:, :1]
     n_rows, k = stack.shape[0], stack.shape[1] - 1
     if k == 1:
         roots, iterations, paths = -stack[:, 1:], np.zeros(n_rows, int), ["linear"] * n_rows
@@ -335,8 +326,6 @@ def complex_roots(coeffs) -> np.ndarray:
                 roots[row], ratios[row] = _companion_roots(stack[row])
                 paths[row] = "companion"
             failed = ~(ratios <= 1.0)
-            if failed.any() and coeffs.ndim != 2:
-                raise RootRecoveryError(_ROOT_FAILURE)
             roots[failed] = np.nan
     if logger.isEnabledFor(logging.DEBUG):
         for row in np.flatnonzero(~failed):
@@ -345,43 +334,42 @@ def complex_roots(coeffs) -> np.ndarray:
                 "worst residual/bound %.3g", k, paths[row], int(iterations[row]),
                 float(ratios[row]),
             )
-    return roots if coeffs.ndim == 2 else roots[0]
+    return roots
 
 
-def measure_from_moments(m, dimension: int = 2):
-    """Invert complex moments m_1..m_k into the unique k-atomic uniform measure.
+def measure_from_moments(m, dimension: int = 2) -> list:
+    """Invert each row of an (R, k) stack of complex moments m_1..m_k into its k-atomic measure.
 
-    k is the length of ``m``.  On 1-d data (``dimension`` 1) each root a + ib
-    becomes the atom a + b, sorted, so a conjugate pair a +- ib gives two
-    atoms a +- b rather than two coincident ones at a, which no likelihood
-    ascent can split.  Raises ValueError on non-finite moments and
-    RootRecoveryError when no root set passes the residual gate.  An (R, k)
-    stack of moments is inverted by one ``complex_roots`` call and gives a
-    list of R entries: each row's measure, bit for bit the one it gets alone,
-    or the exception it alone would raise, so a failed row fails alone.
+    One ``complex_roots`` call inverts every row with finite moments.  The
+    result has one entry per row: its uniform measure, bit for bit the one
+    the row gets alone, or the exception that row fails with, ValueError for
+    non-finite moments and RootRecoveryError when no root set passes the
+    residual gate.  On 1-d data (``dimension`` 1) each root a + ib becomes
+    the atom a + b, sorted, so a conjugate pair a +- ib gives two atoms
+    a +- b rather than two coincident ones at a, which no likelihood ascent
+    can split.
     """
     m = np.asarray(m, dtype=complex)
-    stack = m if m.ndim == 2 else m.reshape(1, -1)
-    finite = np.isfinite(stack).all(axis=1)
-    roots = np.full(stack.shape, np.nan, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"moments must be an (R, k) stack, got shape {m.shape}")
+    finite = np.isfinite(m).all(axis=1)
+    roots = np.full(m.shape, np.nan, dtype=complex)
     if finite.any():
         roots[finite] = complex_roots(
-            np.array([polynomial_from_moments(row) for row in stack[finite]]))
+            np.array([polynomial_from_moments(row) for row in m[finite]]))
     measures = []
     for row_finite, row in zip(finite, roots):
         if not row_finite:
             measures.append(ValueError("moments m_1..m_k must be finite"))
         elif np.isnan(row[0]):
-            measures.append(RootRecoveryError(_ROOT_FAILURE))
+            measures.append(RootRecoveryError(
+                "root finding failed: Aberth iteration and companion-matrix fallback "
+                "both exceeded the residual bound"))
         elif dimension == 1:
             measures.append(AtomicUniformMeasure(np.sort(row.real + row.imag)))
         else:
             measures.append(AtomicUniformMeasure.from_complex(row))
-    if m.ndim == 2:
-        return measures
-    if isinstance(measures[0], Exception):
-        raise measures[0]
-    return measures[0]
+    return measures
 
 
 def validate_k(k) -> int:
@@ -411,7 +399,9 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
     observation window; no projection onto it is applied.  An image whose
     counts are all zero gives k atoms at the window centre and a
     DegenerateDataWarning.  Raises ValueError when k is not an integer >= 1
-    (checked first) or when the kernel's dimension differs from the image's.
+    (checked first), when the kernel's dimension differs from the image's or
+    when the moments are not finite, and RootRecoveryError when no root set
+    passes the residual gate: the one failure of its one-row stack.
     """
     k = validate_k(k)
     if kernel.dimension != image.grid.dimension:
@@ -423,5 +413,8 @@ def mm_complex(image: CountImage, kernel: Kernel, k: int) -> AtomicUniformMeasur
     if centre is not None:
         return centre
     m_hat = estimate_moments(image, kernel_psi(kernel, k))
-    return measure_from_moments(m_hat, dimension=image.grid.dimension)
+    [estimate] = measure_from_moments(m_hat[None], dimension=image.grid.dimension)
+    if isinstance(estimate, Exception):
+        raise estimate
+    return estimate
 

@@ -42,7 +42,7 @@ def run_estimate(config: dict, tmp_path, estimator: str):
 
 
 def test_mm_complex_estimate_writes_planar_atoms(estimate_config, tmp_path):
-    diagnostics, out = run_estimate(estimate_config, tmp_path, "mm-complex")
+    diagnostics, out = run_estimate(estimate_config, tmp_path, "mm")
     assert "em" not in diagnostics and diagnostics["objective"] is None
     assert not (out / "trace.csv").exists()
 
@@ -52,7 +52,7 @@ def test_mm_complex_objective_is_the_log_likelihood_at_finite_t(estimate_config,
     kernel = GaussianKernel(sigma=0.05)
     image = simulate(kernel, mu, BinGrid([0.0, 0.0], [1.0, 1.0], (24, 24)), 1e4, 3)
     save_image(image, tmp_path / "counts")
-    config = {**estimate_config, "image": str(tmp_path / "counts"), "estimator": "mm-complex"}
+    config = {**estimate_config, "image": str(tmp_path / "counts"), "estimator": "mm"}
     assert cmd_estimate(config, str(tmp_path / "out")) == 0
     payload = json.loads((tmp_path / "out" / "estimate.json").read_text())
     est = AtomicUniformMeasure(np.array(payload["atoms"]))
@@ -65,7 +65,7 @@ def test_estimate_and_its_moment_diagnostic_share_one_psi(estimate_config, tmp_p
     built = []
     compute_psi = mm.compute_psi
     monkeypatch.setattr(mm, "compute_psi", lambda m: built.append(m.shape) or compute_psi(m))
-    diagnostics, _ = run_estimate(estimate_config, tmp_path, "mm-complex")
+    diagnostics, _ = run_estimate(estimate_config, tmp_path, "mm")
     assert built == [(3,)]  # k = 2: one psi, built by the estimator, read again for moments_hat
     assert len(diagnostics["moments_hat"]) == 2
 
@@ -80,10 +80,10 @@ def test_em_estimate_writes_a_monotone_trace(estimate_config, tmp_path):
 
 
 def test_estimate_flags_the_warnings_the_estimator_raised(estimate_config, tmp_path):
-    assert run_estimate(estimate_config, tmp_path, "mm-complex")[0]["flags"] == []
+    assert run_estimate(estimate_config, tmp_path, "mm")[0]["flags"] == []
     grid = BinGrid([0.0, 0.0], [1.0, 1.0], (8, 8))
     save_image(CountImage(grid, np.zeros(grid.m), 1e4), tmp_path / "zeros")
-    config = {**estimate_config, "image": str(tmp_path / "zeros"), "estimator": "mm-complex"}
+    config = {**estimate_config, "image": str(tmp_path / "zeros"), "estimator": "mm"}
     assert cmd_estimate(config, str(tmp_path / "zeros_out")) == 0
     payload = json.loads((tmp_path / "zeros_out" / "estimate.json").read_text())
     assert payload["diagnostics"]["flags"] == [
@@ -94,7 +94,7 @@ def test_estimate_flags_the_warnings_the_estimator_raised(estimate_config, tmp_p
 def test_mm_general_is_not_an_estimator(estimate_config, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_image", lambda path: pytest.fail("image read"))
     with pytest.raises(ConfigError, match="unknown estimator 'mm-general'; expected "
-                                          "'mm-complex' or 'em'"):
+                                          "'mm' or 'em'"):
         cmd_estimate({**estimate_config, "estimator": "mm-general"}, str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
 
@@ -104,6 +104,22 @@ def test_mm_real_is_not_an_estimator(estimate_config, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_image", lambda path: pytest.fail("image read"))
     with pytest.raises(ConfigError, match="unknown estimator 'mm-real'"):
         cmd_estimate({**estimate_config, "estimator": "mm-real"}, str(tmp_path / "out"))
+
+
+def test_the_retired_mm_complex_name_exits_2_naming_mm(estimate_config, tmp_path, capsys):
+    assert run_main(tmp_path, "estimate", {**estimate_config, "estimator": "mm-complex"}) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown estimator 'mm-complex'; expected 'mm' or 'em'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_with_a_line_kernel_exits_1_and_writes_nothing(estimate_config, tmp_path,
+                                                               capsys):
+    config = {**estimate_config, "kernel": {**estimate_config["kernel"], "dim": 1},
+              "estimator": "em"}
+    assert run_main(tmp_path, "estimate", config) == 1
+    assert "1-d kernel cannot deconvolve a 2-d image" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_writes_the_refinement_trace(estimate_config, tmp_path):
@@ -248,9 +264,10 @@ def test_em_estimate_rejects_an_unknown_em_field_before_estimating(estimate_conf
 
 
 def test_mm_complex_estimate_rejects_an_em_block(estimate_config, tmp_path, capsys):
-    config = {**estimate_config, "estimator": "mm-complex", "em": {"max_iterations": 5}}
+    config = {**estimate_config, "estimator": "mm", "em": {"max_iterations": 5}}
     assert run_main(tmp_path, "estimate", config) == 2
-    assert capsys.readouterr().err.startswith("config error: unknown field 'em'")
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown field 'em': the mm estimator runs no EM")
     assert not (tmp_path / "out").exists()
 
 
@@ -262,7 +279,7 @@ def test_invalid_em_values_in_estimate_exit_2(estimate_config, tmp_path, capsys)
 
 @pytest.mark.parametrize("k", [0, -1, 1.5, True])
 def test_invalid_k_in_estimate_exits_2(estimate_config, tmp_path, capsys, k):
-    config = {**estimate_config, "estimator": "mm-complex", "k": k}
+    config = {**estimate_config, "estimator": "mm", "k": k}
     assert run_main(tmp_path, "estimate", config) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: invalid estimate spec: k must be an integer >= 1, got {k!r}"
@@ -340,7 +357,7 @@ def test_malformed_image_geometry_is_an_error_without_traceback(estimate_config,
                                                                 capsys, override, message):
     meta_path = tmp_path / "image" / "image.json"
     meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **override}))
-    assert run_main(tmp_path, "estimate", {**estimate_config, "estimator": "mm-complex"}) == 1
+    assert run_main(tmp_path, "estimate", {**estimate_config, "estimator": "mm"}) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
 

@@ -198,30 +198,38 @@ class TestNewtonVieta:
 
 class TestComplexRoots:
     def test_factored_cases(self):
-        assert np.allclose(sorted(complex_roots([1, -1, 0]).real), [0.0, 1.0])
-        assert np.allclose(sorted(complex_roots([1, -6, 11, -6]).real), [1, 2, 3])
+        assert np.allclose(sorted(complex_roots([[1, -1, 0]])[0].real), [0.0, 1.0])
+        assert np.allclose(sorted(complex_roots([[1, -6, 11, -6]])[0].real), [1, 2, 3])
 
     def test_wilkinson_mild(self):
         targets = np.arange(1, 6) / 10.0
         coeffs = np.poly(targets)
-        roots = np.sort(complex_roots(coeffs).real)
+        roots = np.sort(complex_roots([coeffs])[0].real)
         assert np.allclose(roots, targets, atol=1e-8)
 
     def test_multiple_root_at_zero(self):
-        roots = complex_roots([1, 0, 0, 0])  # z^3
-        assert roots.shape[0] == 3
+        roots = complex_roots([[1, 0, 0, 0]])  # z^3
+        assert roots.shape == (1, 3)
         assert np.max(np.abs(roots)) < 1e-3
 
     def test_degree_one_exact(self):
-        assert complex_roots([1.0, -0.25 - 0.5j])[0] == 0.25 + 0.5j
+        assert complex_roots([[1.0, -0.25 - 0.5j]])[0, 0] == 0.25 + 0.5j
 
     def test_cauchy_bound(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             k = int(rng.integers(1, 7))
             coeffs = np.concatenate([[1.0], rng.normal(size=k) + 1j * rng.normal(size=k)])
-            roots = complex_roots(coeffs)
+            roots = complex_roots([coeffs])
             assert np.all(np.abs(roots) <= 1.0 + np.max(np.abs(coeffs[1:])) + 1e-9)
+
+    @pytest.mark.parametrize("solve, row", [
+        (complex_roots, [1.0, -0.5, 0.25]),
+        (measure_from_moments, [0.5 + 0.5j, 0.25]),
+    ], ids=["roots", "moments"])
+    def test_a_single_row_is_not_a_stack(self, solve, row):
+        with pytest.raises(ValueError, match=r"must be an \(R, k(?: \+ 1)?\) stack"):
+            solve(row)
 
 
 class TestRootFinderConvergence:
@@ -254,7 +262,7 @@ class TestRootFinderConvergence:
     ], ids=["multiple", "cluster"])
     def test_multiple_and_clustered_roots(self, targets):
         coeffs = np.poly(targets)
-        roots = complex_roots(coeffs)
+        [roots] = complex_roots([coeffs])
         assert roots.shape == (len(targets),)
         assert _residual_ratio(coeffs, roots) <= 1.0
 
@@ -403,14 +411,12 @@ class TestRootFinderMatchesOracle:
     @settings(max_examples=150)
     @given(monic_polynomials())
     def test_roots_path_and_ratio_match_bit_for_bit(self, coeffs):
-        try:
-            expected = oracle_find_roots(coeffs)
-        except RootRecoveryError:
-            with pytest.raises(RootRecoveryError):
-                complex_roots(coeffs)
-            return
+        expected = oracle_or_failure(coeffs)
         with mm_debug_records() as records:
-            roots = complex_roots(coeffs)
+            [roots] = complex_roots([coeffs])
+        if expected is None:
+            assert np.isnan(roots).all() and records == []
+            return
         [record] = records
         _, path, iterations, ratio = record.args
         assert same_bits(roots, expected[0])
@@ -463,8 +469,8 @@ class TestRootFinderMatchesOracle:
             expected = [oracle_or_failure(coeffs) for coeffs in stack]
             with mm_debug_records() as records:
                 roots = complex_roots(stack)
-            with pytest.raises(RootRecoveryError):
-                complex_roots(stack[2])
+            alone = complex_roots(stack[2:3])
+        assert np.isnan(alone).all()
         assert [e and e[1] for e in expected] == ["aberth", "companion", None, "aberth"]
         assert [r.args[1] for r in records] == ["aberth", "companion", "aberth"]
         assert np.isnan(roots[2]).all()
@@ -477,7 +483,7 @@ class TestRootFinderMatchesOracle:
     ], ids=["aberth", "linear"])
     def test_debug_record_reports_the_accepted_ratio(self, caplog, coeffs):
         with caplog.at_level(logging.DEBUG, logger="poisson_deconv.mm"):
-            roots = complex_roots(coeffs)
+            [roots] = complex_roots([coeffs])
         [record] = [r for r in caplog.records if r.name == "poisson_deconv.mm"]
         monic = np.asarray(coeffs, dtype=complex)
         assert record.args[3] == _residual_ratio(monic / monic[0], roots) <= 1.0
@@ -505,7 +511,7 @@ class TestMomentRoundtrip:
         coeffs = polynomial_from_moments(moments)
         expected = np.poly(mu.atoms[:, 0] + 1j * mu.atoms[:, 1])
         assert np.abs(coeffs - expected).max() <= 1e-9 * np.abs(expected).max()
-        nu = measure_from_moments(moments)
+        [nu] = measure_from_moments([moments])
         assert wasserstein_p(mu, nu, np.inf) <= 1e-6
 
     def test_random_measures_recovered(self):
@@ -513,7 +519,7 @@ class TestMomentRoundtrip:
         for _ in range(50):
             k = int(rng.integers(1, 6))
             mu = AtomicUniformMeasure(rng.uniform(0, 1, size=(k, 2)))
-            nu = measure_from_moments(exact_moments(mu, k))
+            [nu] = measure_from_moments([exact_moments(mu, k)])
             assert wasserstein_p(mu, nu, np.inf) < 1e-8
 
     def test_identifiability_probe(self):
@@ -522,7 +528,7 @@ class TestMomentRoundtrip:
         for _ in range(200):
             k = int(rng.integers(1, 5))
             mu = AtomicUniformMeasure(rng.uniform(0, 1, size=(k, 2)))
-            nu = measure_from_moments(exact_moments(mu, k))
+            [nu] = measure_from_moments([exact_moments(mu, k)])
             if moment_distance(exact_moments(mu, k), exact_moments(nu, k)) < 1e-12:
                 assert wasserstein_p(mu, nu, 1) < 1e-6
 
@@ -641,7 +647,7 @@ class TestMmComplex:
 
     def test_exact_moment_injection(self):
         mu = AtomicUniformMeasure([[0.2, 0.8], [0.6, 0.4], [0.9, 0.1]])
-        est = measure_from_moments(exact_moments(mu, 3))
+        [est] = measure_from_moments([exact_moments(mu, 3)])
         assert wasserstein_p(est, mu, np.inf) < 1e-9
 
     def test_k1_returns_first_moment(self):
@@ -688,13 +694,25 @@ class TestMmComplex:
             assert len(got) == 4
             assert isinstance(got[1], ValueError)
             for row in (0, 2, 3):
-                alone = measure_from_moments(moments[row], dimension=dimension)
+                [alone] = measure_from_moments([moments[row]], dimension=dimension)
                 assert same_bits(got[row].atoms, alone.atoms)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_moments_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            measure_from_moments([0.5 + 0.5j, bad])
+        [error] = measure_from_moments([[0.5 + 0.5j, bad]])
+        assert isinstance(error, ValueError) and "finite" in str(error)
+
+    @pytest.mark.parametrize("target, planted, error, message", [
+        ("estimate_moments", lambda image, psi: np.full(2, np.nan), ValueError, "finite"),
+        ("complex_roots", lambda coeffs: np.full((1, 2), np.nan), RootRecoveryError,
+         "root finding failed"),
+    ], ids=["moments", "roots"])
+    def test_mm_complex_raises_the_failure_of_its_row(self, planar_setup, monkeypatch,
+                                                       target, planted, error, message):
+        kernel, mu, grid = planar_setup
+        monkeypatch.setattr(mm, target, planted)
+        with pytest.raises(error, match=message):
+            mm_complex(noiseless(kernel, mu, grid), kernel, 2)
 
     @pytest.mark.parametrize("counts", ["poisson", "zeros"])
     @pytest.mark.parametrize("k", [0, -1, 1.5, True])
@@ -759,7 +777,7 @@ class TestMmReal:
     def test_symmetric_pair_closed_form(self):
         a = 0.35
         mu = AtomicUniformMeasure([-a, a])
-        est = measure_from_moments(exact_moments(mu, 2), dimension=1)
+        [est] = measure_from_moments([exact_moments(mu, 2)], dimension=1)
         assert np.allclose(np.sort(est.atoms[:, 0]), [-a, a], atol=1e-12)
 
     def test_conjugate_pair_projects(self):
@@ -768,7 +786,7 @@ class TestMmReal:
         moments = [
             np.mean(np.array([x + 1j * y, x - 1j * y]) ** j) for j in (1, 2)
         ]
-        est = measure_from_moments(moments, dimension=1)
+        [est] = measure_from_moments([moments], dimension=1)
         assert np.allclose(est.atoms[:, 0], [x - y, x + y], atol=1e-12)
 
     def test_close_pair_is_split_and_refined(self):

@@ -4,6 +4,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
+from poisson_deconv import mm
 from poisson_deconv.em import EmConfig, log_likelihood
 from poisson_deconv.kernels import GaussianKernel, UniformBoxKernel
 from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
@@ -327,6 +328,35 @@ class TestRunPipeline:
         result = run_pipeline(img, kernel, config)
         assert result.estimate.k == 16
         assert wasserstein_p(result.estimate, truth, 1) <= 1e-6
+
+    def test_a_cell_whose_roots_fail_is_flagged_and_the_others_are_refined(self,
+                                                                          monkeypatch):
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        img = noiseless(kernel, four_clusters(), BinGrid([0, 0], [1, 1], (80, 80)))
+        config = PartitionConfig(
+            mode_count=8, k=16, mode_half_widths=(0.08, 0.08), link_threshold=0.2
+        )
+        expected = run_pipeline(img, kernel, config)
+        real_roots, calls = mm.complex_roots, []
+
+        def planted(coeffs):
+            # cell 1's polynomial gets a NaN row, as when both root paths fail
+            calls.append(coeffs.shape)
+            roots = real_roots(coeffs)
+            return np.full_like(roots, np.nan) if len(calls) == 2 else roots
+
+        monkeypatch.setattr(mm, "complex_roots", planted)
+        result = run_pipeline(img, kernel, config)
+        assert calls == [(1, 5)] * 4
+        failed = result.cells[1]
+        assert failed.estimate is None
+        assert failed.flags == ["estimation_failed: root finding failed: Aberth iteration and "
+                                "companion-matrix fallback both exceeded the residual bound"]
+        for cell, alone in zip(result.cells, expected.cells):
+            if cell is not failed:
+                assert cell.flags == [] and np.array_equal(cell.estimate.atoms,
+                                                           alone.estimate.atoms)
+        assert result.estimate.k == 12 and result.trace.status == ["improved"]
 
     def test_cell_counts_sum_to_k(self):
         # a noisy four-cluster image whose cell shares of k = 16 are 3.39,

@@ -5,8 +5,9 @@ A public function, class, constant or method that no module of
 scan parses the sources with ``ast``; a name counts as loaded when it is read
 as a variable or as an attribute anywhere in the package.
 
-Likewise a defaulted parameter of a public function or method that no call in
-the package passes is a knob only tests turn, or nobody.  A call passes a
+Likewise a defaulted parameter of a function or method, public or private
+but not a dunder, that no call in the package passes is a knob only tests
+turn, or nobody.  A call passes a
 parameter by keyword, by position, or through ``*``/``**``; callees are
 matched by name, as loaded names are.
 
@@ -112,14 +113,18 @@ def _defaulted_parameters(func: ast.FunctionDef, is_method: bool):
             yield None, arg.arg
 
 
-def _public_functions(tree: ast.Module):
-    """(qualified name, node, is_method) of every public function and method."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node, is_method) of every function and method but dunder methods."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             yield node.name, node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item, True
 
 
@@ -149,7 +154,7 @@ def unpassed_defaulted_parameters() -> list:
     calls = _calls_by_name(trees.values())
     unpassed = []
     for module, tree in trees.items():
-        for name, func, is_method in _public_functions(tree):
+        for name, func, is_method in _functions(tree):
             sites = calls.get(name.rsplit(".", 1)[-1], [])
             for position, param in _defaulted_parameters(func, is_method):
                 passed = any(
