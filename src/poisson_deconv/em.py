@@ -27,7 +27,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 from scipy.spatial.distance import pdist
 
 from .kernels import Kernel
@@ -250,7 +250,7 @@ def _climb(fun, start: AtomicUniformMeasure, image: CountImage, kernel: Kernel,
     try:
         res = minimize(
             fun, np.clip(start.atoms, lo, hi).ravel(), jac=True, method="L-BFGS-B",
-            bounds=list(zip(lo, hi)) * start.k,
+            bounds=Bounds(np.tile(lo, start.k), np.tile(hi, start.k)),
             options={"maxiter": config.inner_max_iterations, "gtol": _GRAD_TOL, "ftol": _FTOL},
         )
     except Exception as exc:

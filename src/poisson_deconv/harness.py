@@ -6,18 +6,20 @@ or supplies custom atoms, a kernel width, grid resolutions, exposure values
 kernel are built once per sweep, and the scene of each resolution (its bin
 grid and the truth's bin intensities) once per resolution; every t and every
 replicate of that resolution draws its image from that scene.  Each (t, m)
-cell is replicated with independently derived seeds and is one unit of work:
-every replicate's image gives its moment estimates, and one stacked root
-solve inverts them all, giving each replicate bit for bit the MM estimate it
-would get alone; "em" refines that estimate.  Per-replicate W_1 errors, wall
-times and the number of warnings each estimator raised aggregate into a
-RiskTable.  A replicate's time is its own moment estimation, plus an equal
-share of its cell's stacked solve, plus run_em for "em"; drawing the image
-and scoring it are not timed.  An estimator that fails on a replicate is
-logged at WARNING and scores W_1 = NaN: the mean and stderr columns skip it,
-n_fail counts it, and the pessimistic columns score it as k atoms at the
-window's centre.  risk.csv contains only deterministic columns so identical
-spec+seed runs are byte-identical; timings are written separately.
+cell is replicated with independently derived seeds.  Cells run in batches:
+a serial sweep is one batch and a pool task is one cell.  Every replicate's
+image of a batch gives its moment estimates, and one stacked root solve
+inverts them all, giving each replicate bit for bit the MM estimate it
+would get alone; "em" draws the image again from its seed and refines that
+estimate.  Per-replicate W_1 errors, wall times and the number of warnings
+each estimator raised aggregate into a RiskTable.  A replicate's time is
+its own moment estimation, plus an equal share of its batch's stacked
+solve, plus run_em for "em"; drawing the image and scoring it are not
+timed.  An estimator that fails on a replicate is logged at WARNING and
+scores W_1 = NaN: the mean and stderr columns skip it, n_fail counts it, and
+the pessimistic columns score it as k atoms at the window's centre.
+risk.csv contains only deterministic columns so identical spec+seed runs
+are byte-identical; timings are written separately.
 """
 from __future__ import annotations
 
@@ -139,10 +141,10 @@ class RiskTable:
     """Aggregated results, one row per (estimator, t, m, sigma) cell.
 
     mean_time_s is the mean over a cell's replicates of each one's time: its
-    moment estimation, plus the cell's stacked root solve divided by the
-    number of replicates in the stack, plus run_em for "em".  A warning
-    raised by the stacked solve counts once in n_warnings for every
-    replicate in the stack.
+    moment estimation, plus its batch's stacked root solve divided by the
+    number of rows in the stack, plus run_em for "em".  A warning raised by
+    the stacked solve counts once in n_warnings for every replicate in the
+    stack: of its cell in a pool, of the whole sweep when it runs serially.
     """
 
     rows: list = field(default_factory=list)
@@ -211,8 +213,8 @@ class RiskTable:
 
 
 # The sweep a pool worker serves, set once per worker by _start_worker, so a
-# task carries only (n_side, t, seeds) and the worker keeps one kernel object,
-# whose psi mm.kernel_psi then builds once.
+# task carries only one cell's (n_side, t, seeds) and the worker keeps one
+# kernel object, whose psi mm.kernel_psi then builds once.
 _worker_sweep = None
 
 
@@ -222,46 +224,56 @@ def _start_worker(sweep: tuple) -> None:
 
 
 def _run_in_worker(payload: tuple) -> list:
-    return _run_cell(_worker_sweep, payload)
+    [results] = _run_cells(_worker_sweep, [payload])
+    return results
 
 
-def _run_cell(sweep: tuple, payload: tuple) -> list:
-    """Every replicate of one cell: draw its image, run the estimators, score.
+def _draw(grid: BinGrid, lam: np.ndarray, t: float, seed) -> CountImage:
+    """The image of a replicate: its Poisson draw, or the intensities when t = inf."""
+    return CountImage(grid, lam, t) if np.isinf(t) else poisson_image(grid, lam, t, seed)
+
+
+def _run_cells(sweep: tuple, payloads: list) -> list:
+    """Every replicate of a batch of cells: draw its image, run the estimators, score.
 
     ``sweep`` is (spec, kernel, truth, scenes), what every cell of the sweep
     shares, with each resolution's scene a (grid, intensities) pair keyed by
-    n_side.  ``payload`` is (n_side, t, seeds): the cell's resolution, its
-    exposure, and one stream per replicate.  Each replicate's image gives its
-    moment estimates, or window-centre atoms and a DegenerateDataWarning when
-    its counts are all zero; one ``measure_from_moments`` call then inverts
-    the cell's stack of moments, so each replicate gets the MM estimate it
-    would get alone.  "mm" scores that estimate and "em" runs ``run_em`` from
-    it.  Returns one dict per replicate, mapping each estimator to
-    {"w1", "time", "n_warnings"}; see ``RiskTable`` for what the time
-    covers.  Every warning is recorded, repeats included, and counted; one
-    raised by the stacked call counts for every replicate in the stack, and
-    none reaches the caller.  An estimator whose inversion or refinement
-    raises RootRecoveryError, ValueError or FloatingPointError scores
-    W_1 = NaN, which the pessimistic columns replace by the window-centre
-    W_1, and is logged at WARNING after its clock stops.
+    n_side.  Each payload is (n_side, t, seeds): a cell's resolution, its
+    exposure, and one stream per replicate.  First, each replicate's image
+    gives its moment estimates, or window-centre atoms and a
+    DegenerateDataWarning when its counts are all zero; the image itself is
+    not kept.  Then one ``measure_from_moments`` call inverts the moments of
+    the whole batch, so each replicate gets the MM estimate it would get
+    alone.  Last, "mm" scores that estimate, and "em" draws the image again
+    from its seed and runs ``run_em`` from it.  Returns, per payload, one
+    dict per replicate, mapping each estimator to {"w1", "time",
+    "n_warnings"}; see ``RiskTable`` for what the time covers.  Every
+    warning is recorded, repeats included, and counted; one raised by the
+    stacked call counts for every replicate of the batch, and none reaches
+    the caller.  An estimator whose inversion or refinement raises
+    RootRecoveryError, ValueError or FloatingPointError scores W_1 = NaN,
+    which the pessimistic columns replace by the window-centre W_1, and is
+    logged at WARNING after its clock stops.
     """
     spec, kernel, truth, scenes = sweep
-    n_side, t, seeds = payload
-    grid, lam = scenes[n_side]
     psi = kernel_psi(kernel, truth.k)
-    images, starts, times, n_warnings = [], [], [], []
-    for seed in seeds:
-        image = CountImage(grid, lam, t) if np.isinf(t) else poisson_image(grid, lam, t, seed)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            begin = time.perf_counter()
-            start = degenerate_estimate(image, truth.k)
-            if start is None:
-                start = estimate_moments(image, psi)
-            times.append(time.perf_counter() - begin)
-        images.append(image if "em" in spec.estimators else None)  # only run_em reads it
-        starts.append(start)
-        n_warnings.append(len(caught))
+    # one entry per replicate of the batch, cell after cell
+    cells, seeds, starts, times, n_warnings = [], [], [], [], []
+    for cell, (n_side, t, cell_seeds) in enumerate(payloads):
+        grid, lam = scenes[n_side]
+        for seed in cell_seeds:
+            image = _draw(grid, lam, t, seed)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                begin = time.perf_counter()
+                start = degenerate_estimate(image, truth.k)
+                if start is None:
+                    start = estimate_moments(image, psi)
+                times.append(time.perf_counter() - begin)
+            cells.append(cell)
+            seeds.append(seed)
+            starts.append(start)
+            n_warnings.append(len(caught))
     # a start that is still an array of moments is inverted with the others
     stacked = [rep for rep, start in enumerate(starts) if isinstance(start, np.ndarray)]
     if stacked:
@@ -274,8 +286,12 @@ def _run_cell(sweep: tuple, payload: tuple) -> list:
             starts[rep] = start
             times[rep] += share
             n_warnings[rep] += len(caught)
-    results = []
-    for image, start, elapsed, shared_warnings in zip(images, starts, times, n_warnings):
+    results = [[] for _ in payloads]
+    for cell, seed, start, elapsed, shared_warnings in zip(cells, seeds, starts, times,
+                                                          n_warnings):
+        n_side, t, _ = payloads[cell]
+        grid, lam = scenes[n_side]
+        image = _draw(grid, lam, t, seed) if "em" in spec.estimators else None
         out = {}
         for name in spec.estimators:
             begin = time.perf_counter()
@@ -292,7 +308,7 @@ def _run_cell(sweep: tuple, payload: tuple) -> list:
                 w1 = np.nan
                 logger.warning("estimator %s failed at t=%s, m=%d: %s", name, t, grid.m, exc)
             out[name] = {"w1": w1, "time": spent, "n_warnings": shared_warnings + len(caught)}
-        results.append(out)
+        results[cell].append(out)
     return results
 
 
@@ -338,8 +354,10 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
     from it.  Cells run in one process pool per sweep, one cell per task,
     when spec.jobs (None: every core) > 1, the sweep has more than one cell,
     spec.replicates > 1 and some t is finite; the workers each receive the
-    sweep's kernel, truth and scenes once.  The reduction always
-    consumes results in cell and replicate order so means are bit-stable.
+    sweep's kernel, truth and scenes once.  Otherwise every cell runs in
+    one batch, whose moments one stacked root solve inverts.  The reduction
+    always consumes results in cell and replicate order so means are
+    bit-stable.
     Noiseless cells (t = inf) are deterministic and computed once.
     """
     table = RiskTable()
@@ -365,7 +383,7 @@ def run_risk_experiment(spec: ExperimentSpec) -> RiskTable:
         if pool:
             results = pool.map(_run_in_worker, payloads)
         else:
-            results = (_run_cell(sweep, payload) for payload in payloads)
+            results = _run_cells(sweep, payloads)
         for (t, n_side), cell in zip(cells, results):
             if np.isinf(t):
                 cell = cell * spec.replicates  # deterministic cell, reuse

@@ -6,7 +6,10 @@ their proximity graph.  Each cell is denoised (mode-selection residuals
 subtracted), cropped to its positive support with an exposure of its own,
 assigned a number of components proportional to its mass (pairs of atoms
 apportioned by largest remainder, so the counts sum to k), and estimated with
-the complex method of moments.  The per-cell estimates merge into one uniform
+the complex method of moments: each crop gives its moment estimates, and one
+stacked root solve per number of components inverts those of every cell
+with that number, each cell bit for bit as alone; a cell whose row fails is
+flagged alone.  The per-cell estimates merge into one uniform
 measure over all recovered atoms, which one ascent of the log-likelihood on
 the full image then refines: the denoised crops are not the cells' kernel
 blur, so a likelihood fitted to them would pull the atoms off.
@@ -27,7 +30,7 @@ from .em import EmConfig, EmTrace, maximize_likelihood
 from .em import run_em  # noqa: F401
 from .kernels import Kernel, UniformBoxKernel
 from .measures import AtomicUniformMeasure
-from .mm import RootRecoveryError, mm_complex
+from .mm import estimate_moments, kernel_psi, measure_from_moments
 from .observation import BinGrid, CountImage
 
 logger = logging.getLogger(__name__)
@@ -235,26 +238,28 @@ def run_pipeline(image: CountImage, kernel: Kernel,
     k_per_cell = allocate_components(masks, denoised_full, config.k)
     total = denoised_full.counts.sum()
     cells = []
-    atoms = []
+    moments = {}  # k -> {cell id: that cell's moment estimates}
     for cid, (mask, k_p) in enumerate(zip(masks, k_per_cell)):
         mass_ratio = float(denoised_full.counts[mask].sum()) / total if total > 0 else 0.0
         result = CellResult(cid, mask, k_p, None, mass_ratio)
+        cells.append(result)
         if k_p == 0:
             result.flags.append("no_components")
-            cells.append(result)
             continue
         sub = denoise_and_crop(image, selection.residual, mask)
         if sub is None:
             result.flags.append("empty_after_denoise")
-            cells.append(result)
             continue
-        try:
-            result.estimate = mm_complex(sub, kernel, k_p)
-            atoms.append(result.estimate.atoms)
-        except (RootRecoveryError, ValueError) as exc:
-            result.flags.append(f"estimation_failed: {exc}")
-            logger.warning("cell %d failed: %s", cid, exc)
-        cells.append(result)
+        moments.setdefault(k_p, {})[cid] = estimate_moments(sub, kernel_psi(kernel, k_p))
+    for by_cell in moments.values():
+        solved = measure_from_moments(np.array(list(by_cell.values())))
+        for cid, estimate in zip(by_cell, solved):
+            if isinstance(estimate, Exception):
+                cells[cid].flags.append(f"estimation_failed: {estimate}")
+                logger.warning("cell %d failed: %s", cid, estimate)
+            else:
+                cells[cid].estimate = estimate
+    atoms = [cell.estimate.atoms for cell in cells if cell.estimate is not None]
     if not atoms:
         return PipelineResult(selection.modes, selection.residual, cells, None)
     merged = AtomicUniformMeasure(np.vstack(atoms))

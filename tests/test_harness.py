@@ -161,7 +161,8 @@ class TestOneRootSolvePerCell:
         # t = 1e-9 draws all-zero images, which have no moments to invert
         spec = small_spec(t_values=(1e-9, 1e4, np.inf), resolutions=(10, 20), replicates=3)
         table = run_risk_experiment(spec)
-        assert shapes == [(3, 5), (3, 5), (1, 5), (1, 5)]
+        # a serial sweep is one batch: 2 cells of 3 replicates, 2 noiseless cells of 1
+        assert shapes == [(8, 5)]
         centre = wasserstein_p(AtomicUniformMeasure(np.full((4, 2), 0.5)), spec.truth(), 1)
         for m in (100, 400):
             row = lookup(table, "mm", 1e-9, m)
@@ -169,25 +170,50 @@ class TestOneRootSolvePerCell:
             assert row["n_warnings"] == 3  # one DegenerateDataWarning per replicate
 
     def test_a_row_that_fails_fails_its_replicate_alone(self, monkeypatch, caplog):
-        spec = small_spec(replicates=3, estimators=("mm",))
-        clean = lookup(run_risk_experiment(spec), "mm", 1e4, 400)["w1_samples"]
+        spec = small_spec(t_values=(1e3, 1e4), resolutions=(10, 20), replicates=3,
+                          estimators=("mm",))
+        clean = run_risk_experiment(spec)
         real_roots = mm.complex_roots
 
         def planted(coeffs):
             roots = real_roots(coeffs)
-            roots[1] = np.nan  # how a stack reports a row that failed both paths
+            # rows run cell after cell, (1e3, 10), (1e3, 20), (1e4, 10), (1e4, 20),
+            # so row 10 is replicate 1 of cell (1e4, 20); a NaN row is how a stack
+            # reports a row that failed both paths
+            roots[3 * 3 + 1] = np.nan
             return roots
 
         monkeypatch.setattr(mm, "complex_roots", planted)
         with caplog.at_level("WARNING", logger="poisson_deconv.harness"):
             table = run_risk_experiment(spec)
-        row = lookup(table, "mm", 1e4, 400)
-        assert row["w1_samples"] == [clean[0], None, clean[2]]
-        assert row["n_fail"] == 1
+        for t in spec.t_values:
+            for m in (100, 400):
+                samples = lookup(clean, "mm", t, m)["w1_samples"]
+                if (t, m) == (1e4, 400):
+                    samples[1] = None
+                row = lookup(table, "mm", t, m)
+                assert row["w1_samples"] == samples
+                assert row["n_fail"] == ((t, m) == (1e4, 400))
         [record] = caplog.records
         assert record.levelname == "WARNING"
         assert "estimator mm failed" in record.getMessage()
         assert "root finding failed" in record.getMessage()
+
+    @pytest.mark.parametrize("estimators, draws", [(("mm", "em"), 2), (("mm",), 1)])
+    def test_em_draws_each_finite_t_image_again(self, monkeypatch, estimators, draws):
+        real_draw, seen = harness.poisson_image, []
+
+        def counted(grid, intensity, t, seed):
+            seen.append(seed.spawn_key)
+            return real_draw(grid, intensity, t, seed)
+
+        monkeypatch.setattr(harness, "poisson_image", counted)
+        spec = small_spec(t_values=(1e3, np.inf), resolutions=(10, 20), replicates=2,
+                          estimators=estimators, em=EmConfig(max_iterations=1))
+        run_risk_experiment(spec)
+        # cells 0 and 1 have t = 1e3; the noiseless cells draw nothing
+        keys = [(cell, rep) for cell in (0, 1) for rep in (0, 1)]
+        assert sorted(seen) == sorted(keys * draws)
 
 
 class TestProcessPool:
@@ -200,14 +226,17 @@ class TestProcessPool:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        spec = small_spec(t_values=(1e3, 1e4), replicates=2)
-        run_risk_experiment(spec).to_csv(tmp_path / "serial.csv")
+        # mm and em on degenerate, noisy and noiseless cells: serially one
+        # batch, in the pool one cell per task
+        spec = small_spec(t_values=(1e-9, 1e3, 1e4, np.inf), replicates=2)
+        serial = run_risk_experiment(spec)
+        serial.to_csv(tmp_path / "serial.csv")
         assert pools == []
-        run_risk_experiment(
-            dataclasses.replace(spec, jobs=2)
-        ).to_csv(tmp_path / "pool.csv")
+        pooled = run_risk_experiment(dataclasses.replace(spec, jobs=2))
+        pooled.to_csv(tmp_path / "pool.csv")
         assert pools == [2]
         assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert [r["w1_samples"] for r in pooled.rows] == [r["w1_samples"] for r in serial.rows]
 
     def test_each_worker_builds_psi_once(self, monkeypatch, tmp_path):
         # forked workers inherit the patch; each appends its pid to one file

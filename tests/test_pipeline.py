@@ -329,8 +329,8 @@ class TestRunPipeline:
         assert result.estimate.k == 16
         assert wasserstein_p(result.estimate, truth, 1) <= 1e-6
 
-    def test_a_cell_whose_roots_fail_is_flagged_and_the_others_are_refined(self,
-                                                                          monkeypatch):
+    def test_a_cell_whose_roots_fail_is_flagged_and_the_others_are_refined(self, monkeypatch,
+                                                                          caplog):
         kernel = GaussianKernel(sigma=0.05, dim=2)
         img = noiseless(kernel, four_clusters(), BinGrid([0, 0], [1, 1], (80, 80)))
         config = PartitionConfig(
@@ -340,14 +340,18 @@ class TestRunPipeline:
         real_roots, calls = mm.complex_roots, []
 
         def planted(coeffs):
-            # cell 1's polynomial gets a NaN row, as when both root paths fail
+            # cell 1's row gets NaN roots, as when both root paths fail
             calls.append(coeffs.shape)
             roots = real_roots(coeffs)
-            return np.full_like(roots, np.nan) if len(calls) == 2 else roots
+            roots[1] = np.nan
+            return roots
 
         monkeypatch.setattr(mm, "complex_roots", planted)
-        result = run_pipeline(img, kernel, config)
-        assert calls == [(1, 5)] * 4
+        with caplog.at_level("WARNING", logger="poisson_deconv.pipeline"):
+            result = run_pipeline(img, kernel, config)
+        assert calls == [(4, 5)]  # every cell has k = 4: one stacked solve
+        [record] = caplog.records
+        assert record.getMessage().startswith("cell 1 failed: root finding failed")
         failed = result.cells[1]
         assert failed.estimate is None
         assert failed.flags == ["estimation_failed: root finding failed: Aberth iteration and "
@@ -357,6 +361,33 @@ class TestRunPipeline:
                 assert cell.flags == [] and np.array_equal(cell.estimate.atoms,
                                                            alone.estimate.atoms)
         assert result.estimate.k == 12 and result.trace.status == ["improved"]
+
+    def test_cells_of_each_k_are_inverted_in_one_call(self, monkeypatch):
+        # clusters of 4, 2 and 2 atoms: the cells get k = 4, 2, 2
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        truth = AtomicUniformMeasure(
+            [(0.25 + dx, 0.25 + dy) for dy in (-0.04, 0.04) for dx in (-0.04, 0.04)]
+            + [(0.75 + dx, 0.75) for dx in (-0.04, 0.04)]
+            + [(0.25, 0.75 + dy) for dy in (-0.04, 0.04)])
+        img = noiseless(kernel, truth, BinGrid([0, 0], [1, 1], (80, 80)))
+        config = PartitionConfig(
+            mode_count=8, k=8, mode_half_widths=(0.08, 0.08), link_threshold=0.2
+        )
+        real_roots, calls = mm.complex_roots, []
+
+        def recorded(coeffs):
+            calls.append(coeffs.shape)
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(mm, "complex_roots", recorded)
+        result = run_pipeline(img, kernel, config)
+        assert [cell.k_assigned for cell in result.cells] == [4, 2, 2]
+        assert calls == [(1, 5), (2, 3)]
+        monkeypatch.setattr(mm, "complex_roots", real_roots)
+        for cell in result.cells:
+            sub = denoise_and_crop(img, result.residual, cell.mask)
+            alone = mm.mm_complex(sub, kernel, cell.k_assigned)
+            assert cell.flags == [] and np.array_equal(cell.estimate.atoms, alone.atoms)
 
     def test_cell_counts_sum_to_k(self):
         # a noisy four-cluster image whose cell shares of k = 16 are 3.39,
