@@ -276,17 +276,16 @@ def cmd_experiment(config: dict, out_dir: str, jobs: int | None) -> int:
 def cmd_metrics(path_a: str, path_b: str, out_dir: str) -> int:
     mu = AtomicUniformMeasure.from_json(path_a)
     nu = AtomicUniformMeasure.from_json(path_b)
-    metrics = {"hausdorff": hausdorff(mu, nu)}
+    metrics = {"hausdorff": hausdorff(mu, nu),
+               "w1": wasserstein_p(mu, nu, 1), "w2": wasserstein_p(mu, nu, 2)}
     if mu.k == nu.k:
-        metrics["w1"] = wasserstein_p(mu, nu, 1)
-        metrics["w2"] = wasserstein_p(mu, nu, 2)
         metrics["w_inf"] = wasserstein_p(mu, nu, np.inf)
         order = mu.k
         metrics["moment_distance"] = moment_distance(
             exact_moments(mu, order), exact_moments(nu, order)
         )
     else:
-        metrics["note"] = "W_p and M_k need equal atom counts; only Hausdorff given"
+        metrics["note"] = "W_inf and M_k need equal atom counts; not given"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")
     with open(path, "w") as fh:

@@ -5,7 +5,7 @@ points of R^d (d = 1 or 2): every atom carries mass 1/k, and uniformity is
 structural (weights are never stored).  This module provides the measure type,
 exact complex moments m_1..m_k as a plain array (the array the MM chain
 estimates), the moment distance M_k between two such arrays, exact
-p-Wasserstein distances between equal-size uniform measures, the Hausdorff
+p-Wasserstein distances between uniform measures of any two sizes, the Hausdorff
 distance between supports, the paper's multiscale loss (a cluster-weighted
 W_1 over the Voronoi cells of a clustered reference), and a moment-matched
 perturbation that produces adversarial pairs sharing their first k-1 moments.
@@ -13,12 +13,11 @@ perturbation that produces adversarial pairs sharing their first k-1 moments.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_matrix, identity, kron, vstack
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial.distance import cdist
 
@@ -75,6 +74,11 @@ class AtomicUniformMeasure:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AtomicUniformMeasure":
+        if not isinstance(payload, dict):
+            raise ValueError(f"a measure must be a JSON object, not {type(payload).__name__}")
+        for key in ("atoms", "dimension"):
+            if key not in payload:
+                raise ValueError(f"measure is missing required field '{key}'")
         mu = cls(np.asarray(payload["atoms"], dtype=float))
         if mu.dimension != int(payload["dimension"]):
             raise ValueError("atom coordinates do not match declared dimension")
@@ -143,38 +147,60 @@ def _bottleneck_value(dist: np.ndarray) -> float:
     return float(values[hi])
 
 
-def wasserstein_p(mu: AtomicUniformMeasure, nu: AtomicUniformMeasure, p) -> float:
-    """Exact p-Wasserstein distance between two uniform measures with equal k.
+def _transport_value(cost: np.ndarray) -> float:
+    """Least (1/(n_a n_b)) sum_ij plan_ij cost_ij over plans of row sums n_b and column sums n_a.
 
-    Solves the assignment problem over permutations: for finite p this is
-    ((1/k) min_sigma sum_i ||theta_sigma(i) - eta_i||^p)^(1/p); for p = inf it
-    is the bottleneck assignment value min_sigma max_i ||theta_sigma(i) - eta_i||.
+    The LP's vertices are integral (Peyre & Cuturi 2019, ch. 3), but the dual
+    simplex stops within a tolerance of the optimum, so each solve's duals are
+    taken off the cost and the LP is solved again on the reduced costs scaled
+    up (iterative refinement: Gleixner, Steffy & Wolter 2016) until no plan
+    can cost less by more than rounding.  Raises RuntimeError on a failed
+    solve, a rounded plan off its marginals, or no convergence.
     """
-    if mu.k != nu.k:
-        raise ValueError("wasserstein_p requires equal atom counts")
+    na, nb = cost.shape
+    n = na * nb
+    # variable i * nb + j is plan_ij: first the row sums, then the column sums
+    marginals = vstack([kron(identity(na), np.ones((1, nb))),
+                        kron(np.ones((1, na)), identity(nb))])
+    supplies = np.concatenate([np.full(na, nb), np.full(nb, na)])
+    reduced, scale = cost, cost.max() or 1.0
+    for _ in range(16):  # a pass cuts the gap by about the simplex tolerance, 1e-7
+        res = linprog((reduced / scale).ravel(), A_eq=marginals, b_eq=supplies, method="highs-ds")
+        if not res.success:
+            raise RuntimeError(f"transport LP failed: {res.message}")
+        plan = np.rint(res.x)
+        if not np.array_equal(marginals @ plan, supplies):
+            raise RuntimeError("transport LP returned a plan off its marginals")
+        reduced = reduced - scale * (res.eqlin.marginals[:na, None] + res.eqlin.marginals[na:])
+        value, below, slack = plan @ cost.ravel() / n, -reduced.min(), plan @ reduced.ravel() / n
+        # no plan costs less than value - below - slack, nor less than 0
+        if below + slack <= 64 * np.finfo(float).eps * value or value == 0.0:
+            return float(value)
+        scale = max(below, slack)
+    raise RuntimeError("transport LP refinement did not converge")
+
+
+def wasserstein_p(mu: AtomicUniformMeasure, nu: AtomicUniformMeasure, p) -> float:
+    """Exact p-Wasserstein distance between two uniform measures of any sizes.
+
+    With equal k, finite p solves the assignment problem over permutations,
+    ((1/k) min_sigma sum_i ||theta_sigma(i) - eta_i||^p)^(1/p), and p = inf is
+    the bottleneck assignment value min_sigma max_i ||theta_sigma(i) - eta_i||.
+    With k_mu != k_nu, finite p solves the transport LP between masses 1/k_mu
+    and 1/k_nu, and p = inf raises ValueError.
+    """
+    if not p >= 1:
+        raise ValueError("p must lie in [1, inf]")
     dist = _pairwise(mu, nu)
     if np.isinf(p):
+        if mu.k != nu.k:
+            raise ValueError("W_inf requires equal atom counts")
         return _bottleneck_value(dist)
     p = float(p)
-    if p < 1:
-        raise ValueError("p must lie in [1, inf]")
+    if mu.k != nu.k:
+        return _transport_value(dist**p) ** (1.0 / p)
     row, col = linear_sum_assignment(dist**p)
     return float((dist[row, col] ** p).sum() / mu.k) ** (1.0 / p)
-
-
-def _w1_uniform_general(a: np.ndarray, b: np.ndarray) -> float:
-    """W_1 between uniform measures on possibly different atom counts.
-
-    Used for conditional per-cell measures only; solved exactly by replicating
-    atoms up to the least common multiple of the two counts and matching.
-    """
-    na, nb = a.shape[0], b.shape[0]
-    ell = math.lcm(na, nb)
-    aa = np.repeat(a, ell // na, axis=0)
-    bb = np.repeat(b, ell // nb, axis=0)
-    dist = cdist(aa, bb)
-    row, col = linear_sum_assignment(dist)
-    return float(dist[row, col].sum() / ell)
 
 
 def hausdorff(mu: AtomicUniformMeasure, nu: AtomicUniformMeasure) -> float:
@@ -190,15 +216,18 @@ def local_divergence(centers, multiplicities, mu: AtomicUniformMeasure,
     The reference is mu0 = (1/k) sum_j r_j delta_{c_j}: k0 distinct
     ``centers`` c_j in the dimension of mu and nu, shape (k0, d) or, on the
     line, (k0,) as for ``AtomicUniformMeasure``, with ``multiplicities``
-    r_j >= 1 and sum r_j = k = mu.k = nu.k; anything else raises ValueError.
-    V_j is the Voronoi cell of c_j (each atom goes to its nearest center, ties
-    to the lowest index), mu_Vj is the uniform measure on the atoms of mu in
-    V_j, and delta_j = prod_{i != j} ||c_i - c_j||^{r_i}.  W_1 between two
-    empty cells is 0; a nonempty cell against an empty one is infinite, which
-    the ^1 cap turns into a result of 1.
+    integers r_j >= 1 and sum r_j = k = mu.k = nu.k; anything else raises
+    ValueError.  V_j is the Voronoi cell of c_j (each atom goes to its nearest
+    center, ties to the lowest index), mu_Vj is the uniform measure on the
+    atoms of mu in V_j, and delta_j = prod_{i != j} ||c_i - c_j||^{r_i}.  The
+    two cells of a term may hold different atom counts; ``wasserstein_p``
+    scores them.  W_1 between two empty cells is 0; a nonempty cell against an
+    empty one is infinite, which the ^1 cap turns into a result of 1.
     """
     centers = AtomicUniformMeasure(centers).atoms
-    r = np.array(multiplicities, dtype=int)
+    r = np.array(multiplicities, dtype=float)
+    if not np.all(np.mod(r, 1) == 0):
+        raise ValueError("multiplicities must be integers")
     if centers.shape[0] != r.shape[0]:
         raise ValueError("one multiplicity per center required")
     if not centers.shape[1] == mu.dimension == nu.dimension:
@@ -223,7 +252,8 @@ def local_divergence(centers, multiplicities, mu: AtomicUniformMeasure,
             continue
         if cm.shape[0] == 0 or cn.shape[0] == 0:
             return 1.0
-        total += weights[j] * _w1_uniform_general(cm, cn) ** int(r[j])
+        w1 = wasserstein_p(AtomicUniformMeasure(cm), AtomicUniformMeasure(cn), 1)
+        total += weights[j] * w1 ** int(r[j])
     return min(1.0, total)
 
 

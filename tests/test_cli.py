@@ -367,3 +367,44 @@ def test_simulate_writes_an_image(tmp_path, t):
     assert run_main(tmp_path, "simulate", {**SIMULATE, "t": t}) == 0
     image = load_image(tmp_path / "out")
     assert image.grid.resolution == (8, 8) and image.t == float(t)
+
+
+def run_metrics(tmp_path, atoms_a, atoms_b) -> int:
+    for name, atoms in (("a", atoms_a), ("b", atoms_b)):
+        AtomicUniformMeasure(np.array(atoms)).to_json(tmp_path / f"{name}.json")
+    return main(["metrics", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 "--out", str(tmp_path / "out")])
+
+
+def test_metrics_on_equal_counts_writes_every_distance(tmp_path):
+    assert run_metrics(tmp_path, [[0.0, 0.0], [1.0, 0.0], [0.25, 0.5]],
+                       [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]) == 0
+    assert (tmp_path / "out" / "metrics.json").read_text() == (
+        '{\n  "hausdorff": 0.9013878188659973,\n  "w1": 0.4166666666666667,\n'
+        '  "w2": 0.5951190357119042,\n  "w_inf": 0.9013878188659973,\n'
+        '  "moment_distance": 2.4180987520140844\n}')
+
+
+def test_metrics_on_unequal_counts_writes_w1_and_w2(tmp_path):
+    # the one atom sends a third of its mass to each of nu's atoms
+    assert run_metrics(tmp_path, [[0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert list(metrics) == ["hausdorff", "w1", "w2", "note"]
+    assert metrics["hausdorff"] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert metrics["w1"] == pytest.approx(np.sqrt(2.0) / 2, rel=1e-15)
+    assert metrics["w2"] == pytest.approx(np.sqrt(2.5 / 3), rel=1e-15)
+    assert metrics["note"] == "W_inf and M_k need equal atom counts; not given"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"atoms": [[0.0, 0.0]]}, "measure is missing required field 'dimension'"),
+    ([[0.0, 0.0]], "a measure must be a JSON object, not list"),
+])
+def test_malformed_measure_is_an_error_without_traceback(tmp_path, capsys, payload, message):
+    (tmp_path / "a.json").write_text(json.dumps(payload))
+    AtomicUniformMeasure(np.zeros((1, 2))).to_json(tmp_path / "b.json")
+    assert main(["metrics", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -1,12 +1,19 @@
 import itertools
+import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
+from poisson_deconv import measures
 from poisson_deconv.measures import (
     AtomicUniformMeasure,
+    _transport_value,
     exact_moments,
     hausdorff,
     local_divergence,
@@ -33,6 +40,18 @@ def brute_force_wp(mu, nu, p):
             val = (np.sum(d**p) / k) ** (1.0 / p)
         best = min(best, val)
     return best
+
+
+def lcm_w1(mu, nu):
+    """Independent oracle: W_1 after repeating each measure's atoms up to lcm(k_mu, k_nu).
+
+    Both measures then have lcm atoms of equal mass, so W_1 is an assignment.
+    """
+    ell = math.lcm(mu.k, nu.k)
+    dist = cdist(np.repeat(mu.atoms, ell // mu.k, axis=0),
+                 np.repeat(nu.atoms, ell // nu.k, axis=0))
+    row, col = linear_sum_assignment(dist)
+    return float(dist[row, col].sum() / ell)
 
 
 def random_measure(rng, k, d):
@@ -109,13 +128,15 @@ class TestMomentDistance:
 
 
 @st.composite
-def measure_triples(draw, coordinate):
-    """Three uniform measures with the same k (1..6) and dimension (1 or 2)."""
-    k, d = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2]))
+def measure_triples(draw, coordinate, equal_k=True):
+    """Three uniform measures in one dimension (1 or 2), with one k or three distinct k in 1..6."""
+    d = draw(st.sampled_from([1, 2]))
+    ks = [draw(st.integers(1, 6))] * 3 if equal_k else draw(
+        st.lists(st.integers(1, 6), min_size=3, max_size=3, unique=True))
     return tuple(
         AtomicUniformMeasure(np.reshape(
             draw(st.lists(coordinate, min_size=k * d, max_size=k * d)), (k, d)))
-        for _ in range(3)
+        for k in ks
     )
 
 
@@ -127,6 +148,16 @@ class TestWassersteinAxiomsProperty:
     def test_symmetry_and_triangle_inequality(self, measures):
         mu, nu, rho = measures
         for p in P_VALUES:
+            d_mu_nu = wasserstein_p(mu, nu, p)
+            assert d_mu_nu == pytest.approx(wasserstein_p(nu, mu, p), abs=ALGEBRAIC_TOL)
+            assert d_mu_nu <= (
+                wasserstein_p(mu, rho, p) + wasserstein_p(rho, nu, p) + ALGEBRAIC_TOL
+            )
+
+    @given(measure_triples(st.floats(-1, 1), equal_k=False))
+    def test_symmetry_and_triangle_inequality_across_sizes(self, measures):
+        mu, nu, rho = measures
+        for p in (1, 2):
             d_mu_nu = wasserstein_p(mu, nu, p)
             assert d_mu_nu == pytest.approx(wasserstein_p(nu, mu, p), abs=ALGEBRAIC_TOL)
             assert d_mu_nu <= (
@@ -170,8 +201,38 @@ class TestWasserstein:
             )
 
     def test_unequal_k_rejected(self):
-        with pytest.raises(ValueError):
-            wasserstein_p(AtomicUniformMeasure([0.0]), AtomicUniformMeasure([0.0, 1.0]), 1)
+        # only p = inf rejects them; at finite p the one atom sends half its
+        # mass to each of 0 and 1
+        mu, nu = AtomicUniformMeasure([0.0]), AtomicUniformMeasure([0.0, 1.0])
+        assert wasserstein_p(mu, nu, 1) == 0.5
+        assert wasserstein_p(mu, nu, 2) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+        with pytest.raises(ValueError, match="W_inf requires equal atom counts"):
+            wasserstein_p(mu, nu, np.inf)
+
+    def test_unequal_counts_resolve_costs_below_the_simplex_tolerance(self):
+        # one dual simplex solve leaves this plan 2e-8 off: its reduced costs
+        # are within the solver's tolerance of 1e-7
+        mu = AtomicUniformMeasure([[0.0, 0.0]] * 3 + [[0.0, 1.0], [0.0, 0.0]])
+        nu = AtomicUniformMeasure([[0.0, 0.0], [0.0, 0.0], [0.0, 1e-8]])
+        assert wasserstein_p(mu, nu, 1) == pytest.approx(lcm_w1(mu, nu), rel=1e-12)
+
+    @pytest.mark.parametrize("x, message", [
+        (None, "transport LP failed"),
+        (np.full(6, 0.5), "transport LP returned a plan off its marginals"),
+    ])
+    def test_a_failed_transport_solve_raises(self, monkeypatch, x, message):
+        monkeypatch.setattr(measures, "linprog", lambda *args, **kwargs: SimpleNamespace(
+            success=x is not None, x=x, message="stub"))
+        mu, nu = AtomicUniformMeasure([0.0, 1.0]), AtomicUniformMeasure([0.0, 0.5, 1.0])
+        with pytest.raises(RuntimeError, match=message):
+            wasserstein_p(mu, nu, 1)
+
+    @pytest.mark.parametrize("p", [0.5, np.nan, -np.inf])
+    def test_p_below_one_or_nan_rejected(self, p):
+        mu = AtomicUniformMeasure([[0.0, 0.0], [1.0, 1.0]])
+        nu = AtomicUniformMeasure([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+            wasserstein_p(mu, nu, p)
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(7)
@@ -198,6 +259,29 @@ class TestWasserstein:
             for p in vals:
                 for q in vals:
                     assert vals[p] <= k * vals[q] + ALGEBRAIC_TOL
+
+
+@st.composite
+def unequal_cells(draw):
+    """Two planar measures of different sizes whose counts have lcm <= 400."""
+    na, nb = draw(st.tuples(st.integers(1, 20), st.integers(1, 20)).filter(
+        lambda ks: ks[0] != ks[1] and math.lcm(*ks) <= 400))
+    coords = st.floats(-1, 1)
+    return tuple(AtomicUniformMeasure(np.reshape(
+        draw(st.lists(coords, min_size=2 * n, max_size=2 * n)), (n, 2))) for n in (na, nb))
+
+
+class TestTransportProperty:
+    @given(unequal_cells())
+    def test_unequal_counts_match_the_lcm_oracle(self, cells):
+        mu, nu = cells
+        assert wasserstein_p(mu, nu, 1) == pytest.approx(lcm_w1(mu, nu), rel=1e-12, abs=1e-300)
+
+    @given(measure_triples(st.floats(-1, 1)), st.sampled_from([1, 2]))
+    def test_equal_counts_match_the_assignment(self, measures, p):
+        mu, nu, _ = measures
+        value = _transport_value(cdist(mu.atoms, nu.atoms) ** p)
+        assert value == pytest.approx(wasserstein_p(mu, nu, p) ** p, rel=1e-12, abs=1e-300)
 
 
 class TestHausdorff:
@@ -250,6 +334,8 @@ class TestClusterProfile:
         ([[0.0, 0.0], [1.0, 0.0]], [2, 0], 2, "multiplicities must be >= 1"),
         ([[0.0, 0.0], [1.0, 0.0]], [1, 2], 2, "mu.k == nu.k"),
         ([0.0, 1.0], [1, 1], 2, "centers are 1-d but mu is 2-d and nu 2-d"),
+        ([[0.0, 0.0]], [1.7], 1, "multiplicities must be integers"),
+        ([[0.0, 0.0]], [np.nan], 1, "multiplicities must be integers"),
     ])
     def test_invalid_profiles_rejected(self, centers, mult, k, message):
         mu = AtomicUniformMeasure(np.zeros((k, 2)))
@@ -322,6 +408,26 @@ class TestLocalDivergence:
         mu = AtomicUniformMeasure([[0.0, 0.0], [1.0, 0.0]])
         nu = AtomicUniformMeasure([[0.1, 0.0], [0.2, 0.0]])  # both in cell 0
         assert local_divergence([[0.0, 0.0], [1.0, 0.0]], [1, 1], mu, nu) == 1.0
+
+    def test_unequal_cells_stay_small(self):
+        # cell 0 holds 43 atoms of mu and 47 of nu; repeating them up to
+        # lcm(43, 47) = 2021 would allocate about 31 MiB
+        rng = np.random.default_rng(5)
+        centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+        def clusters(*counts):
+            return AtomicUniformMeasure(np.vstack([
+                c + rng.uniform(-1 / 8, 1 / 8, size=(n, 2)) for c, n in zip(centers, counts)]))
+
+        mu, nu = clusters(43, 47), clusters(47, 43)
+        tracemalloc.start()
+        try:
+            value = local_divergence(centers, [45, 45], mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value < 1.0
+        assert peak < 4 * 2**20
 
 
 @st.composite
