@@ -53,9 +53,6 @@ class Kernel:
 
     dimension: int
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def spread(self) -> float:
         """Characteristic half-width (sigma for Gaussians, support radius otherwise)."""
         raise NotImplementedError
@@ -404,19 +401,6 @@ class TabulatedKernel(Kernel):
 
     def spread(self) -> float:
         return float(max(c[-1] - c[0] for c in self._node_coords) / 2)
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, float))
-        if self.dimension == 1:
-            return np.interp(x[:, 0], self._node_coords[0], self.samples,
-                             left=0.0, right=0.0)
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (self._node_coords[1], self._node_coords[0]), self.samples,
-            bounds_error=False, fill_value=0.0,
-        )
-        return interp(x[:, ::-1])
 
     def _hat_coordinates(self, edges: np.ndarray, thetas: np.ndarray, axis: int) -> tuple:
         """One axis's shifted edges, (k, n_edges), and hat coordinates, (k, n_edges, n_nodes).

@@ -79,8 +79,17 @@ class AtomicUniformMeasure:
         for key in ("atoms", "dimension"):
             if key not in payload:
                 raise ValueError(f"measure is missing required field '{key}'")
-        mu = cls(np.asarray(payload["atoms"], dtype=float))
-        if mu.dimension != int(payload["dimension"]):
+        try:
+            atoms = np.asarray(payload["atoms"], dtype=float)
+        except TypeError:
+            raise ValueError("measure field 'atoms' must be an array of numbers") from None
+        mu = cls(atoms)
+        try:
+            dimension = int(payload["dimension"])
+        except (TypeError, ValueError):
+            raise ValueError(f"measure field 'dimension' must be an integer, "
+                             f"got {payload['dimension']!r}") from None
+        if mu.dimension != dimension:
             raise ValueError("atom coordinates do not match declared dimension")
         return mu
 

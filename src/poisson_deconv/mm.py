@@ -223,9 +223,7 @@ def _aberth(coeffs: np.ndarray, columns: np.ndarray):
     """
     n_rows, k = coeffs.shape[0], coeffs.shape[1] - 1
     centre = -coeffs[:, 1] / k
-    value = np.zeros_like(centre)
-    for c in coeffs.T:  # np.polyval's Horner, every row at its centre
-        value = value * centre + c
+    value, _ = _polyval_and_deriv(coeffs.T, centre)
     # abs and ** of NumPy scalars, as on np.polyval's scalar result: the
     # array versions differ from them in the last bit
     radius = np.empty(n_rows)
@@ -258,15 +256,13 @@ def _aberth(coeffs: np.ndarray, columns: np.ndarray):
     return z, tested.reshape(n_rows, k).max(axis=1), None
 
 
-def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray, p=None):
+def _residual_ratio(coeffs: np.ndarray, roots: np.ndarray, p: np.ndarray):
     """Largest |p(root)| / (1e-10 * max|coeff| * (1+|root|)^k) over each polynomial's roots.
 
-    ``coeffs`` is (k + 1,) or an (R, k + 1) stack and ``roots`` (k,) or
-    (R, k); the result is a scalar or (R,).  ``p`` holds p(roots) when the
-    caller has it; otherwise it is evaluated.
+    ``coeffs`` is (k + 1,) or an (R, k + 1) stack, ``roots`` (k,) or (R, k)
+    and ``p`` the polynomial's values at ``roots``; the result is a scalar
+    or (R,).
     """
-    if p is None:
-        p, _ = _polyval_and_deriv(coeffs.T[..., None], roots)
     scale = np.abs(coeffs).max(axis=-1, keepdims=True)
     k = coeffs.shape[-1] - 1
     bound = 1e-10 * scale * (1.0 + np.abs(roots)) ** k
@@ -300,7 +296,7 @@ def complex_roots(coeffs) -> np.ndarray:
     set is Newton-polished and accepted only if the residual |p(root)| stays
     below 1e-10 * max|coeff| * (1+|root|)^k.  A row's roots are bit for bit
     those it gets alone.  Each accepted row logs one DEBUG record on this
-    module's logger with the path taken ("linear", "aberth" or "companion"),
+    module's logger with the path taken ("aberth" or "companion"),
     the Aberth iteration count and the worst residual-to-bound ratio.  A row
     that fails both paths fails alone, as a row of NaN.
     """
@@ -309,24 +305,19 @@ def complex_roots(coeffs) -> np.ndarray:
         raise ValueError(f"coeffs must be an (R, k + 1) stack with k >= 1, got {coeffs.shape}")
     stack = coeffs / coeffs[:, :1]
     n_rows, k = stack.shape[0], stack.shape[1] - 1
-    if k == 1:
-        roots, iterations, paths = -stack[:, 1:], np.zeros(n_rows, int), ["linear"] * n_rows
-        ratios = _residual_ratio(stack, roots)
-        failed = np.zeros(n_rows, dtype=bool)
-    else:
-        columns = np.repeat(stack.T, k, axis=1)  # each root's coefficients, row after row
-        roots, iterations, values = _aberth(stack, columns)
-        roots, p = _newton_polish(columns, roots, values)
-        roots, p = roots.reshape(n_rows, k), p.reshape(n_rows, k)
-        ratios, paths = _residual_ratio(stack, roots, p), ["aberth"] * n_rows
-        # "not <=" rather than ">": a NaN ratio must fall through, then fail
+    columns = np.repeat(stack.T, k, axis=1)  # each root's coefficients, row after row
+    roots, iterations, values = _aberth(stack, columns)
+    roots, p = _newton_polish(columns, roots, values)
+    roots, p = roots.reshape(n_rows, k), p.reshape(n_rows, k)
+    ratios, paths = _residual_ratio(stack, roots, p), ["aberth"] * n_rows
+    # "not <=" rather than ">": a NaN ratio must fall through, then fail
+    failed = ~(ratios <= 1.0)
+    if failed.any():
+        for row in np.flatnonzero(failed):
+            roots[row], ratios[row] = _companion_roots(stack[row])
+            paths[row] = "companion"
         failed = ~(ratios <= 1.0)
-        if failed.any():
-            for row in np.flatnonzero(failed):
-                roots[row], ratios[row] = _companion_roots(stack[row])
-                paths[row] = "companion"
-            failed = ~(ratios <= 1.0)
-            roots[failed] = np.nan
+        roots[failed] = np.nan
     if logger.isEnabledFor(logging.DEBUG):
         for row in np.flatnonzero(~failed):
             logger.debug(

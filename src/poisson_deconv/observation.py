@@ -291,6 +291,10 @@ def load_image(path) -> CountImage:
                         f"unparsable count {tok.strip()!r} at row {line_no}, "
                         f"column {col_no}"
                     ) from None
+                if not np.isfinite(val):
+                    raise NonFiniteCountError(
+                        f"non-finite count at row {line_no}, column {col_no}"
+                    )
                 if val < 0:
                     raise NegativeCountError(
                         f"negative count at row {line_no}, column {col_no}"

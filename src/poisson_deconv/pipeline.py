@@ -188,8 +188,8 @@ def denoise_and_crop(image: CountImage, residual: CountImage,
     return CountImage(sub, counts, counts.sum())
 
 
-def allocate_components(masks: list, denoised: CountImage, k: int) -> list:
-    """Per-cell component counts proportional to denoised cell mass, summing to k.
+def allocate_components(masses, k: int) -> list:
+    """Per-cell component counts proportional to the cells' ``masses``, summing to k.
 
     Largest-remainder apportionment of the k // 2 pairs by the cells' pair
     quotas s_i / 2, where s_i = k * mass_i / total: each cell takes the floor
@@ -199,10 +199,10 @@ def allocate_components(masks: list, denoised: CountImage, k: int) -> list:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    masses = np.array([float(denoised.counts[m].sum()) for m in masks])
+    masses = np.asarray(masses, dtype=float)
     total = masses.sum()
     if total <= 0:
-        return [0 for _ in masks]
+        return [0] * masses.shape[0]
     shares = masses / total * k
     quotas = shares / 2.0
     pairs = np.floor(quotas).astype(int)
@@ -234,14 +234,13 @@ def run_pipeline(image: CountImage, kernel: Kernel,
     den = np.maximum(image.counts - selection.residual.counts, 0.0)
     if np.isfinite(image.t):
         den = np.round(den)
-    denoised_full = CountImage(image.grid, den, image.t)
-    k_per_cell = allocate_components(masks, denoised_full, config.k)
-    total = denoised_full.counts.sum()
+    masses = [float(den[mask].sum()) for mask in masks]
+    k_per_cell = allocate_components(masses, config.k)
+    total = den.sum()
     cells = []
     moments = {}  # k -> {cell id: that cell's moment estimates}
-    for cid, (mask, k_p) in enumerate(zip(masks, k_per_cell)):
-        mass_ratio = float(denoised_full.counts[mask].sum()) / total if total > 0 else 0.0
-        result = CellResult(cid, mask, k_p, None, mass_ratio)
+    for cid, (mask, mass, k_p) in enumerate(zip(masks, masses, k_per_cell)):
+        result = CellResult(cid, mask, k_p, None, mass / total if total > 0 else 0.0)
         cells.append(result)
         if k_p == 0:
             result.flags.append("no_components")

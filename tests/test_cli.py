@@ -6,9 +6,9 @@ import pytest
 from poisson_deconv import cli, mm
 from poisson_deconv.cli import ConfigError, cmd_estimate, cmd_experiment, cmd_pipeline, main
 from poisson_deconv.em import EmConfig, log_likelihood
-from poisson_deconv.harness import RiskTable
+from poisson_deconv.harness import RiskTable, builtin_configuration
 from poisson_deconv.kernels import GaussianKernel
-from poisson_deconv.measures import AtomicUniformMeasure
+from poisson_deconv.measures import AtomicUniformMeasure, wasserstein_p
 from poisson_deconv.observation import (
     BinGrid,
     CountImage,
@@ -369,6 +369,41 @@ def test_simulate_writes_an_image(tmp_path, t):
     assert image.grid.resolution == (8, 8) and image.t == float(t)
 
 
+def test_gaussian_cov_kernel_simulates_its_own_blur(tmp_path):
+    cov = [[0.003, 0.001], [0.001, 0.002]]
+    config = {**SIMULATE, "kernel": {"type": "gaussian", "cov": cov}, "t": "inf"}
+    assert run_main(tmp_path, "simulate", config) == 0
+    direct = noiseless(GaussianKernel(cov=np.array(cov)), AtomicUniformMeasure([[0.5, 0.5]]),
+                       BinGrid([0.0, 0.0], [1.0, 1.0], (8, 8)))
+    save_image(direct, tmp_path / "direct")
+    assert ((tmp_path / "out" / "image.csv").read_bytes()
+            == (tmp_path / "direct" / "image.csv").read_bytes())
+
+
+def test_gaussian_kernel_without_sigma_or_cov_exits_2(tmp_path, capsys):
+    assert run_main(tmp_path, "simulate", {**SIMULATE, "kernel": {"type": "gaussian"}}) == 2
+    assert capsys.readouterr().err == "config error: gaussian kernel spec needs 'sigma' or 'cov'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_then_estimate_with_a_planar_tabulated_psf(tmp_path):
+    # a Gaussian PSF (sigma 0.05) sampled on a 51 x 51 grid out to 5 sigma
+    nodes = np.linspace(-0.25, 0.25, 51)
+    xx, yy = np.meshgrid(nodes, nodes)
+    np.savetxt(tmp_path / "psf.csv", np.exp(-0.5 * (xx**2 + yy**2) / 0.05**2), delimiter=",")
+    (tmp_path / "psf.json").write_text(json.dumps({"spacing": 0.01, "origin": [-0.25, -0.25]}))
+    kernel = {"type": "tabulated", "csv": str(tmp_path / "psf.csv")}
+    simulate_config = {"kernel": kernel, "measure": {"configuration": "grid", "k": 4},
+                       "grid": {"resolution": 32}, "t": 1e5, "seed": 3}
+    assert run_main(tmp_path, "simulate", simulate_config) == 0
+    (tmp_path / "estimate.json").write_text(json.dumps(
+        {"kernel": kernel, "image": str(tmp_path / "out"), "k": 4, "estimator": "mm"}))
+    assert main(["estimate", "--config", str(tmp_path / "estimate.json"),
+                 "--out", str(tmp_path / "fit")]) == 0
+    fit = AtomicUniformMeasure.from_json(tmp_path / "fit" / "estimate.json")
+    assert wasserstein_p(fit, builtin_configuration("grid", 4), 1) < 0.01
+
+
 def run_metrics(tmp_path, atoms_a, atoms_b) -> int:
     for name, atoms in (("a", atoms_a), ("b", atoms_b)):
         AtomicUniformMeasure(np.array(atoms)).to_json(tmp_path / f"{name}.json")
@@ -399,6 +434,8 @@ def test_metrics_on_unequal_counts_writes_w1_and_w2(tmp_path):
 @pytest.mark.parametrize("payload, message", [
     ({"atoms": [[0.0, 0.0]]}, "measure is missing required field 'dimension'"),
     ([[0.0, 0.0]], "a measure must be a JSON object, not list"),
+    ({"dimension": [2], "atoms": [[0, 0]]}, "measure field 'dimension' must be an integer, got [2]"),
+    ({"dimension": 2, "atoms": {"x": 1}}, "measure field 'atoms' must be an array of numbers"),
 ])
 def test_malformed_measure_is_an_error_without_traceback(tmp_path, capsys, payload, message):
     (tmp_path / "a.json").write_text(json.dumps(payload))

@@ -29,7 +29,6 @@ from poisson_deconv.mm import (
     RootRecoveryError,
     _polyval_and_deriv,
     _polyval_deriv_and_bound,
-    _residual_ratio,
     complex_roots,
     compute_psi,
     estimate_moments,
@@ -264,7 +263,7 @@ class TestRootFinderConvergence:
         coeffs = np.poly(targets)
         [roots] = complex_roots([coeffs])
         assert roots.shape == (len(targets),)
-        assert _residual_ratio(coeffs, roots) <= 1.0
+        assert oracle_residual_ratio(coeffs, roots) <= 1.0
 
 
 # Reference root finder (oracle): two Horner passes per Newton step, a
@@ -338,8 +337,6 @@ def oracle_residual_ok(coeffs: np.ndarray, roots: np.ndarray) -> bool:
 
 
 def oracle_find_roots(coeffs: np.ndarray):
-    if coeffs.shape[0] == 2:
-        return np.array([-coeffs[1]]), "linear", 0
     roots, iterations = oracle_aberth(coeffs)
     roots = oracle_newton_polish(coeffs, roots)
     if oracle_residual_ok(coeffs, roots):
@@ -351,6 +348,8 @@ def oracle_find_roots(coeffs: np.ndarray):
 
 
 complex_values = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+nonzero_parts = st.builds(lambda sign, size: sign * size,
+                          st.sampled_from([-1.0, 1.0]), st.floats(1e-6, 1e2))
 
 
 @st.composite
@@ -460,6 +459,17 @@ class TestRootFinderMatchesOracle:
             else:
                 assert same_bits(row, want[0])
 
+    @given(st.lists(st.builds(complex, nonzero_parts, nonzero_parts), min_size=1, max_size=8))
+    def test_a_degree_one_stack_gives_minus_a1_bit_for_bit(self, tail):
+        # Aberth starts on the Cauchy circle about the root -a_1; its first
+        # step lands within rounding of it, after which z + a_1 is exact and
+        # the next step lands on -a_1.  (A zero part comes back as +0.)
+        a1 = np.array(tail, dtype=complex)
+        with mm_debug_records() as records:
+            roots = complex_roots(np.column_stack([np.ones_like(a1), a1]))
+        assert same_bits(roots[:, 0], -a1)
+        assert [r.args[1] for r in records] == ["aberth"] * a1.size
+
     def test_a_row_that_fails_both_paths_fails_alone(self):
         # rows: Aberth; Aberth overflows from its Cauchy start, so the companion
         # fallback; both paths overflow; Aberth
@@ -486,7 +496,8 @@ class TestRootFinderMatchesOracle:
             [roots] = complex_roots([coeffs])
         [record] = [r for r in caplog.records if r.name == "poisson_deconv.mm"]
         monic = np.asarray(coeffs, dtype=complex)
-        assert record.args[3] == _residual_ratio(monic / monic[0], roots) <= 1.0
+        assert record.args[1] == "aberth"
+        assert record.args[3] == oracle_residual_ratio(monic / monic[0], roots) <= 1.0
 
 
 def spaced_atoms(min_gap):

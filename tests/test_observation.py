@@ -255,7 +255,7 @@ class TestImageIO:
         (tmp_path / "image.json").write_text(
             '{"width_px": 2, "height_px": 2, "pixel_size": 1.0, "t": %s}' % t
         )
-        with pytest.raises(NonFiniteCountError):
+        with pytest.raises(NonFiniteCountError, match="^non-finite count at row 1, column 1$"):
             load_image(tmp_path)
 
     def test_dimension_mismatch(self, tmp_path):

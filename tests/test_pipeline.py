@@ -125,40 +125,22 @@ class TestPartition:
 
 
 class TestEvenRoundAllocation:
-    def test_equal_masses(self, grid10):
-        masks = [np.zeros(grid10.m, bool), np.zeros(grid10.m, bool)]
-        masks[0][:50] = True
-        masks[1][50:] = True
-        counts = np.ones(grid10.m)
-        den = CountImage(grid10, counts, 10.0)
-        assert allocate_components(masks, den, 4) == [2, 2]
+    def test_equal_masses(self):
+        assert allocate_components([50.0, 50.0], 4) == [2, 2]
 
-    def test_odd_k_gives_the_last_unit_to_one_cell(self, grid10):
-        masks = [np.zeros(grid10.m, bool) for _ in range(3)]
-        masks[0][:10] = True
-        masks[1][10:20] = True
-        masks[2][20:] = True
-        counts = np.zeros(grid10.m)
-        counts[:10] = 5.0   # mass 50
-        counts[10:20] = 5.0  # mass 50
-        counts[20:] = 0.25   # mass 20
-        den = CountImage(grid10, counts, np.inf)
-        alloc = allocate_components(masks, den, 5)
+    def test_odd_k_gives_the_last_unit_to_one_cell(self):
+        alloc = allocate_components([50.0, 50.0, 20.0], 5)
         # shares 2.08, 2.08, 0.83: pairs 1, 1, 0, and the odd unit goes to
         # the largest share left over, 0.83
         assert alloc == [2, 2, 1]
         assert sum(alloc) == 5
 
-    def test_largest_remainder_pairs(self, grid10):
-        masks = [np.zeros(grid10.m, bool) for _ in range(4)]
-        for i in range(4):
-            masks[i][25 * i : 25 * (i + 1)] = True
-        counts = np.repeat([339.0, 413.0, 344.0, 504.0], 25)
-        den = CountImage(grid10, counts, 10.0)
+    def test_largest_remainder_pairs(self):
+        masses = 25 * np.array([339.0, 413.0, 344.0, 504.0])
         # pair quotas 1.695, 2.065, 1.72, 2.52: floors 1, 2, 1, 2 and the two
         # pairs left go to the fractions 0.72 and 0.695; rounding each share
         # to the nearest even count would give 4, 4, 4, 6
-        assert allocate_components(masks, den, 16) == [4, 4, 4, 4]
+        assert allocate_components(masses, 16) == [4, 4, 4, 4]
 
 
 class TestDenoiseAndCrop:
@@ -361,6 +343,26 @@ class TestRunPipeline:
                 assert cell.flags == [] and np.array_equal(cell.estimate.atoms,
                                                            alone.estimate.atoms)
         assert result.estimate.k == 12 and result.trace.status == ["improved"]
+
+    def test_an_image_without_counts_has_no_modes_and_no_cells(self):
+        img = CountImage(BinGrid([0, 0], [1, 1], (10, 10)), np.zeros(100), 10.0)
+        result = run_pipeline(img, GaussianKernel(sigma=0.05), self.make_config())
+        assert result.modes.shape[0] == 0 and result.cells == []
+        assert result.estimate is None and result.trace is None
+
+    def test_when_every_cell_fails_nothing_is_refined(self, monkeypatch):
+        kernel = GaussianKernel(sigma=0.05, dim=2)
+        img = noiseless(kernel, four_clusters(), BinGrid([0, 0], [1, 1], (80, 80)))
+        config = PartitionConfig(
+            mode_count=8, k=16, mode_half_widths=(0.08, 0.08), link_threshold=0.2
+        )
+        monkeypatch.setattr(mm, "complex_roots",
+                            lambda coeffs: np.full((coeffs.shape[0], coeffs.shape[1] - 1), np.nan))
+        result = run_pipeline(img, kernel, config)
+        assert [cell.k_assigned for cell in result.cells] == [4, 4, 4, 4]
+        for cell in result.cells:
+            assert cell.estimate is None and cell.flags[0].startswith("estimation_failed: ")
+        assert result.estimate is None and result.trace is None
 
     def test_cells_of_each_k_are_inverted_in_one_call(self, monkeypatch):
         # clusters of 4, 2 and 2 atoms: the cells get k = 4, 2, 2
